@@ -1,9 +1,10 @@
 # Development entry points. CI should run:
 #   make build vet test explore-smoke   (test job)
+#   make bench-check                    (test job)
 #   make docs-check                     (docs/health job)
 GO ?= go
 
-.PHONY: build vet test bench bench-json bench-trend throughput-gate profile explore-smoke sample-smoke service-smoke spec-conformance symmetry-conformance weakmem-conformance experiments docs-check
+.PHONY: build vet test bench bench-check bench-json bench-trend throughput-gate profile explore-smoke sample-smoke service-smoke spec-conformance symmetry-conformance weakmem-conformance experiments docs-check
 
 build:
 	$(GO) build ./...
@@ -18,6 +19,12 @@ test: build vet
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# The repository benchmark (bench/, run with bash bench/run.sh) is a module
+# of its own, so the root build and tests never compile it: vet it and run
+# its short self-test, which builds it against the current internal packages.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Perf trajectory: exhaustive-sweep throughput for every registered spec
 # (sequential respawning baseline vs session-reuse vs parallel, each without

@@ -187,7 +187,7 @@ func run(args []string, out io.Writer) int {
 	fs.IntVar(&o.maxRuns, "maxruns", 0, "abort each cell after this many runs (0 = exhaustive)")
 	fs.BoolVar(&o.prune, "prune", false, "enable partial-order reduction")
 	fs.BoolVar(&o.dedup, "dedup", false, "enable state-fingerprint deduplication (visited-state cut-offs)")
-	fs.IntVar(&o.dedupMem, "dedupmem", 0, "visited-state store budget in MiB (0 = default 64)")
+	fs.IntVar(&o.dedupMem, "dedupmem", 0, "visited-state store memory ceiling in MiB, grown into on demand (0 = default 64)")
 	fs.BoolVar(&o.symmetry, "symmetry", false, "enable symmetry reduction (orbit-canonical fingerprints; needs -dedup)")
 	fs.BoolVar(&o.compare, "compare", false, "verify the parallel run count against the sequential explorer")
 	fs.BoolVar(&o.seq, "seq", false, "use the sequential explorer only")
@@ -286,11 +286,15 @@ func dispatch(ctx context.Context, o options, out io.Writer) error {
 // rejectInapplicableFlags fails loudly on flag combinations one engine would
 // otherwise silently ignore: exhaustive-only flags under -sample, and
 // explicit scenario selection or grids under -allspecs (which sweeps every
-// spec at its declared defaults). Silent drops would let the user believe a
-// bound or a grid applied when it did not.
+// spec at its declared defaults), and a -dedupmem whose byte count does not
+// fit an int (it would wrap into the default ceiling). Silent drops would let
+// the user believe a bound or a grid applied when it did not.
 func rejectInapplicableFlags(o options, explicit map[string]bool, haveSets bool) error {
 	if o.jsonOut && o.compare {
 		return errors.New("-compare prints a human-readable comparison; drop it under -json")
+	}
+	if o.dedupMem < 0 || o.dedupMem > service.MaxDedupMemMiB {
+		return fmt.Errorf("-dedupmem %d out of range [0, %d] MiB", o.dedupMem, service.MaxDedupMemMiB)
 	}
 	if o.sample != "" {
 		for _, name := range []string{"prune", "dedup", "dedupmem", "symmetry", "maxruns", "compare", "respawn"} {

@@ -72,6 +72,8 @@ func TestInvalidConfigurationsRejected(t *testing.T) {
 		{"undeclared param", "-object safe -t 1"},
 		{"undeclared set param", "-object safe -set bogus=1"},
 		{"xconsensus n>x", "-object xconsensus -n 3 -x 2"},
+		{"dedupmem overflows int", "-object commitadopt -dedup -dedupmem 8796093022208"},
+		{"negative dedupmem", "-object commitadopt -dedup -dedupmem -1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,8 +3,11 @@ package explore
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"weak"
 
 	"mpcn/internal/sched"
 )
@@ -135,6 +138,80 @@ func TestProgressTracksStats(t *testing.T) {
 	dsnap := dprog.Snapshot()
 	if dsnap.Dedup.States != dst.Dedup.States || dsnap.Dedup.States == 0 {
 		t.Fatalf("dedup progress states=%d, stats states=%d", dsnap.Dedup.States, dst.Dedup.States)
+	}
+}
+
+// TestProgressReleasesStore: once an exploration returns, its Progress
+// reports the same dedup counters as before but no longer holds the store,
+// and neither do the warm runtimes the walkers hand back to a RuntimeSource —
+// so a finished daemon job keeps no visited store alive. Run for the
+// sequential and the parallel engine.
+func TestProgressReleasesStore(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		var prog Progress
+		var once sync.Once
+		var store weak.Pointer[dedupStore]
+		newSession := func() Session {
+			s := sessionCommitAdopt(2)()
+			check := s.Check
+			s.Check = func(res *sched.Result) error {
+				once.Do(func() { store = weak.Make(prog.store.Load()) })
+				return check(res)
+			}
+			return s
+		}
+		rt := &keepingRuntime{}
+		t.Cleanup(rt.close)
+		cfg := Config{MaxSteps: 128, Dedup: true, Progress: &prog, Runtime: rt, Workers: 2}
+		var st Stats
+		var err error
+		if parallel {
+			st, err = ExploreParallel(newSession, cfg)
+		} else {
+			st, err = ExploreSession(newSession(), cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := prog.Snapshot()
+		want := st.Dedup
+		want.CutAlternatives = 0
+		if live.Dedup != want || live.Runs != int64(st.Runs) {
+			t.Fatalf("parallel=%v: snapshot %+v after return, stats %+v", parallel, live, st)
+		}
+		if store == (weak.Pointer[dedupStore]{}) {
+			t.Fatalf("parallel=%v: the store was never attached", parallel)
+		}
+		runtime.GC()
+		if store.Value() != nil {
+			t.Errorf("parallel=%v: the store is still reachable after the exploration returned", parallel)
+		}
+		if again := prog.Snapshot(); again != live {
+			t.Errorf("parallel=%v: snapshot changed after the store was collected: %+v vs %+v", parallel, again, live)
+		}
+	}
+}
+
+// keepingRuntime is a RuntimeSource that keeps every released session warm
+// until close, as the daemon's session pool does.
+type keepingRuntime struct {
+	mu   sync.Mutex
+	kept []*sched.Session
+}
+
+func (k *keepingRuntime) Acquire(n int, direct bool) (*sched.Session, error) {
+	return sched.NewSessionWith(n, sched.SessionOptions{Direct: direct})
+}
+
+func (k *keepingRuntime) Release(rt *sched.Session) {
+	k.mu.Lock()
+	k.kept = append(k.kept, rt)
+	k.mu.Unlock()
+}
+
+func (k *keepingRuntime) close() {
+	for _, rt := range k.kept {
+		rt.Close()
 	}
 }
 

@@ -1,6 +1,7 @@
 // The visited-state store behind Config.Dedup: a lock-striped,
-// power-of-two-sharded fingerprint set with a bounded-memory eviction policy,
-// per-shard stats, and a lock-free read path.
+// power-of-two-sharded fingerprint set grown on demand up to a memory
+// ceiling, with a bounded-memory eviction policy, per-shard stats, and a
+// lock-free read path.
 //
 // Exploration with Dedup computes a canonical state fingerprint at every NEW
 // decision node (sched control points + the harness's Session.Fingerprint)
@@ -50,15 +51,36 @@
 // style: a writer (always under the shard mutex, so writers are mutually
 // exclusive) first stores stamp=0, then lo and hi, then the new nonzero
 // stamp. Stamps are draws from a monotone per-shard counter, so a stamp
-// value never repeats. A probe is lock-free: it loads the stamp (0 means
-// empty or mid-write — skip), loads lo/hi, and on a match re-loads the stamp
-// to verify nothing moved underneath; since stamps never repeat, an
-// unchanged stamp proves the two fingerprint words were stable. A probe
+// value never repeats. A probe is lock-free: it loads the stamp, loads lo/hi,
+// and on a match re-loads the stamp to verify nothing moved underneath;
+// since stamps never repeat, an unchanged stamp proves the two fingerprint
+// words were stable. A stamp of 0 (empty or mid-write) ends the probe: an
+// insert always takes the first empty slot of its window (or overwrites the
+// oldest entry of a full one) and slots never empty out again, so nothing of
+// the window lies beyond an empty slot. A probe
 // that finds its fingerprint returns "visited" without ever taking the lock
 // (the approximate-LRU stamp refresh is a best-effort CAS); a probe that
 // misses — or reads a torn slot — falls back to the mutex, re-probes, and
 // inserts, which preserves the store's exactness guarantee: for each
 // resident fingerprint exactly one caller ever gets "not visited".
+//
+// # Growth: tables grown on demand under a memory ceiling
+//
+// The memory budget (Config.DedupMem, sample.Config.CoverageMem) is a
+// ceiling, not an allocation. Each shard reaches its slots through an atomic
+// pointer to a fixed-size {slots, mask} table that starts at four probe
+// windows. An insert that finds its window full, in a shard below its
+// ceiling, rehashes the entries — stamps included — into a table twice the
+// size, publishes it and retries; only a shard at its ceiling evicts. While
+// nothing is evicted the store therefore holds exactly the set of inserted
+// fingerprints, as a table preallocated at the ceiling would. A lock-free
+// probe may still be reading a superseded table. Nothing writes to such a
+// table after the rehash except best-effort stamp refreshes, so every
+// fingerprint it finds there really was inserted and its hit is real; a miss
+// falls through to the mutex, which probes the current table. The stamps
+// copied into a new table were already unique in the old one, and the new
+// table is invisible to probes until published, so stamps still never repeat
+// within a table a probe can see.
 
 package explore
 
@@ -74,8 +96,12 @@ const (
 	// dedupEntryBytes is the in-table size of one visited state.
 	dedupEntryBytes = 24
 	// dedupProbeWindow is the linear-probe window; an insert that finds the
-	// whole window occupied evicts the window's oldest entry.
+	// whole window occupied grows the shard's table, or, at the shard's
+	// ceiling, evicts the window's oldest entry.
 	dedupProbeWindow = 16
+	// dedupInitialSlots is a shard's starting table: four probe windows
+	// (1.5 KiB), about 96 KiB for a store of DefaultDedupShards shards.
+	dedupInitialSlots = 4 * dedupProbeWindow
 	// DefaultDedupMem bounds the visited-state store when Config.DedupMem is
 	// zero: 64 MiB ≈ 2.7M resident states.
 	DefaultDedupMem = 64 << 20
@@ -93,16 +119,30 @@ type dedupEntry struct {
 	stamp  atomic.Uint64
 }
 
+// dedupTable is one generation of a shard's slot array. Its size never
+// changes: a shard grows by publishing a bigger table, so a lock-free probe
+// that loaded the previous table keeps a consistent {slots, mask} pair.
+type dedupTable struct {
+	slots []dedupEntry
+	mask  uint64
+}
+
+func newDedupTable(slots int) *dedupTable {
+	return &dedupTable{slots: make([]dedupEntry, slots), mask: uint64(slots - 1)}
+}
+
 // dedupShard is one stripe: a power-of-two open-addressing table with
 // window-local oldest-entry eviction (an approximate LRU — hits refresh the
-// stamp — that makes the store's memory strictly bounded). The mutex guards
-// writes only; probes read the seqlock entries lock-free. The counters are
+// stamp — that makes the store's memory strictly bounded). The table starts
+// small and doubles whenever an insert finds its probe window full, up to
+// ceiling slots; only a shard at its ceiling evicts. The mutex guards writes
+// and growth; probes read the seqlock entries lock-free. The counters are
 // atomic and exact: every visit increments lookups once and exactly one of
 // hits or inserts.
 type dedupShard struct {
 	mu      sync.Mutex
-	slots   []dedupEntry
-	mask    uint64
+	table   atomic.Pointer[dedupTable]
+	ceiling int // slots the table may grow to: the shard's share of the memory bound
 	stamp   atomic.Uint64
 	occ     atomic.Int64
 	lookups atomic.Int64
@@ -128,10 +168,12 @@ func ceilPow2(v int) int {
 	return p
 }
 
-// newDedupStore sizes a store to memBytes across shards lock stripes.
-// shards is rounded up to a power of two; each shard's slot count is the
-// largest power of two fitting its share of the budget (minimum one probe
-// window).
+// newDedupStore bounds a store to memBytes across shards lock stripes.
+// shards is rounded up to a power of two; each shard's ceiling is the
+// largest power-of-two slot count fitting its share of the budget (minimum
+// one probe window). Shards start at dedupInitialSlots (or their ceiling, if
+// smaller) and grow on demand, so memBytes caps the store rather than being
+// allocated up front.
 func newDedupStore(memBytes, shards int) *dedupStore {
 	if memBytes <= 0 {
 		memBytes = DefaultDedupMem
@@ -141,35 +183,40 @@ func newDedupStore(memBytes, shards int) *dedupStore {
 	}
 	shards = ceilPow2(shards)
 	perShard := memBytes / shards / dedupEntryBytes
-	slots := 1
-	for slots*2 <= perShard {
-		slots <<= 1
+	ceiling := 1
+	for ceiling*2 <= perShard {
+		ceiling <<= 1
 	}
-	if slots < dedupProbeWindow {
-		slots = dedupProbeWindow
+	if ceiling < dedupProbeWindow {
+		ceiling = dedupProbeWindow
 	}
+	initial := min(ceiling, dedupInitialSlots)
 	st := &dedupStore{shards: make([]dedupShard, shards), mask: uint64(shards - 1)}
 	for i := range st.shards {
-		st.shards[i].slots = make([]dedupEntry, slots)
-		st.shards[i].mask = uint64(slots - 1)
+		st.shards[i].ceiling = ceiling
+		st.shards[i].table.Store(newDedupTable(initial))
 	}
 	return st
 }
 
 // visit reports whether fp was already in the store, inserting it if not.
 // Exactly one caller ever gets "false" for a given resident fingerprint; a
-// full probe window evicts its oldest entry (bounded memory, approximate
-// LRU). The hit path is lock-free (see the package comment); only a miss or
-// a torn read takes the shard mutex.
+// full probe window grows the shard's table, or, at the shard's ceiling,
+// evicts the window's oldest entry (bounded memory, approximate LRU). The
+// hit path is lock-free (see the package comment); only a miss or a torn
+// read takes the shard mutex.
 func (st *dedupStore) visit(fp sched.Fingerprint) bool {
 	sh := &st.shards[fp.Hi&st.mask]
 	sh.lookups.Add(1)
+	t := sh.table.Load()
 	home := fp.Lo
 	for i := uint64(0); i < dedupProbeWindow; i++ {
-		s := &sh.slots[(home+i)&sh.mask]
+		s := &t.slots[(home+i)&t.mask]
 		st1 := s.stamp.Load()
 		if st1 == 0 {
-			continue // empty or mid-write; the slow path re-checks under the lock
+			// Empty (fp is absent: nothing lies beyond a window's first empty
+			// slot) or mid-write; either way the slow path decides under the lock.
+			break
 		}
 		if s.lo.Load() == fp.Lo && s.hi.Load() == fp.Hi {
 			if s.stamp.Load() != st1 {
@@ -185,35 +232,26 @@ func (st *dedupStore) visit(fp sched.Fingerprint) bool {
 	return sh.visitSlow(fp)
 }
 
-// visitSlow is the write path: under the shard mutex it re-probes (the
-// fingerprint may have been inserted since the lock-free miss) and inserts
-// into a free slot or over the window's oldest entry. It reports a hit
-// exactly like the fast path would.
+// visitSlow is the write path: under the shard mutex it re-probes the
+// current table (the fingerprint may have been inserted, or the table
+// replaced, since the lock-free miss), grows the table while the window is
+// full and the shard is below its ceiling, and inserts into a free slot or
+// over the window's oldest entry. It reports a hit exactly like the fast
+// path would.
 func (sh *dedupShard) visitSlow(fp sched.Fingerprint) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	home := fp.Lo
-	victim := -1
-	var victimStamp uint64
-	free := -1
-	for i := uint64(0); i < dedupProbeWindow; i++ {
-		s := &sh.slots[(home+i)&sh.mask]
-		stamp := s.stamp.Load()
-		if stamp == 0 {
-			if free < 0 {
-				free = int((home + i) & sh.mask)
-			}
-			continue
-		}
-		if s.lo.Load() == fp.Lo && s.hi.Load() == fp.Hi {
-			sh.hits.Add(1)
-			s.stamp.Store(sh.stamp.Add(1)) // refresh: hot states stay resident
-			return true
-		}
-		if victim < 0 || stamp < victimStamp {
-			victim = int((home + i) & sh.mask)
-			victimStamp = stamp
-		}
+	t := sh.table.Load()
+	match, free, victim := t.window(fp.Lo, fp.Hi)
+	if match >= 0 {
+		sh.hits.Add(1)
+		t.slots[match].stamp.Store(sh.stamp.Add(1)) // refresh: hot states stay resident
+		return true
+	}
+	// A rehash never adds fp, so after growing only free and victim change.
+	for free < 0 && len(t.slots) < sh.ceiling {
+		t = sh.grow(t)
+		_, free, victim = t.window(fp.Lo, fp.Hi)
 	}
 	slot := free
 	if slot < 0 {
@@ -223,15 +261,89 @@ func (sh *dedupShard) visitSlow(fp sched.Fingerprint) bool {
 		sh.occ.Add(1)
 	}
 	sh.inserts.Add(1)
-	// Seqlock write order: empty the slot, fill the fingerprint words, then
-	// publish with the fresh stamp. Concurrent probes either skip the slot
-	// (stamp 0) or detect the restamp and fall back here.
-	s := &sh.slots[slot]
-	s.stamp.Store(0)
-	s.lo.Store(fp.Lo)
-	s.hi.Store(fp.Hi)
-	s.stamp.Store(sh.stamp.Add(1))
+	t.put(slot, fp.Lo, fp.Hi, sh.stamp.Add(1))
 	return false
+}
+
+// window scans the probe window of the fingerprint {lo, hi}: match is the
+// slot holding it (-1 if none), free the first empty slot (-1 if none) and,
+// for a full window, victim the slot with the oldest stamp. Callers hold the
+// shard mutex, so no slot is mid-write. The scan stops at the first empty
+// slot: an entry is always written to the first empty slot of its window
+// (or over a victim in a full one) and slots never empty out again, so no
+// entry lies beyond it.
+func (t *dedupTable) window(lo, hi uint64) (match, free, victim int) {
+	victim = -1
+	var victimStamp uint64
+	for i := uint64(0); i < dedupProbeWindow; i++ {
+		idx := int((lo + i) & t.mask)
+		s := &t.slots[idx]
+		stamp := s.stamp.Load()
+		if stamp == 0 {
+			return -1, idx, -1
+		}
+		if s.lo.Load() == lo && s.hi.Load() == hi {
+			return idx, -1, -1
+		}
+		if victim < 0 || stamp < victimStamp {
+			victim, victimStamp = idx, stamp
+		}
+	}
+	return -1, -1, victim
+}
+
+// put writes an entry in seqlock order: empty the slot, fill the
+// fingerprint words, then publish the stamp. A concurrent probe either reads
+// stamp 0 or detects the restamp, and falls back to the locked path.
+func (t *dedupTable) put(idx int, lo, hi, stamp uint64) {
+	s := &t.slots[idx]
+	s.stamp.Store(0)
+	s.lo.Store(lo)
+	s.hi.Store(hi)
+	s.stamp.Store(stamp)
+}
+
+// grow replaces t, the shard's current table, with a rehashed copy twice its
+// size — or larger, should a window of the doubled table overflow — and
+// publishes it. Called under the shard mutex, with t below the ceiling.
+func (sh *dedupShard) grow(t *dedupTable) *dedupTable {
+	for n := 2 * len(t.slots); ; n *= 2 {
+		next := newDedupTable(n)
+		if sh.rehash(next, t, n >= sh.ceiling) {
+			sh.table.Store(next)
+			return next
+		}
+	}
+}
+
+// rehash copies old's entries, stamps included, into the unpublished table
+// next. An entry whose window in next is full makes it report false, unless
+// evict is set (next is at the ceiling): then the older of the entry and the
+// window's oldest is dropped and counted as an eviction, as an insert at the
+// ceiling would.
+func (sh *dedupShard) rehash(next, old *dedupTable, evict bool) bool {
+	for i := range old.slots {
+		s := &old.slots[i]
+		stamp := s.stamp.Load()
+		if stamp == 0 {
+			continue
+		}
+		lo, hi := s.lo.Load(), s.hi.Load()
+		_, free, victim := next.window(lo, hi)
+		if free < 0 {
+			if !evict {
+				return false
+			}
+			sh.evicted.Add(1)
+			sh.occ.Add(-1)
+			if next.slots[victim].stamp.Load() > stamp {
+				continue // the entry itself is the window's oldest
+			}
+			free = victim
+		}
+		next.put(free, lo, hi, stamp)
+	}
+	return true
 }
 
 // DedupStats summarizes the visited-state store of one exploration (zero
@@ -253,8 +365,10 @@ type DedupStats struct {
 	// CutAlternatives is the number of decision alternatives dropped inside
 	// cut subtrees (the dedup analogue of Stats.Pruned).
 	CutAlternatives int
-	// Shards, Capacity and Occupied describe the store: lock stripes, total
-	// entry slots and slots in use when the exploration finished.
+	// Shards, Capacity and Occupied describe the store: lock stripes, the
+	// entry slots the store may grow to (the ceiling set by DedupMem or
+	// CoverageMem, not the slots allocated) and slots in use when the
+	// exploration finished.
 	Shards   int
 	Capacity int
 	Occupied int
@@ -279,7 +393,7 @@ func (st *dedupStore) snapshot() DedupStats {
 		d.Hits += sh.hits.Load()
 		d.States += sh.inserts.Load()
 		d.Evictions += sh.evicted.Load()
-		d.Capacity += len(sh.slots)
+		d.Capacity += sh.ceiling
 		d.Occupied += int(sh.occ.Load())
 	}
 	return d
@@ -305,7 +419,7 @@ func (st *dedupStore) shardStats() []ShardStats {
 		out[i] = ShardStats{
 			Shard: i, Lookups: sh.lookups.Load(), Hits: sh.hits.Load(),
 			States: sh.inserts.Load(), Evictions: sh.evicted.Load(),
-			Occupied: int(sh.occ.Load()), Capacity: len(sh.slots),
+			Occupied: int(sh.occ.Load()), Capacity: sh.ceiling,
 		}
 	}
 	return out

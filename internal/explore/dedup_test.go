@@ -48,6 +48,51 @@ func TestDedupStoreVisit(t *testing.T) {
 	if sum != d.Lookups || occ != d.Occupied {
 		t.Fatalf("per-shard stats do not add up to the aggregate")
 	}
+
+	// The memory bound is a ceiling: a default store starts with small
+	// tables, and Capacity still reports the ceiling in slots.
+	def := newDedupStore(0, 0)
+	if b := tableBytes(def); b >= 256<<10 {
+		t.Fatalf("default store allocates %d bytes of tables, want < 256 KiB", b)
+	}
+	if got, want := def.snapshot().Capacity*dedupEntryBytes, DefaultDedupMem; got > want || got <= want/2 {
+		t.Fatalf("default capacity %d bytes, want the %d-byte ceiling", got, want)
+	}
+
+	// Evictions stay 0 until a shard has grown to its ceiling: fill a small
+	// store (4 shards of at most 256 slots) one distinct fingerprint at a
+	// time and check the inserting shard after every visit.
+	small := newDedupStore(4*256*dedupEntryBytes, 4)
+	for i := uint64(0); small.snapshot().Evictions == 0; i++ {
+		if i == 4*4*256 {
+			t.Fatalf("no eviction after %d distinct fingerprints: %+v", i, small.snapshot())
+		}
+		f := fp(1<<32 + i)
+		small.visit(f)
+		sh := &small.shards[f.Hi&small.mask]
+		if sh.evicted.Load() > 0 && len(sh.table.Load().slots) != sh.ceiling {
+			t.Fatalf("shard evicted at %d of %d slots", len(sh.table.Load().slots), sh.ceiling)
+		}
+	}
+}
+
+// tableBytes is the memory the store's shard tables currently occupy.
+func tableBytes(st *dedupStore) int {
+	n := 0
+	for i := range st.shards {
+		n += len(st.shards[i].table.Load().slots) * dedupEntryBytes
+	}
+	return n
+}
+
+// shardsGrownTo reports whether every shard's table holds at least slots.
+func shardsGrownTo(st *dedupStore, slots int) bool {
+	for i := range st.shards {
+		if len(st.shards[i].table.Load().slots) < slots {
+			return false
+		}
+	}
+	return true
 }
 
 func TestDedupStoreEviction(t *testing.T) {
@@ -69,95 +114,163 @@ func TestDedupStoreEviction(t *testing.T) {
 	if d.Occupied > d.Capacity {
 		t.Fatalf("occupancy %d exceeds capacity %d", d.Occupied, d.Capacity)
 	}
+
+	// A rehash that overflows a window of the table it fills fails below the
+	// ceiling; at the ceiling it keeps the window's newest entries and counts
+	// the rest as evictions, as inserts there would.
+	sh := &newDedupStore(1, 1).shards[0]
+	old := newDedupTable(64)
+	for i := 0; i < 20; i++ {
+		old.put(i, 0, uint64(i), uint64(i+1)) // all homed at slot 0, stamps 1..20
+		sh.occ.Add(1)
+	}
+	if sh.rehash(newDedupTable(64), old, false) {
+		t.Fatal("overflowing rehash below the ceiling succeeded")
+	}
+	next := newDedupTable(64)
+	if !sh.rehash(next, old, true) {
+		t.Fatal("rehash at the ceiling failed")
+	}
+	if sh.evicted.Load() != 4 || sh.occ.Load() != 16 {
+		t.Fatalf("rehash evicted %d, occupancy %d; want 4 and 16", sh.evicted.Load(), sh.occ.Load())
+	}
+	for i := 0; i < dedupProbeWindow; i++ {
+		if s := next.slots[i].stamp.Load(); s <= 4 {
+			t.Fatalf("slot %d kept stamp %d, one of the four oldest", i, s)
+		}
+	}
 }
 
 // TestDedupStoreExactlyOneInserter: the store's core guarantee under the
-// lock-free read path — for every fingerprint, exactly one concurrent visitor
-// is told "not visited" — on a store large enough to never evict.
+// lock-free read path — for every resident fingerprint, exactly one
+// concurrent visitor is told "not visited" — while racing workers double
+// every shard's table several times. A second store is small enough that the
+// shards then reach their ceiling and evict: an evicted fingerprint may be
+// inserted again, so there every fingerprint is inserted at least once and
+// the inserts add up to States.
 func TestDedupStoreExactlyOneInserter(t *testing.T) {
 	const workers = 8
-	const fps = 2000
-	st := newDedupStore(4<<20, 4)
-	fresh := make([]atomic.Int64, fps)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			for i := uint64(0); i < fps; i++ {
-				// Each worker walks the fingerprints in a different order so
-				// first-visit races land on different fps across workers.
-				j := (i*(2*seed+1) + seed) % fps
-				var h sched.FP
-				h.Word(j)
-				if !st.visit(h.Sum()) {
-					fresh[j].Add(1)
-				}
+	for _, tc := range []struct {
+		name  string
+		st    *dedupStore
+		fps   int
+		evict bool
+	}{
+		{"grow", newDedupStore(4<<20, 4), 2000, false},
+		{"grow-then-evict", newDedupStore(4*1024*dedupEntryBytes, 4), 8000, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, fps := tc.st, tc.fps
+			fresh := make([]atomic.Int64, fps)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(seed int) {
+					defer wg.Done()
+					for i := 0; i < fps; i++ {
+						// Each worker walks the fingerprints in a different order so
+						// first-visit races land on different fps across workers.
+						j := (i*(2*seed+1) + seed) % fps
+						var h sched.FP
+						h.Word(uint64(j))
+						if !st.visit(h.Sum()) {
+							fresh[j].Add(1)
+						}
+					}
+				}(w)
 			}
-		}(uint64(w))
-	}
-	wg.Wait()
-	for i := range fresh {
-		if got := fresh[i].Load(); got != 1 {
-			t.Fatalf("fingerprint %d inserted %d times, want exactly 1", i, got)
-		}
-	}
-	d := st.snapshot()
-	if d.Lookups != workers*fps || d.Hits+d.States != d.Lookups {
-		t.Fatalf("counter accounting broken: %+v", d)
-	}
-	if d.States != fps || d.Occupied != fps || d.Evictions != 0 {
-		t.Fatalf("store contents wrong: %+v", d)
+			wg.Wait()
+			inserted := int64(0)
+			for i := range fresh {
+				got := fresh[i].Load()
+				if got < 1 || (!tc.evict && got != 1) {
+					t.Fatalf("fingerprint %d inserted %d times", i, got)
+				}
+				inserted += got
+			}
+			d := st.snapshot()
+			if d.Lookups != int64(workers*fps) || d.Hits+d.States != d.Lookups || inserted != d.States {
+				t.Fatalf("counter accounting broken (%d inserts seen): %+v", inserted, d)
+			}
+			if int64(d.Occupied) != d.States-d.Evictions || d.Occupied > d.Capacity {
+				t.Fatalf("occupancy does not reconcile: %+v", d)
+			}
+			if !shardsGrownTo(st, 8*dedupInitialSlots) {
+				t.Fatalf("shards did not double three times: %d table bytes", tableBytes(st))
+			}
+			if !tc.evict && (d.States != int64(fps) || d.Occupied != fps || d.Evictions != 0) {
+				t.Fatalf("store contents wrong: %+v", d)
+			}
+			if tc.evict && (d.Evictions == 0 || tableBytes(st) != d.Capacity*dedupEntryBytes) {
+				t.Fatalf("shards did not reach their ceiling and evict: %+v", d)
+			}
+		})
 	}
 }
 
 // TestDedupStoreConcurrentHammer drives concurrent lock-free probes against
-// concurrent evicting writes: a minimum-size store (every insert beyond the
-// first window evicts) shared by many goroutines revisiting a hot working
-// set. The race detector checks the seqlock discipline; the assertions check
-// that the atomic counters stay exact — every visit is counted once as a
-// lookup and exactly once as a hit or an insert, evictions and occupancy
-// reconcile — no matter how reads and writes interleave.
+// concurrent evicting writes and table growth: a minimum-size store (every
+// insert beyond the first window evicts), and a store whose shards double
+// four times before they evict, each shared by many goroutines revisiting a
+// hot working set. The race detector checks the seqlock discipline and the
+// table publication; the assertions check that the atomic counters stay
+// exact — every visit is counted once as a lookup and exactly once as a hit
+// or an insert, evictions and occupancy reconcile — no matter how reads,
+// writes and rehashes interleave.
 func TestDedupStoreConcurrentHammer(t *testing.T) {
 	const workers = 8
 	const visitsPerWorker = 30000
-	const keyspace = 64 // 4x a 16-slot store: constant eviction pressure
-	st := newDedupStore(1, 1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			x := seed*0x9e3779b97f4a7c15 + 1
-			for i := 0; i < visitsPerWorker; i++ {
-				// xorshift keeps the mix of hot revisits and fresh inserts
-				// deterministic per worker without a shared rand.
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-				var h sched.FP
-				h.Word(x % keyspace)
-				st.visit(h.Sum())
+	for _, tc := range []struct {
+		name     string
+		st       *dedupStore
+		keyspace uint64
+	}{
+		{"minimum", newDedupStore(1, 1), 64}, // 4x a 16-slot store: constant eviction pressure
+		{"grow-then-evict", newDedupStore(2*1024*dedupEntryBytes, 2), 8192},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := tc.st
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(seed uint64) {
+					defer wg.Done()
+					x := seed*0x9e3779b97f4a7c15 + 1
+					for i := 0; i < visitsPerWorker; i++ {
+						// xorshift keeps the mix of hot revisits and fresh inserts
+						// deterministic per worker without a shared rand.
+						x ^= x << 13
+						x ^= x >> 7
+						x ^= x << 17
+						var h sched.FP
+						h.Word(x % tc.keyspace)
+						st.visit(h.Sum())
+					}
+				}(uint64(w))
 			}
-		}(uint64(w))
-	}
-	wg.Wait()
-	d := st.snapshot()
-	if d.Lookups != workers*visitsPerWorker {
-		t.Fatalf("lookups %d, want %d", d.Lookups, workers*visitsPerWorker)
-	}
-	if d.Hits+d.States != d.Lookups {
-		t.Fatalf("hits %d + inserts %d != lookups %d", d.Hits, d.States, d.Lookups)
-	}
-	if d.Evictions == 0 {
-		t.Fatalf("expected eviction pressure: %+v", d)
-	}
-	if int64(d.Occupied) != d.States-d.Evictions {
-		t.Fatalf("occupancy %d does not reconcile with inserts %d - evictions %d",
-			d.Occupied, d.States, d.Evictions)
-	}
-	if d.Occupied > d.Capacity {
-		t.Fatalf("occupancy %d exceeds capacity %d", d.Occupied, d.Capacity)
+			wg.Wait()
+			d := st.snapshot()
+			if d.Lookups != workers*visitsPerWorker {
+				t.Fatalf("lookups %d, want %d", d.Lookups, workers*visitsPerWorker)
+			}
+			if d.Hits+d.States != d.Lookups {
+				t.Fatalf("hits %d + inserts %d != lookups %d", d.Hits, d.States, d.Lookups)
+			}
+			if d.Evictions == 0 {
+				t.Fatalf("expected eviction pressure: %+v", d)
+			}
+			if int64(d.Occupied) != d.States-d.Evictions {
+				t.Fatalf("occupancy %d does not reconcile with inserts %d - evictions %d",
+					d.Occupied, d.States, d.Evictions)
+			}
+			if d.Occupied > d.Capacity {
+				t.Fatalf("occupancy %d exceeds capacity %d", d.Occupied, d.Capacity)
+			}
+			if tableBytes(st) != d.Capacity*dedupEntryBytes {
+				t.Fatalf("shards evicted below their ceiling: %d table bytes, capacity %d slots",
+					tableBytes(st), d.Capacity)
+			}
+		})
 	}
 }
 
@@ -569,7 +682,7 @@ func TestDedupPruneComposition(t *testing.T) {
 	t.Logf("plain prune: %d runs; prune+dedup: %d runs", pruneOnly.Runs, onA.Runs)
 }
 
-// TestDedupStatsOrdering sanity-checks the diagnostic shard surface.
+// TestDedupShardStatsSurface sanity-checks the diagnostic shard surface.
 func TestDedupShardStatsSurface(t *testing.T) {
 	st := newDedupStore(1<<16, 8)
 	for i := uint64(0); i < 100; i++ {

@@ -81,9 +81,11 @@ type Config struct {
 	// count of ExploreParallel depends on worker timing (cuts compose across
 	// workers); the sequential explorer stays deterministic.
 	Dedup bool
-	// DedupMem bounds the visited-state store's memory in bytes (0 =
-	// DefaultDedupMem). When the store fills, the eviction policy drops old
-	// states — which costs reduction, never soundness.
+	// DedupMem is the visited-state store's memory ceiling in bytes (0 =
+	// DefaultDedupMem). It is not allocated up front: the store starts small
+	// and grows on demand up to it. Once the store reaches the ceiling, the
+	// eviction policy drops old states — which costs reduction, never
+	// soundness.
 	DedupMem int
 	// DedupShards is the store's lock-stripe count, rounded up to a power of
 	// two (0 = DefaultDedupShards).
@@ -735,6 +737,16 @@ func (w *walker) close() {
 	w.rt = nil
 }
 
+// retire ends the walker: it closes the runtime and unhooks the pooled
+// adversary from the visited store, which a runtime kept warm by a
+// RuntimeSource would otherwise hold through its last adversary.
+func (w *walker) retire() {
+	w.close()
+	if w.adv != nil {
+		w.adv.store = nil
+	}
+}
+
 // acquire obtains a runtime for n processes on the given protocol, from the
 // configured RuntimeSource when one is set.
 func (w *walker) acquire(n int, direct bool) (*sched.Session, error) {
@@ -904,6 +916,7 @@ func ExploreSessionContext(ctx context.Context, s Session, cfg Config) (Stats, e
 		}
 		store = newDedupStore(cfg.DedupMem, cfg.DedupShards)
 		cfg.Progress.attach(store)
+		defer cfg.Progress.detach()
 	}
 	w := &walker{
 		cfg:     cfg,
@@ -912,7 +925,7 @@ func ExploreSessionContext(ctx context.Context, s Session, cfg Config) (Stats, e
 		stop:    ctx.Done(),
 		store:   store,
 	}
-	defer w.close()
+	defer w.retire()
 	st, err := w.explore(nil)
 	if err == nil {
 		err = ctx.Err()

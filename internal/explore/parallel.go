@@ -67,6 +67,7 @@ func ExploreParallelContext(ctx context.Context, newSession func() Session, cfg 
 		}
 		store = newDedupStore(cfg.DedupMem, cfg.DedupShards)
 		cfg.Progress.attach(store)
+		defer cfg.Progress.detach()
 	}
 
 	// Phase 1: enumerate a frontier of disjoint subtree prefixes, counting
@@ -141,7 +142,7 @@ func ExploreParallelContext(ctx context.Context, newSession func() Session, cfg 
 				}
 			}()
 			w := &walker{cfg: cfg, session: sessions[k], budget: budget, stop: stop, store: store}
-			defer w.close()
+			defer w.retire()
 			for prefix := range work {
 				st, err := w.explore(prefix)
 				out.ws.Runs += st.runs

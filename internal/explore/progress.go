@@ -3,7 +3,9 @@
 // to the replay itself) and the visited-state store's own atomic counters
 // are snapshotted on demand, so a concurrent observer (the exploredd
 // daemon's NDJSON progress stream) can poll a running job without locks and
-// without perturbing the hot path.
+// without perturbing the hot path. When the exploration returns, the store's
+// final counters are saved and the store itself is let go, so a finished
+// job's Progress does not keep its store alive.
 
 package explore
 
@@ -16,6 +18,7 @@ type Progress struct {
 	runs   atomic.Int64
 	pruned atomic.Int64
 	store  atomic.Pointer[dedupStore]
+	final  atomic.Pointer[DedupStats] // the detached store's last counters
 }
 
 // ProgressSnapshot is one observation of a running exploration.
@@ -52,6 +55,19 @@ func (p *Progress) attach(st *dedupStore) {
 	p.store.Store(st)
 }
 
+// detach saves the attached store's final counters and drops the store.
+// The engines defer it once their workers have stopped.
+func (p *Progress) detach() {
+	if p == nil {
+		return
+	}
+	if st := p.store.Load(); st != nil {
+		d := st.snapshot()
+		p.final.Store(&d)
+		p.store.Store(nil)
+	}
+}
+
 // Snapshot returns the current counters. Safe to call concurrently with the
 // exploration (and on a nil Progress, which reports zeros).
 func (p *Progress) Snapshot() ProgressSnapshot {
@@ -61,6 +77,8 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 	s := ProgressSnapshot{Runs: p.runs.Load(), Pruned: p.pruned.Load()}
 	if st := p.store.Load(); st != nil {
 		s.Dedup = st.snapshot()
+	} else if d := p.final.Load(); d != nil {
+		s.Dedup = *d
 	}
 	return s
 }

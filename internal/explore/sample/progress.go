@@ -1,6 +1,7 @@
 // Progress: the live counter surface of a running sampling job, mirroring
 // explore.Progress for the probabilistic engine — atomic sample counts plus
-// on-demand snapshots of the coverage estimator store.
+// on-demand snapshots of the coverage estimator store, whose final counters
+// are saved (and the store let go) when the run returns.
 
 package sample
 
@@ -16,6 +17,7 @@ import (
 type Progress struct {
 	samples atomic.Int64
 	store   atomic.Pointer[explore.VisitedStore]
+	final   atomic.Pointer[explore.DedupStats] // the detached store's last counters
 }
 
 // ProgressSnapshot is one observation of a running sampling job.
@@ -46,6 +48,20 @@ func (p *Progress) attach(st *explore.VisitedStore) {
 	p.store.Store(st)
 }
 
+// detach saves the attached store's final counters and drops the store, so
+// a finished job's Progress does not keep it alive. The engines defer it
+// once their workers have stopped.
+func (p *Progress) detach() {
+	if p == nil {
+		return
+	}
+	if st := p.store.Load(); st != nil {
+		d := st.Stats()
+		p.final.Store(&d)
+		p.store.Store(nil)
+	}
+}
+
 // Snapshot returns the current counters. Safe to call concurrently with the
 // sampling run (and on a nil Progress, which reports zeros).
 func (p *Progress) Snapshot() ProgressSnapshot {
@@ -55,7 +71,9 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 	s := ProgressSnapshot{Samples: p.samples.Load()}
 	if st := p.store.Load(); st != nil {
 		s.Coverage = st.Stats()
-		s.Distinct = s.Coverage.States
+	} else if d := p.final.Load(); d != nil {
+		s.Coverage = *d
 	}
+	s.Distinct = s.Coverage.States
 	return s
 }

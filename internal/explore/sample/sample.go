@@ -82,8 +82,9 @@ type Config struct {
 	// re-discovered states (over-counting): a diagnostic estimate in both
 	// directions, never a checker input.
 	Coverage bool
-	// CoverageMem bounds the estimator store in bytes (0 =
-	// explore.DefaultDedupMem); CoverageShards its lock stripes.
+	// CoverageMem is the estimator store's memory ceiling in bytes (0 =
+	// explore.DefaultDedupMem), grown into on demand rather than allocated
+	// up front; CoverageShards its lock stripes.
 	CoverageMem    int
 	CoverageShards int
 	// Checkpoints is the number of Stats.Series points recorded across the
@@ -311,6 +312,16 @@ func (w *worker) close() {
 	w.rt = nil
 }
 
+// retire ends the worker: it closes the runtime and unhooks the pooled
+// adversary from the coverage store, which a runtime kept warm by a
+// RuntimeSource would otherwise hold through its last adversary.
+func (w *worker) retire() {
+	w.close()
+	if w.adv != nil {
+		w.adv.store = nil
+	}
+}
+
 // acquire obtains a runtime for n processes, from the configured
 // RuntimeSource when one is set. Sampling strategies decide step by step (no
 // batched grants), but the direct protocol's cheap token handoff pays off
@@ -487,9 +498,10 @@ func RunWithContext(ctx context.Context, s explore.Session, mk func() Sampler, c
 	start := time.Now()
 	store := newStore(cfg)
 	cfg.Progress.attach(store)
+	defer cfg.Progress.detach()
 	cps := newCheckpoints(cfg, store)
 	w := &worker{cfg: cfg, session: s, strategy: mk(), store: store}
-	defer w.close()
+	defer w.retire()
 	var err error
 	for i := 0; i < cfg.Samples; i++ {
 		if err = ctx.Err(); err != nil {
@@ -560,6 +572,7 @@ func RunParallelWithContext(ctx context.Context, newSession func() explore.Sessi
 	start := time.Now()
 	store := newStore(cfg)
 	cfg.Progress.attach(store)
+	defer cfg.Progress.detach()
 	cps := newCheckpoints(cfg, store)
 
 	nw := cfg.Workers
@@ -609,7 +622,7 @@ func RunParallelWithContext(ctx context.Context, newSession func() explore.Sessi
 				out.ws.Samples = w.samples
 				out.maxDepth = w.maxDepth
 				out.n = w.n
-				w.close()
+				w.retire()
 				if r := recover(); r != nil {
 					out.panicked = r
 					halt()

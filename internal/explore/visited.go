@@ -12,18 +12,22 @@ import "mpcn/internal/sched"
 
 // VisitedStore is a bounded-memory, lock-striped set of state fingerprints —
 // the same store Config.Dedup builds internally, usable standalone. It is
-// safe for concurrent use; memory is strictly bounded (a full probe window
-// evicts its oldest entry), so once eviction starts the distinct-state
-// count OVER-counts: an evicted fingerprint that reappears is counted again
-// as a fresh insert. The count is exact until the first eviction and an
-// upper estimate after — treat a flat curve as meaningful (genuinely no new
-// states) and a climbing one under eviction pressure with suspicion.
+// safe for concurrent use; memory is strictly bounded (at its ceiling, a
+// full probe window evicts its oldest entry), so once eviction starts the
+// distinct-state count OVER-counts: an evicted fingerprint that reappears is
+// counted again as a fresh insert. The count is exact until the first
+// eviction and an upper estimate after — treat a flat curve as meaningful
+// (genuinely no new states) and a climbing one under eviction pressure with
+// suspicion.
 type VisitedStore struct {
 	st *dedupStore
 }
 
-// NewVisitedStore sizes a store to memBytes (0 = DefaultDedupMem) across
-// shards lock stripes (0 = DefaultDedupShards, rounded up to a power of two).
+// NewVisitedStore builds a store whose memory ceiling is memBytes (0 =
+// DefaultDedupMem) across shards lock stripes (0 = DefaultDedupShards,
+// rounded up to a power of two). The ceiling is not allocated up front: the
+// store starts at a few KiB per shard and grows on demand, evicting only
+// once a shard reaches its share of the ceiling.
 func NewVisitedStore(memBytes, shards int) *VisitedStore {
 	return &VisitedStore{st: newDedupStore(memBytes, shards)}
 }

@@ -13,6 +13,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"mpcn/internal/explore"
 	"mpcn/internal/explore/sample"
@@ -52,7 +53,9 @@ type Engine struct {
 	// on it.
 	Workers int `json:"workers,omitempty"`
 
-	// Exhaustive-mode knobs (rejected under ModeSample).
+	// Exhaustive-mode knobs (rejected under ModeSample). DedupMem is the
+	// visited-state store's memory ceiling in MiB (0 = the engine default),
+	// up to which the store grows on demand; it is not allocated up front.
 	MaxRuns  int  `json:"maxRuns,omitempty"`
 	Prune    bool `json:"prune,omitempty"`
 	Dedup    bool `json:"dedup,omitempty"`
@@ -67,6 +70,10 @@ type Engine struct {
 	Samples  int    `json:"samples,omitempty"`
 	Depth    int    `json:"depth,omitempty"`
 }
+
+// MaxDedupMemMiB is the largest Engine.DedupMem whose byte count fits an
+// int; larger values are rejected rather than wrapped into the default.
+const MaxDedupMemMiB = math.MaxInt >> 20
 
 // DefaultSamples is the sample-mode draw budget when neither the request nor
 // the spec's Sampling declaration provides one.
@@ -198,6 +205,9 @@ func canonicalEngine(s spec.Spec, e Engine, seed int64) (Engine, int64, error) {
 		}
 		if e.MaxRuns < 0 || e.DedupMem < 0 {
 			return e, 0, badRequest("negative engine bound")
+		}
+		if e.DedupMem > MaxDedupMemMiB {
+			return e, 0, badRequest("dedupMemMiB %d overflows the byte count (max %d)", e.DedupMem, MaxDedupMemMiB)
 		}
 		if e.Symmetry && !e.Dedup {
 			return e, 0, badRequest("symmetry requires dedup (the reduction acts through the visited store)")

@@ -119,6 +119,7 @@ func TestPrepareRejections(t *testing.T) {
 		{"symmetry unsupported", Request{Spec: "safe", Engine: Engine{Dedup: true, Symmetry: true}}},
 		{"dedup unsupported", Request{Spec: "bg", Engine: Engine{Dedup: true, MaxRuns: 10}}},
 		{"unbounded without maxruns", Request{Spec: "bg"}},
+		{"dedupMemMiB overflows int", Request{Spec: "commitadopt", Engine: Engine{Dedup: true, DedupMem: MaxDedupMemMiB + 1}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
