@@ -514,10 +514,11 @@ func BenchmarkParallelVsSequential(b *testing.B) {
 // commit-adopt exhaustive sweep (n=2, one crash allowed: 1174 runs). The
 // respawn variant is the PR-1 baseline — a freshly spawned
 // rendezvous-protocol scheduler and a freshly allocated exploring adversary
-// per run — and the session variant is the zero-respawn engine: goroutines
-// spawned once, inline token dispatch, pooled buffers. The acceptance bar is
-// session >= 2x respawn in runs/sec; the state spaces are asserted identical
-// here and verified in depth by explore's TestSessionReuseMatchesRespawn.
+// per run — and the session variant is the zero-respawn engine: process
+// coroutines created once, direct token dispatch, pooled buffers. The
+// acceptance bar is session >= 2x respawn in runs/sec; the state spaces are
+// asserted identical here and verified in depth by explore's
+// TestSessionReuseMatchesRespawn.
 func BenchmarkSessionReplay(b *testing.B) {
 	const wantRuns = 1174
 	variant := func(respawn, parallel bool) func(b *testing.B) {

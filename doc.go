@@ -8,9 +8,11 @@
 //
 // The execution substrate is internal/sched: a deterministic single-runner
 // scheduler whose step labels are interned (sched.Label) and whose runtime
-// is a reusable sched.Session — process goroutines are spawned once, park
-// between runs, and are reset per run, with scheduling decisions dispatched
-// inline on the process goroutines themselves. The exhaustive explorer
+// is a reusable sched.Session — process coroutines are created once, park
+// between runs, and are reset per run, each resumed directly by the
+// scheduling loop, so a token handoff is a coroutine switch. The BG
+// simulators' threads hand their shared steps back to the simulator, which
+// takes them on its own coroutine. The exhaustive explorer
 // (internal/explore) replays millions of runs per sweep on one Session per
 // worker; sched.Run remains the one-shot entry point for single runs.
 //

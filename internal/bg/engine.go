@@ -361,9 +361,11 @@ func (r *engineRun) simulatorBody(i int) sched.Proc {
 }
 
 // simAPI implements algorithms.API on behalf of simulated process j inside
-// simulator i. All shared steps are taken with the simulator's Env; control
-// returns to the simulator's scheduler via the coroutine yielder wherever
-// the simulated process may block.
+// simulator i. Its shared steps are the simulator's steps: each one is passed
+// to the thread's Yielder.Call, which runs it on the simulator's own stack
+// (its scheduler process) and resumes the thread at once, so the thread
+// itself never touches the scheduler. The thread yields to its siblings
+// wherever the simulated process may block.
 type simAPI struct {
 	r        *engineRun
 	sim      *simulatorState
@@ -396,15 +398,16 @@ func (a *simAPI) Write(v any) {
 	}
 	snap := make([]memCell, len(sim.memi))
 	copy(snap, sim.memi)
-	a.r.mem.Update(a.e, a.i, snap) // line 03
-	a.y.Yield()                    // fair interleaving of the simulator's threads (§2.4)
+	a.y.Call(func() { a.r.mem.Update(a.e, a.i, snap) }) // line 03
+	a.y.Yield()                                         // fair interleaving of the simulator's threads (§2.4)
 }
 
 // Snapshot implements sim_snapshot (Figure 3).
 func (a *simAPI) Snapshot() []any {
 	r, sim := a.r, a.sim
 
-	sm := r.mem.Scan(a.e) // line 01
+	var sm [][]memCell
+	a.y.Call(func() { sm = r.mem.Scan(a.e) }) // line 01
 	input := make([]any, r.n)
 	for y := 0; y < r.n; y++ { // lines 02-03: adopt the most advanced write
 		best := memCell{}
@@ -422,11 +425,11 @@ func (a *simAPI) Snapshot() []any {
 	ag := r.snapAGAt(a.j, sim.snapSN[a.j])
 
 	a.enterMutex1() // line 05
-	ag.Propose(a.e, input)
+	a.propose(ag, input)
 	sim.mutex1 = false
 
 	for { // line 06
-		if v, ok := ag.TryDecide(a.e); ok { // line 07
+		if v, ok := a.tryDecide(ag); ok { // line 07
 			res, castOK := v.([]any)
 			if !castOK {
 				panic(fmt.Sprintf("bg: SAFE_AG[%d,%d] decided foreign value %T",
@@ -462,10 +465,10 @@ func (a *simAPI) XConsPropose(obj int, v any) any {
 	if _, known := sim.xres[obj]; !known {
 		ag := r.xconsAGAt(obj)
 		a.enterMutex1() // line 02
-		ag.Propose(a.e, v)
+		a.propose(ag, v)
 		sim.mutex1 = false
 		for { // line 03
-			if res, ok := ag.TryDecide(a.e); ok {
+			if res, ok := a.tryDecide(ag); ok {
 				sim.xres[obj] = res
 				break
 			}
@@ -476,6 +479,17 @@ func (a *simAPI) XConsPropose(obj int, v any) any {
 	res := sim.xres[obj]
 	a.y.Yield() // fair interleaving of the simulator's threads (§2.4)
 	return res  // line 06
+}
+
+// propose runs ag.Propose as a step of the simulator.
+func (a *simAPI) propose(ag Agreement, v any) {
+	a.y.Call(func() { ag.Propose(a.e, v) })
+}
+
+// tryDecide runs ag.TryDecide as a step of the simulator.
+func (a *simAPI) tryDecide(ag Agreement) (v any, ok bool) {
+	a.y.Call(func() { v, ok = ag.TryDecide(a.e) })
+	return v, ok
 }
 
 // Decide implements algorithms.API: the simulated decision is recorded

@@ -4,139 +4,119 @@
 // A BG-style simulator "locally executes, in a fair way, one thread per
 // simulated process" (Imbs & Raynal 2010, §2.4). A thread must be suspendable
 // wherever its simulated process could block (for example while a
-// safe_agreement decide spins), so each thread runs on its own goroutine and
-// hands control back to the simulator through Yield. Exactly one goroutine of
-// the cooperating group runs at a time — control is transferred by channel
-// handoff, which also provides the happens-before edges the Go memory model
-// requires.
+// safe_agreement decide spins), so each thread is a coroutine (iter.Pull)
+// that hands control back to its resumer through Yield. Only one of the
+// resumer and its threads runs at a time; a switch is a coroutine switch,
+// not a goroutine wakeup.
 //
-// Panics raised inside a thread (in particular the crash sentinel of
-// internal/sched) are re-raised inside the resuming goroutine, so a simulated
-// crash delivered to a thread correctly unwinds its simulator. Kill reaps a
-// parked thread without running any of its remaining code, so no goroutine
-// outlives its simulator.
+// Threads take no scheduler steps themselves. A shared-memory operation is
+// passed to Call, which suspends the thread and runs the operation on the
+// resumer's own stack — for a simulator, its scheduler process — before
+// resuming the thread at once. The scheduler therefore only ever sees steps
+// taken by its own processes, and the order of steps is exactly the order
+// in which the threads issue them.
+//
+// Panics raised by a thread body are re-raised inside Resume. A panic raised
+// by a Call operation (in particular the crash sentinel of internal/sched)
+// unwinds the resumer directly and leaves the calling thread parked inside
+// Call; Kill reaps a parked thread without running any of its remaining
+// code, so no coroutine outlives its simulator.
 package coro
 
-// Yielder is passed to a thread body and provides the suspension point.
+import "iter"
+
+// Yielder is passed to a thread body and provides its suspension points.
 type Yielder struct {
-	t *Thread
+	yield func(op func()) bool
 }
 
-// Yield suspends the thread and returns control to the goroutine that called
-// Resume. It returns when the thread is resumed, and panics with a private
-// sentinel if the thread is killed while parked.
-func (y *Yielder) Yield() {
-	y.t.yield <- yieldMsg{}
-	m := <-y.t.resume
-	if m.kill {
+// Yield suspends the thread and returns control to the caller of Resume. It
+// returns when the thread is resumed, and panics with a private sentinel if
+// the thread is killed while parked.
+func (y *Yielder) Yield() { y.Call(nil) }
+
+// Call suspends the thread, runs op on the stack of the caller of Resume,
+// and resumes the thread as soon as op returns. If op panics, the panic
+// unwinds the caller of Resume and the thread stays parked inside Call until
+// it is killed. A nil op makes Call a plain Yield.
+func (y *Yielder) Call(op func()) {
+	if !y.yield(op) {
 		panic(killSentinel{})
 	}
 }
 
 type killSentinel struct{}
 
-type resumeMsg struct {
-	kill bool
-}
-
-type yieldMsg struct {
-	done     bool
-	panicked any // non-nil when the body panicked with a foreign value
-}
-
 // Thread is a coroutine. The zero value is not usable; construct with New.
-// Thread methods must be called from a single resuming goroutine at a time.
+// Thread methods must be called from a single resumer at a time.
 type Thread struct {
-	body    func(*Yielder)
-	resume  chan resumeMsg
-	yield   chan yieldMsg
-	started bool
-	done    bool
+	body func(*Yielder)
+	next func() (func(), bool) // nil until the first Resume
+	stop func()
+	done bool
 }
 
 // New returns a thread that will run body. The body does not start executing
-// until the first Resume.
+// (and no coroutine exists) until the first Resume.
 func New(body func(*Yielder)) *Thread {
-	return &Thread{
-		body:   body,
-		resume: make(chan resumeMsg),
-		yield:  make(chan yieldMsg),
-	}
+	return &Thread{body: body}
 }
 
-// Resume runs the thread until its next Yield or until its body returns, and
+// run is the coroutine body: it runs the thread body once, absorbing the
+// kill sentinel. Any other panic propagates out of the Resume that caused it.
+func (t *Thread) run(yield func(func()) bool) {
+	defer func() {
+		t.done = true
+		if r := recover(); r != nil {
+			if _, kill := r.(killSentinel); !kill {
+				panic(r)
+			}
+		}
+	}()
+	t.body(&Yielder{yield: yield})
+}
+
+// Resume runs the thread until its next Yield or until its body returns,
+// executing every operation the thread passes to Call on the way, and
 // reports whether the thread is done. Resuming a done thread is a no-op that
-// returns true. If the thread body panicked with a foreign value (anything
-// other than the internal kill sentinel), Resume re-panics that value in the
-// caller's goroutine.
+// returns true. A panic raised by the body or by a Call operation propagates
+// out of Resume; only the former makes the thread done.
 func (t *Thread) Resume() bool {
 	if t.done {
 		return true
 	}
-	if !t.started {
-		t.started = true
-		go t.run()
-	} else {
-		t.resume <- resumeMsg{}
+	if t.next == nil {
+		t.next, t.stop = iter.Pull(t.run)
 	}
-	m := <-t.yield
-	if m.done {
-		t.done = true
+	for {
+		op, ok := t.next()
+		if !ok {
+			return true
+		}
+		if op == nil {
+			return false
+		}
+		op()
 	}
-	if m.panicked != nil {
-		panic(m.panicked)
-	}
-	return t.done
 }
 
 // Kill reaps the thread: a never-started or parked thread is unwound without
 // executing further body code. Killing a done thread is a no-op. Kill is safe
-// to call during a panic unwind, which is how simulators clean up sibling
-// threads when one of them crashes.
+// to call during a panic unwind, which is how simulators clean up their
+// threads when a step of theirs crashes.
 func (t *Thread) Kill() {
 	if t.done {
 		return
 	}
-	if !t.started {
-		t.done = true
-		return
-	}
-	t.resume <- resumeMsg{kill: true}
-	// The kill sentinel unwinds the thread body; its wrapper acknowledges
-	// with a final done message. A foreign panic raised by a defer inside the
-	// body would be surfaced here, but simulated-algorithm code installs no
-	// defers, so the acknowledgement is unconditional in practice.
-	m := <-t.yield
 	t.done = true
-	if m.panicked != nil {
-		panic(m.panicked)
+	if t.stop != nil {
+		t.stop()
 	}
 }
 
-// Done reports whether the thread has finished (returned, crashed or been
+// Done reports whether the thread has finished (returned, panicked or been
 // killed).
 func (t *Thread) Done() bool { return t.done }
-
-func (t *Thread) run() {
-	y := &Yielder{t: t}
-	defer func() {
-		r := recover()
-		switch {
-		case r == nil:
-			t.yield <- yieldMsg{done: true}
-		case isKill(r):
-			t.yield <- yieldMsg{done: true}
-		default:
-			t.yield <- yieldMsg{done: true, panicked: r}
-		}
-	}()
-	t.body(y)
-}
-
-func isKill(v any) bool {
-	_, ok := v.(killSentinel)
-	return ok
-}
 
 // Group is a set of threads resumed round-robin, the fairness discipline the
 // BG simulation prescribes for a simulator's local threads.

@@ -1,6 +1,8 @@
 package coro
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -192,5 +194,61 @@ func TestGroupEmpty(t *testing.T) {
 	}
 	if g.Live() != 0 {
 		t.Fatal("empty group should have no live threads")
+	}
+}
+
+func TestCallRunsOpThenResumesThread(t *testing.T) {
+	var log []string
+	th := New(func(y *Yielder) {
+		log = append(log, "a")
+		y.Call(func() { log = append(log, "op1") })
+		log = append(log, "b")
+		y.Call(func() { log = append(log, "op2") })
+		log = append(log, "c")
+		y.Yield()
+		log = append(log, "d")
+	})
+	if th.Resume() {
+		t.Fatal("thread finished too early")
+	}
+	// Call does not end a Resume: only Yield (or the body's end) does.
+	if got := fmt.Sprint(log); got != "[a op1 b op2 c]" {
+		t.Fatalf("log = %s", got)
+	}
+	if !th.Resume() || fmt.Sprint(log) != "[a op1 b op2 c d]" {
+		t.Fatalf("log = %v, done = %v", log, th.Done())
+	}
+}
+
+// TestCallPanicLeavesThreadParked: an op that panics unwinds the resumer,
+// not the thread. The thread stays parked inside Call and not done, so the
+// resumer's cleanup still reaps its coroutine with Kill; marking it done
+// would skip the Kill and leak the coroutine's goroutine.
+func TestCallPanicLeavesThreadParked(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		after := false
+		th := New(func(y *Yielder) {
+			y.Call(func() { panic("step crashed") })
+			after = true
+		})
+		func() {
+			defer func() {
+				if r := recover(); r != "step crashed" {
+					t.Fatalf("recovered %v, want the op's panic", r)
+				}
+			}()
+			th.Resume()
+		}()
+		if th.Done() {
+			t.Fatal("a thread whose op panicked must stay parked, not done")
+		}
+		th.Kill()
+		if !th.Done() || after {
+			t.Fatalf("Kill did not reap the parked thread (done=%v, ran on=%v)", th.Done(), after)
+		}
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("goroutines %d -> %d: parked threads leaked", before, got)
 	}
 }

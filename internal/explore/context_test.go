@@ -199,8 +199,8 @@ type keepingRuntime struct {
 	kept []*sched.Session
 }
 
-func (k *keepingRuntime) Acquire(n int, direct bool) (*sched.Session, error) {
-	return sched.NewSessionWith(n, sched.SessionOptions{Direct: direct})
+func (k *keepingRuntime) Acquire(n int) (*sched.Session, error) {
+	return sched.NewSession(n)
 }
 
 func (k *keepingRuntime) Release(rt *sched.Session) {
@@ -222,9 +222,9 @@ type countingRuntime struct {
 	released atomic.Int64
 }
 
-func (c *countingRuntime) Acquire(n int, direct bool) (*sched.Session, error) {
+func (c *countingRuntime) Acquire(n int) (*sched.Session, error) {
 	c.acquired.Add(1)
-	return sched.NewSessionWith(n, sched.SessionOptions{Direct: direct})
+	return sched.NewSession(n)
 }
 
 func (c *countingRuntime) Release(rt *sched.Session) {

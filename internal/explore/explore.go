@@ -121,21 +121,22 @@ type Config struct {
 	// stream per-job progress without perturbing the walkers.
 	Progress *Progress
 	// Runtime, when non-nil, supplies and reclaims the walkers' sched
-	// runtimes instead of NewSessionWith/Close, letting long-running drivers
-	// lease warm sessions across explorations (goroutines stay parked
-	// between jobs) rather than respawning them per exploration. Ignored
-	// under Respawn, whose whole point is the spawn-per-run baseline.
+	// runtimes instead of NewSession/Close, letting long-running callers
+	// lease warm sessions across explorations (process coroutines stay
+	// parked between jobs) rather than respawning them per exploration.
+	// Every harness runs on the direct protocol, so the process count is
+	// the only shape a source keys on. Ignored under Respawn, whose whole
+	// point is the spawn-per-run baseline.
 	Runtime RuntimeSource
 }
 
 // RuntimeSource supplies the sched runtimes walkers replay on. Acquire is
-// called with the harness's process count and the protocol the walker needs
-// (direct coroutines, or the channel-based inline protocol for ForeignStep
-// harnesses); Release returns a runtime the walker is done with. Sources are
+// called with the harness's process count and returns a direct-protocol
+// session; Release returns a runtime the walker is done with. Sources are
 // called from concurrent workers and must be safe for concurrent use; they
 // should discard sessions that report !Healthy().
 type RuntimeSource interface {
-	Acquire(n int, direct bool) (*sched.Session, error)
+	Acquire(n int) (*sched.Session, error)
 	Release(rt *sched.Session)
 }
 
@@ -647,14 +648,6 @@ type Session struct {
 	// concrete identity affects the run's future or Check's verdict beyond
 	// process naming.
 	Canon func(v any) any
-	// ForeignStep declares that the bodies Make returns may take steps from
-	// helper goroutines (handing their Env to, e.g., internal/bg's simulator
-	// threads). The walker then replays on the channel-based inline protocol
-	// instead of the direct coroutine protocol — a coroutine can only be
-	// suspended from its own goroutine — and disables batched grants, which
-	// only the direct and rendezvous protocols execute. Purely a protocol
-	// selection: the visited tree is identical either way.
-	ForeignStep bool
 }
 
 // runBudget is the shared MaxRuns ticket counter: every complete run takes a
@@ -696,7 +689,7 @@ func (a *subtreeStats) fold(b subtreeStats) {
 }
 
 // walker runs the stateless DFS over one or more disjoint subtrees. Each
-// walker owns one reusable sched.Session (its process goroutines are spawned
+// walker owns one reusable sched.Session (its process coroutines are created
 // once and parked between replays) and one reusable scripted adversary, so a
 // replay's only per-run work is resetting state and re-executing the steps.
 type walker struct {
@@ -722,7 +715,7 @@ func (w *walker) stopped() bool {
 	}
 }
 
-// close releases the walker's runtime goroutines — back to the configured
+// close releases the walker's runtime — back to the configured
 // RuntimeSource (which may keep the session warm for the next job), or for
 // good.
 func (w *walker) close() {
@@ -747,13 +740,13 @@ func (w *walker) retire() {
 	}
 }
 
-// acquire obtains a runtime for n processes on the given protocol, from the
-// configured RuntimeSource when one is set.
-func (w *walker) acquire(n int, direct bool) (*sched.Session, error) {
+// acquire obtains a runtime for n processes, from the configured
+// RuntimeSource when one is set.
+func (w *walker) acquire(n int) (*sched.Session, error) {
 	if w.cfg.Runtime != nil {
-		return w.cfg.Runtime.Acquire(n, direct)
+		return w.cfg.Runtime.Acquire(n)
 	}
-	return sched.NewSessionWith(n, sched.SessionOptions{Direct: direct})
+	return sched.NewSession(n)
 }
 
 // replay executes one run with the given decision prefix. Under dedup, only
@@ -780,10 +773,9 @@ func (w *walker) replay(prefix []int, cached bool) (*scripted, *sched.Result, er
 			rt.Close()
 		}
 	} else {
-		direct := !w.session.ForeignStep
 		if w.adv == nil {
 			w.adv = newScripted(nil, w.cfg)
-			w.adv.batch = direct && !w.cfg.NoBatch
+			w.adv.batch = !w.cfg.NoBatch
 			// The dedup wiring is walker-constant, so the pooled adversary is
 			// wired once here rather than per run.
 			w.adv.setDedup(w.store, w.session.Fingerprint, w.cfg.Symmetry, w.session.Canon)
@@ -792,7 +784,7 @@ func (w *walker) replay(prefix []int, cached bool) (*scripted, *sched.Result, er
 		adv.reset(prefix, cached)
 		if w.rt == nil || w.rt.N() != len(bodies) {
 			w.close()
-			w.rt, err = w.acquire(len(bodies), direct)
+			w.rt, err = w.acquire(len(bodies))
 		}
 		if err == nil {
 			res, err = w.rt.Run(sched.Config{Adversary: adv, MaxSteps: w.cfg.MaxSteps, Observe: w.store != nil}, bodies)

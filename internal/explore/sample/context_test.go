@@ -103,9 +103,9 @@ type countingRuntime struct {
 	released atomic.Int64
 }
 
-func (c *countingRuntime) Acquire(n int, direct bool) (*sched.Session, error) {
+func (c *countingRuntime) Acquire(n int) (*sched.Session, error) {
 	c.acquired.Add(1)
-	return sched.NewSessionWith(n, sched.SessionOptions{Direct: direct})
+	return sched.NewSession(n)
 }
 
 func (c *countingRuntime) Release(rt *sched.Session) {

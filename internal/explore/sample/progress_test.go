@@ -71,8 +71,8 @@ type keepingRuntime struct {
 	kept []*sched.Session
 }
 
-func (k *keepingRuntime) Acquire(n int, direct bool) (*sched.Session, error) {
-	return sched.NewSessionWith(n, sched.SessionOptions{Direct: direct})
+func (k *keepingRuntime) Acquire(n int) (*sched.Session, error) {
+	return sched.NewSession(n)
 }
 
 func (k *keepingRuntime) Release(rt *sched.Session) {

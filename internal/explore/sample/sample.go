@@ -325,14 +325,12 @@ func (w *worker) retire() {
 // acquire obtains a runtime for n processes, from the configured
 // RuntimeSource when one is set. Sampling strategies decide step by step (no
 // batched grants), but the direct protocol's cheap token handoff pays off
-// all the same; bodies stepping from helper goroutines need the
-// channel-based protocol.
+// all the same.
 func (w *worker) acquire(n int) (*sched.Session, error) {
-	direct := !w.session.ForeignStep
 	if w.cfg.Runtime != nil {
-		return w.cfg.Runtime.Acquire(n, direct)
+		return w.cfg.Runtime.Acquire(n)
 	}
-	return sched.NewSessionWith(n, sched.SessionOptions{Direct: direct})
+	return sched.NewSession(n)
 }
 
 // sampleOne draws, executes and checks sample index i. The run's pooled

@@ -1,6 +1,8 @@
 package sample_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
@@ -83,6 +85,36 @@ func TestSeedDeterminism(t *testing.T) {
 				t.Fatalf("50 samples identical across different seeds")
 			}
 		})
+	}
+}
+
+// bgPCTGolden is the digest of TestBGPCTScriptsGolden's scripts. It was
+// recorded before the BG simulator threads' shared steps were routed through
+// the simulator coroutine, when BG still ran on a channel-based protocol.
+const bgPCTGolden = "df8a4d90a5f967e7828129cbc803b373327a6986c6286b72b5d07a9768e6b94b"
+
+// TestBGPCTScriptsGolden pins the fixed-seed PCT scripts of the bg spec,
+// crashes included, byte for byte: the scheduler protocol BG runs on must
+// not change a single sampled schedule.
+func TestBGPCTScriptsGolden(t *testing.T) {
+	s, p, sess := session(t, "bg", spec.Params{"n": 3, spec.ParamSteps: 400, spec.ParamCrashes: 1})
+	scripts := collectScripts(t, sess, sample.StrategyPCT, sample.Config{
+		Samples: 300, Seed: 5, MaxSteps: p[spec.ParamSteps], MaxCrashes: p[spec.ParamCrashes],
+		Depth: s.Sampling().Depth,
+	})
+	h := sha256.New()
+	crashed := 0
+	for _, sc := range scripts {
+		if strings.Contains(sc, "crash(") {
+			crashed++
+		}
+		fmt.Fprintln(h, sc)
+	}
+	if crashed == 0 {
+		t.Fatal("no sampled bg script crashes a simulator; the golden misses crash paths")
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != bgPCTGolden {
+		t.Fatalf("bg PCT scripts digest %s, golden %s", got, bgPCTGolden)
 	}
 }
 

@@ -182,7 +182,9 @@ func CommitAdopt(n int) func() explore.Session {
 // yet), so explore.Config.Dedup is rejected for them. Wedged runs
 // (crash inside a safe_agreement propose) are the expected blocking
 // behaviour, not violations; the checker enforces validity and the
-// (t+1)-set bound on whatever decisions appear.
+// (t+1)-set bound on whatever decisions appear. The simulators take their
+// threads' shared steps on their own coroutines, so BG replays on the direct
+// protocol with batched grants like every other harness.
 func BG(n, t int) (func() explore.Session, error) {
 	inputs := tasks.DistinctInputs(n)
 	mkEngine := func() (interface {
@@ -238,10 +240,6 @@ func BG(n, t int) (func() explore.Session, error) {
 				}
 				return nil
 			},
-			// The engine's coro.Thread goroutines call Env.StepL on the
-			// simulator bodies' behalf: steps arrive from helper goroutines,
-			// so the walker must stay on a channel-based protocol.
-			ForeignStep: true,
 		}
 	}, nil
 }

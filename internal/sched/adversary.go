@@ -47,9 +47,8 @@ type View struct {
 // consultation round-trip, the dominant cost of replay engines. Batched
 // grants go through the same per-grant bookkeeping (step counts, budget
 // checks, traces) as consulted ones, so a run's observables are identical
-// whether or not its decisions were batched. The direct and rendezvous
-// session protocols execute them; the inline protocol rejects them with a
-// run error.
+// whether or not its decisions were batched. Both session protocols execute
+// them.
 type Decision struct {
 	Run   ProcID
 	Crash []ProcID

@@ -5,19 +5,18 @@ import (
 	"iter"
 )
 
-// Direct scheduling protocol: every process runs as a coroutine (iter.Pull)
-// resumed by the goroutine that called Session.Run, so the scheduling loop
-// never leaves that goroutine and a token handoff is a coroutine switch —
-// roughly a quarter of the cost of waking a parked goroutine through a
-// channel.
+// Direct scheduling protocol, the default: every process runs as a
+// coroutine (iter.Pull) resumed by the goroutine that called Session.Run, so
+// the scheduling loop never leaves that goroutine and a token handoff is a
+// coroutine switch — roughly a quarter of the cost of waking a parked
+// goroutine through a channel.
 //
 // Each coroutine is created once per session and iterates one body per run:
 // it suspends at the run boundary between runs, and the first resume of a
 // run doubles as the process's start grant. Crashes are synchronous — the
 // dispatcher sets the crash flag and resumes the victim, StepL re-raises the
 // crash sentinel, the wrapper records the terminal state, and the coroutine
-// suspends back at the run boundary before the resume returns — so none of
-// the inline protocol's detach/await-unwind machinery is needed: the
+// suspends back at the run boundary before the resume returns — so the
 // dispatcher can never be a process, and control flow is a plain loop.
 //
 // Batched grants are where the protocol earns its keep: an adopted
@@ -26,11 +25,10 @@ import (
 // only, no switch — and other processes' planned grants cost one switch and
 // zero adversary consultations.
 //
-// The constraint that picks the protocol: a coroutine can only be suspended
-// from its own goroutine, so bodies must take their steps on their own
-// execution context. Harnesses whose bodies hand the Env to helper
-// goroutines (internal/bg's simulator threads) must use a channel protocol;
-// explore.Session.ForeignStep declares exactly that.
+// A coroutine can only be suspended from its own stack, so processes take
+// their steps on their own execution context. Bodies that run nested
+// coroutines (internal/bg's simulator threads) hand each shared step back to
+// the process, which executes it on its own stack (coro.Yielder.Call).
 
 // startCoro builds the persistent per-process coroutine. The coroutine body
 // does not start until the first resume, which under this protocol is the
@@ -48,7 +46,7 @@ func (s *Session) startCoro(e *Env) (func() (struct{}, bool), func()) {
 }
 
 // directRunBody executes one run's body, recording the terminal state the
-// channel protocols' wrapper defers record: crash sentinels mark the process
+// rendezvous protocol's wrapper defer reports: crash sentinels mark the process
 // crashed, foreign panics fail the run (the session stays usable).
 func (s *Session) directRunBody(e *Env) {
 	defer func() {
@@ -92,7 +90,7 @@ func (s *Session) runDirect(bodies []Proc) (res *Result, err error) {
 		}
 	}()
 	copy(s.bodies, bodies)
-	// The prologue barrier of the channel protocols is a no-op here: every
+	// The prologue barrier of the rendezvous protocol is a no-op here: every
 	// process starts parked on the synthetic start label, granted when the
 	// adversary first schedules it.
 	for i := 0; i < s.n; i++ {

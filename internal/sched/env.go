@@ -8,17 +8,16 @@ import "fmt"
 // linearization point.
 //
 // Env methods must only be called while the owning process holds the
-// scheduler token, i.e. from the process body or from code (such as a
-// coroutine thread) executing strictly on its behalf.
+// scheduler token, on the process's own execution context: from the process
+// body or from code it calls. Code that runs on another coroutine or
+// goroutine on the process's behalf (such as internal/bg's simulator
+// threads) must hand its steps back to the process to execute; under the
+// direct protocol a process can only be suspended from its own coroutine.
 type Env struct {
 	s     *Session
 	id    ProcID
 	n     int
-	grant chan grantMsg
-
-	// atStart marks the synthetic prologue park of the current run; under
-	// the inline protocol it selects the prologue-barrier path of StepL.
-	atStart bool
+	grant chan grantMsg // rendezvous protocol only
 
 	// Direct-protocol state: yield suspends this process's coroutine back to
 	// the dispatching goroutine; crashNext, set by the dispatcher before a
@@ -84,10 +83,6 @@ func (e *Env) StepL(label Label) {
 			e.crashNext = false
 			panic(crashSentinel{id: e.id})
 		}
-		return
-	}
-	if s.inline {
-		s.inlinePark(e, label)
 		return
 	}
 	s.events <- event{id: e.id, kind: evPark, label: label}

@@ -7,11 +7,11 @@
 // steps, of which up to t may crash at arbitrary points chosen by an
 // adversary.
 //
-// Every simulated process runs on its own goroutine, but exactly one goroutine
-// executes at any time: a token is passed scheduler -> process -> scheduler
-// through channels, so runs are fully deterministic given the adversary (and
-// its seed). Shared objects mark their linearization points by calling
-// Env.Step(label) — or its allocation-free form Env.StepL with a
+// Exactly one simulated process executes at any time: a token is passed
+// scheduler -> process -> scheduler, each process running as a coroutine
+// resumed by the scheduling loop, so runs are fully deterministic given the
+// adversary (and its seed). Shared objects mark their linearization points by
+// calling Env.Step(label) — or its allocation-free form Env.StepL with a
 // pre-interned Label; everything a process executes between two Step calls is
 // a single atomic step of the model. The adversary observes the label each
 // parked process is about to execute, which allows failure-injection tests to
@@ -19,8 +19,8 @@
 // paper's lemmas require.
 //
 // Two entry points share the same machinery: Run executes one run on a fresh
-// runtime, while a Session keeps its process goroutines parked between runs
-// and is reset per run — the zero-respawn fast path replay engines
+// runtime, while a Session keeps its processes parked between runs and is
+// reset per run — the zero-respawn fast path replay engines
 // (internal/explore) are built on.
 //
 // Crashes are delivered as a private panic sentinel raised from inside Step;

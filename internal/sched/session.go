@@ -3,15 +3,13 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
-// Session is a reusable scheduler runtime: the n process goroutines are
-// spawned once, park between runs, and are reset through a lightweight
-// protocol instead of being recreated, so back-to-back runs pay no goroutine
-// spawn, no channel construction and no per-run buffer allocation. Replay
-// engines (internal/explore) execute millions of short runs; respawning was
-// their dominant cost.
+// Session is a reusable scheduler runtime: the n processes are created once,
+// park between runs, and are reset through a lightweight protocol instead of
+// being recreated, so back-to-back runs pay no spawn, no channel construction
+// and no per-run buffer allocation. Replay engines (internal/explore) execute
+// millions of short runs; respawning was their dominant cost.
 //
 // The lifecycle is
 //
@@ -25,34 +23,22 @@ import (
 // state, so a Session replaying the same adversary decisions produces a
 // byte-identical trace and identical outcomes.
 //
-// Three scheduling protocols implement the same observable semantics:
+// Two scheduling protocols implement the same observable semantics:
 //
-//   - The direct protocol (SessionOptions.Direct) runs every process as a
-//     coroutine (iter.Pull) pulled by the goroutine that called Run: a token
-//     handoff is a coroutine switch, not a goroutine wakeup, and batched
-//     grants (Decision.Plan, Decision.Sprint) consume consecutive self-grants
-//     without any switch at all. It is the fastest protocol and the one
-//     replay engines use. Its one constraint: processes must take their
-//     steps on their own execution context — a body that hands its Env to a
-//     helper goroutine (as internal/bg's simulator threads do) must use a
-//     channel protocol instead, because a coroutine can only be suspended
-//     from its own goroutine.
-//
-//   - The default inline protocol runs the scheduling loop on whichever
-//     process goroutine holds the token: a process that parks consults the
-//     adversary itself and, when the adversary grants it again, continues
-//     without any context switch. Goroutine switches happen only when the
-//     token actually moves between processes, which roughly halves (and for
-//     run-heavy schedules far more than halves) the switch count of the
-//     central protocol. Steps may be taken from helper goroutines, since
-//     every handoff is a channel operation.
+//   - The direct protocol, the default and the one every engine runs on,
+//     runs every process as a coroutine (iter.Pull) pulled by the goroutine
+//     that called Run: a token handoff is a coroutine switch, not a goroutine
+//     wakeup, and batched grants (Decision.Plan, Decision.Sprint) consume
+//     consecutive self-grants without any switch at all. Processes take their
+//     steps on their own execution context; internal/bg's simulators do so by
+//     running their threads' shared steps on the simulator's own stack.
 //
 //   - The rendezvous protocol (SessionOptions.Rendezvous) is the original
-//     central-scheduler design: a dedicated coordinator goroutine grants
-//     every step over unbuffered channels. It is kept as the simple
-//     reference implementation — the protocol-equivalence tests replay all
-//     three and require byte-identical traces — and as the faithful baseline
-//     for the session-reuse benchmarks.
+//     central-scheduler design: a dedicated goroutine per process, and every
+//     step granted over unbuffered channels by the goroutine that called Run.
+//     It is kept as the simple reference implementation — the
+//     protocol-equivalence tests replay both and require byte-identical
+//     traces — and as the faithful baseline of explore.Config.Respawn.
 //
 // The returned Result and its Outcomes and Trace slices are owned by the
 // Session and overwritten by the next Run; callers that retain them across
@@ -60,7 +46,6 @@ import (
 // time — and Close must only be called between runs.
 type Session struct {
 	n      int
-	inline bool
 	direct bool
 	envs   []*Env
 	events chan event
@@ -78,9 +63,9 @@ type Session struct {
 	// adversary (per-consultation defers were measurably hot).
 	inNext bool
 
-	// Batched-grant state (direct and rendezvous protocols): the adopted
-	// Decision.Plan with its consumption cursor, the process a Decision.Sprint
-	// keeps granting, and the adversary's optional SprintObserver side.
+	// Batched-grant state: the adopted Decision.Plan with its consumption
+	// cursor, the process a Decision.Sprint keeps granting, and the
+	// adversary's optional SprintObserver side.
 	plan      []Grant
 	planIdx   int
 	sprint    ProcID
@@ -101,45 +86,18 @@ type Session struct {
 	crashes int
 	trace   []TraceEntry
 
-	// Inline-protocol state. started is the prologue barrier: the last
-	// process to park at its start label becomes the run's first dispatcher.
-	// runDone carries the end-of-run signal to the goroutine blocked in Run.
-	started     atomic.Int32
-	runDone     chan struct{}
-	awaitUnwind ProcID // victim whose crash-unwind ack the dispatcher awaits
-	detachSelf  ProcID // goroutine that must unwind silently (state pre-recorded)
-	round       roundState
-	ending      bool // the run is being torn down; set before the final unwind
-	endBudget   bool
-	endErr      error
-
 	// res is the pooled Result handed back by Run; its slices alias the
 	// session's buffers.
 	res      Result
 	outcomes []Outcome
 
 	// runnableBuf backs the View.Runnable slice handed to the adversary each
-	// round; roundCrashBuf backs the in-flight round's crash list. Reusing
-	// them keeps the scheduling loop allocation-free; the View contract
-	// already limits the slice's lifetime to the Next call.
-	runnableBuf   []ProcID
-	roundCrashBuf []ProcID
+	// round. Reusing it keeps the scheduling loop allocation-free; the View
+	// contract already limits the slice's lifetime to the Next call.
+	runnableBuf []ProcID
 
 	closed bool
 	broken bool // a runtime invariant was violated; the Session is unusable
-}
-
-// roundState is one adversary decision in flight. It lives on the Session
-// (not a stack) because delivering a crash to the dispatching process itself
-// unwinds the dispatcher's stack: the unwound goroutine resumes the round
-// from this state.
-type roundState struct {
-	active   bool
-	hadCrash bool
-	crash    []ProcID
-	crashIdx int
-	run      ProcID
-	limitHit bool // the self-crash just delivered exceeded MaxCrashes
 }
 
 // ErrClosed is returned by Session.Run after Close.
@@ -150,31 +108,24 @@ var ErrClosed = errors.New("sched: session closed")
 // be trusted, so the Session refuses further runs.
 var ErrBroken = errors.New("sched: session broken by invariant violation")
 
-// SessionOptions tunes a Session's scheduling protocol without changing its
-// observable behavior: runs are deterministic functions of (bodies, Config)
-// under every option combination, and the protocol-equivalence tests assert
+// SessionOptions selects a Session's scheduling protocol without changing
+// its observable behavior: runs are deterministic functions of (bodies,
+// Config) under either protocol, and the protocol-equivalence tests assert
 // byte-identical traces.
 type SessionOptions struct {
-	// Rendezvous selects the original central-scheduler protocol: a
-	// coordinator goroutine grants every step over unbuffered channels, two
-	// goroutine switches per step. The default inline protocol dispatches on
-	// the process goroutines themselves and switches only when the token
-	// moves. Rendezvous mode is kept as the reference implementation for
-	// differential tests and as the faithful respawn baseline of the
-	// session-reuse benchmarks.
+	// Rendezvous selects the reference central-scheduler protocol: a
+	// goroutine per process, every step granted over unbuffered channels,
+	// two goroutine switches per step. It is kept for differential tests and
+	// as the faithful respawn baseline; the default is the direct protocol.
 	Rendezvous bool
 
-	// Direct selects the coroutine protocol: processes run as iter.Pull
-	// coroutines resumed by Run's goroutine, so a token handoff is a
-	// coroutine switch and batched grants need no switch at all. Requires
-	// bodies that take their steps on their own execution context (no
-	// handing the Env to helper goroutines). Mutually exclusive with
-	// Rendezvous.
+	// Direct is ignored: the direct protocol is the default. The field
+	// remains only so existing callers that set it keep compiling.
 	Direct bool
 }
 
-// NewSession spawns the n process goroutines of a reusable runtime. Each
-// goroutine parks immediately and waits for Run to hand it a body.
+// NewSession builds a reusable runtime for n processes on the direct
+// protocol.
 func NewSession(n int) (*Session, error) {
 	return NewSessionWith(n, SessionOptions{})
 }
@@ -184,14 +135,9 @@ func NewSessionWith(n int, opts SessionOptions) (*Session, error) {
 	if n <= 0 {
 		return nil, ErrNoProcs
 	}
-	if opts.Direct && opts.Rendezvous {
-		return nil, errors.New("sched: SessionOptions.Direct and Rendezvous are mutually exclusive")
-	}
 	s := &Session{
-		n:       n,
-		inline:  !opts.Rendezvous && !opts.Direct,
-		direct:  opts.Direct,
-		runDone: make(chan struct{}, 1),
+		n:      n,
+		direct: !opts.Rendezvous,
 
 		state:     make([]procState, n),
 		statuses:  make([]Status, n),
@@ -201,16 +147,13 @@ func NewSessionWith(n int, opts SessionOptions) (*Session, error) {
 		crashed:   make([]bool, n),
 		obs:       make([]FP, n),
 
-		awaitUnwind: -1,
-		detachSelf:  -1,
-		sprint:      -1,
+		sprint: -1,
 
-		outcomes:      make([]Outcome, n),
-		runnableBuf:   make([]ProcID, 0, n),
-		roundCrashBuf: make([]ProcID, 0, n),
+		outcomes:    make([]Outcome, n),
+		runnableBuf: make([]ProcID, 0, n),
 	}
 	s.envs = make([]*Env, n)
-	if opts.Direct {
+	if s.direct {
 		s.bodies = make([]Proc, n)
 		s.dNext = make([]func() (struct{}, bool), n)
 		s.dStop = make([]func(), n)
@@ -220,25 +163,16 @@ func NewSessionWith(n int, opts SessionOptions) (*Session, error) {
 		}
 		return s, nil
 	}
-	buf := 1
-	if opts.Rendezvous {
-		buf = 0
-	}
 	s.events = make(chan event)
 	s.begin = make([]chan Proc, n)
 	for i := range s.envs {
-		// Under the inline protocol the channels are buffered: the protocol
-		// keeps at most one in-flight message per channel (a grant is always
-		// consumed before the granted process produces its next decision, a
-		// begin before the run's first park), and the buffer posts the token
-		// without a rendezvous wait.
 		s.envs[i] = &Env{
 			s:     s,
 			id:    ProcID(i),
 			n:     n,
-			grant: make(chan grantMsg, buf),
+			grant: make(chan grantMsg),
 		}
-		s.begin[i] = make(chan Proc, buf)
+		s.begin[i] = make(chan Proc)
 		go s.loop(s.envs[i], s.begin[i])
 	}
 	return s, nil
@@ -247,17 +181,13 @@ func NewSessionWith(n int, opts SessionOptions) (*Session, error) {
 // N returns the fixed process count of the session.
 func (s *Session) N() int { return s.n }
 
-// loop is the persistent per-process goroutine: it receives one body per
-// run, wraps it (park at the synthetic start step, recover the crash
-// sentinel), and parks again for the next run. It exits when Close closes
-// the begin channel.
+// loop is the persistent per-process goroutine of the rendezvous protocol:
+// it receives one body per run, wraps it (park at the synthetic start step,
+// recover the crash sentinel), and parks again for the next run. It exits
+// when Close closes the begin channel.
 func (s *Session) loop(e *Env, begin <-chan Proc) {
 	for body := range begin {
-		if s.inline {
-			s.inlineRunBody(e, body)
-		} else {
-			s.centralRunBody(e, body)
-		}
+		s.centralRunBody(e, body)
 	}
 }
 
@@ -279,7 +209,6 @@ func (s *Session) centralRunBody(e *Env, body Proc) {
 	// Park at a synthetic "(start)" step before running the body, so even
 	// body prologues execute one at a time under the scheduler token: the
 	// single-runner invariant holds from the first instruction.
-	e.atStart = true
 	e.StepL(LabelStart)
 	body(e)
 }
@@ -290,8 +219,9 @@ func (s *Session) centralRunBody(e *Env, body Proc) {
 // session and discarding it.
 func (s *Session) Healthy() bool { return !s.closed && !s.broken }
 
-// Close terminates the session's goroutines. It is idempotent. Close must
-// not be called while a Run is in progress.
+// Close terminates the session's process coroutines (or goroutines, under
+// the rendezvous protocol). It is idempotent. Close must not be called while
+// a Run is in progress.
 func (s *Session) Close() {
 	if s.closed {
 		return
@@ -339,13 +269,6 @@ func (s *Session) reset(cfg Config, adv Adversary) {
 	s.steps = 0
 	s.crashes = 0
 	s.trace = s.trace[:0]
-	s.started.Store(0)
-	s.awaitUnwind = -1
-	s.detachSelf = -1
-	s.round = roundState{}
-	s.ending = false
-	s.endBudget = false
-	s.endErr = nil
 	s.plan = s.plan[:0]
 	s.planIdx = 0
 	s.sprint = -1
@@ -382,9 +305,6 @@ func (s *Session) Run(cfg Config, bodies []Proc) (*Result, error) {
 	s.reset(cfg, adv)
 	if s.direct {
 		return s.runDirect(bodies)
-	}
-	if s.inline {
-		return s.runInline(bodies)
 	}
 	return s.runCentral(bodies)
 }
@@ -570,9 +490,8 @@ func (s *Session) consume(ev event) {
 }
 
 // nextDecision consults the adversary, converting a panic raised inside
-// Next into a run error. Both protocols thereby fail such runs identically
-// — same error, every process goroutine reaped and re-parked — instead of
-// the panic unwinding whichever goroutine happened to be dispatching.
+// Next into a run error, the same error runDirect reports: both protocols
+// fail such runs identically, every process reaped and re-parked.
 func (s *Session) nextDecision(v *View) (dec Decision, err error) {
 	defer func() {
 		if r := recover(); r != nil {

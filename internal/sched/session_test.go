@@ -1,20 +1,18 @@
 package sched
 
 import (
-	"fmt"
 	"testing"
 )
 
-// sessionProtocols runs a subtest under all three scheduling protocols.
+// sessionProtocols runs a subtest under both scheduling protocols.
 func sessionProtocols(t *testing.T, f func(t *testing.T, opts SessionOptions)) {
 	t.Helper()
 	for _, tc := range []struct {
 		name string
 		opts SessionOptions
 	}{
-		{"inline", SessionOptions{}},
 		{"rendezvous", SessionOptions{Rendezvous: true}},
-		{"direct", SessionOptions{Direct: true}},
+		{"direct", SessionOptions{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { f(t, tc.opts) })
 	}
@@ -22,14 +20,10 @@ func sessionProtocols(t *testing.T, f func(t *testing.T, opts SessionOptions)) {
 
 // protocolName names a SessionOptions combination for map keys.
 func protocolName(opts SessionOptions) string {
-	switch {
-	case opts.Direct:
-		return "direct"
-	case opts.Rendezvous:
+	if opts.Rendezvous {
 		return "rendezvous"
-	default:
-		return "inline"
 	}
+	return "direct"
 }
 
 // crashyBodies is a deterministic workload whose runs exercise grants,
@@ -122,8 +116,8 @@ func copyResult(res *Result) *Result {
 }
 
 // TestProtocolEquivalence replays the same decision sequence under the
-// inline, rendezvous and direct protocols and requires byte-identical traces
-// and outcomes — the guarantee that the dispatch optimizations are purely
+// rendezvous and direct protocols and requires byte-identical traces and
+// outcomes — the guarantee that the dispatch optimizations are purely
 // implementation details.
 func TestProtocolEquivalence(t *testing.T) {
 	const n, k = 5, 7
@@ -139,11 +133,9 @@ func TestProtocolEquivalence(t *testing.T) {
 		}
 		return copyResult(res)
 	}
-	inline := run(SessionOptions{})
 	central := run(SessionOptions{Rendezvous: true})
-	direct := run(SessionOptions{Direct: true})
-	compareResults(t, "inline", "rendezvous", inline, central)
-	compareResults(t, "inline", "direct", inline, direct)
+	direct := run(SessionOptions{})
+	compareResults(t, "rendezvous", "direct", central, direct)
 }
 
 // planningAdversary wraps a recorded schedule and re-emits it as batched
@@ -199,7 +191,7 @@ func (a *sprintingAdversary) SprintStep(id ProcID, label Label) {
 
 // TestBatchedGrantsEquivalence: a schedule executed step-by-step and the
 // same schedule pre-committed as one batched Plan produce byte-identical
-// results, under both protocols that support batching, crashes included.
+// results, under both protocols, crashes included.
 func TestBatchedGrantsEquivalence(t *testing.T) {
 	const n, k = 4, 5
 	// Record a reference schedule (with crashes) from the unbatched run.
@@ -213,7 +205,7 @@ func TestBatchedGrantsEquivalence(t *testing.T) {
 	// so reconstruct them from outcome order via a replaying probe run.
 	script := recordGrants(t, n, k)
 
-	for _, opts := range []SessionOptions{{Direct: true}, {Rendezvous: true}} {
+	for _, opts := range []SessionOptions{{}, {Rendezvous: true}} {
 		s, err := NewSessionWith(n, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -294,7 +286,7 @@ func TestSprintEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantCopy := copyResult(want)
-	for _, opts := range []SessionOptions{{Direct: true}, {Rendezvous: true}} {
+	for _, opts := range []SessionOptions{{}, {Rendezvous: true}} {
 		s, err := NewSessionWith(n, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -314,24 +306,6 @@ func TestSprintEquivalence(t *testing.T) {
 			}
 		}
 		s.Close()
-	}
-}
-
-// TestInlineRejectsBatchedGrants: the inline protocol fails a run whose
-// adversary emits batched grants, and the session stays usable.
-func TestInlineRejectsBatchedGrants(t *testing.T) {
-	s, err := NewSession(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	adv := &planningAdversary{script: []Grant{{ID: 0}, {ID: 1}, {ID: 0}}}
-	if _, err := s.Run(Config{Adversary: adv}, crashyBodies(2, 3)); err == nil {
-		t.Fatal("inline protocol should reject Decision.Plan")
-	}
-	res, err := s.Run(Config{Adversary: NewRoundRobin()}, crashyBodies(2, 3))
-	if err != nil || res.NumDecided() != 2 {
-		t.Fatalf("session unusable after rejected batch: %v %+v", err, res)
 	}
 }
 
@@ -522,10 +496,9 @@ func TestReapedWhileParkedOnStartLabel(t *testing.T) {
 	})
 }
 
-// TestSessionSelfCrashMidRound: the adversary crashes the process that is
-// itself dispatching (inline protocol's delicate path) together with a
-// second victim in the same decision, then the run continues. Both
-// protocols must agree exactly.
+// TestSessionSelfCrashMidRound: the adversary crashes the process that just
+// parked together with a second victim in the same decision, then the run
+// continues. Both protocols must agree exactly.
 func TestSessionSelfCrashMidRound(t *testing.T) {
 	results := map[string]*Result{}
 	sessionProtocols(t, func(t *testing.T, opts SessionOptions) {
@@ -535,9 +508,8 @@ func TestSessionSelfCrashMidRound(t *testing.T) {
 		}
 		defer s.Close()
 		// Round-robin schedule; at step 4 crash processes 1 and 0 in one
-		// decision. Under the inline protocol the dispatcher at that point
-		// is the process that just parked — exercising both the self-crash
-		// detach and the crash-other unwind in a single round.
+		// decision: the victims are the process that just parked and one
+		// parked earlier, delivered in a single round.
 		adv := NewPlan(NewRoundRobin()).CrashAtStep(4, 1, 0)
 		res, err := s.Run(Config{Adversary: adv, TraceCapacity: 1 << 10, MaxCrashes: 3},
 			crashyBodies(3, 6))
@@ -552,24 +524,11 @@ func TestSessionSelfCrashMidRound(t *testing.T) {
 		}
 		results[protocolName(opts)] = copyResult(res)
 	})
-	ref := results["rendezvous"]
-	if ref == nil {
-		t.Fatal("missing rendezvous result")
+	ref, direct := results["rendezvous"], results["direct"]
+	if ref == nil || direct == nil {
+		t.Fatal("missing protocol result")
 	}
-	for _, name := range []string{"inline", "direct"} {
-		a := results[name]
-		if a == nil {
-			t.Fatalf("missing %s result", name)
-		}
-		if fmt.Sprint(a.Outcomes) != fmt.Sprint(ref.Outcomes) || len(a.Trace) != len(ref.Trace) {
-			t.Fatalf("protocols disagree:\n%s: %+v\nrendezvous: %+v", name, a.Outcomes, ref.Outcomes)
-		}
-		for i := range a.Trace {
-			if a.Trace[i] != ref.Trace[i] {
-				t.Fatalf("%s trace diverges at %d", name, i)
-			}
-		}
-	}
+	compareResults(t, "rendezvous", "direct", ref, direct)
 }
 
 // panicky is an adversary that panics after a fixed number of decisions.

@@ -1,5 +1,5 @@
 // SessionPool: the daemon's explore.RuntimeSource. Engine walkers lease
-// warm sched.Sessions here instead of respawning process goroutines per job,
+// warm sched.Sessions here instead of respawning process coroutines per job,
 // so consecutive jobs over same-sized harnesses reuse parked runtimes.
 // Sessions that report !Healthy() (a run error broke the protocol) are
 // discarded, never recycled.
@@ -25,17 +25,12 @@ type PoolStats struct {
 	Idle int `json:"idle"`
 }
 
-type poolKey struct {
-	n      int
-	direct bool
-}
-
-// SessionPool keeps warm sched.Sessions keyed on (process count, protocol).
-// Safe for concurrent use by the engine workers of concurrent jobs.
+// SessionPool keeps warm sched.Sessions keyed on their process count. Safe
+// for concurrent use by the engine workers of concurrent jobs.
 type SessionPool struct {
 	mu     sync.Mutex
-	idle   map[poolKey][]*sched.Session
-	keys   map[*sched.Session]poolKey
+	idle   map[int][]*sched.Session
+	keys   map[*sched.Session]int
 	maxPer int
 	closed bool
 
@@ -45,36 +40,35 @@ type SessionPool struct {
 }
 
 // NewSessionPool builds a pool parking up to maxPerKey idle sessions per
-// (process count, protocol) key (<= 0 selects 8).
+// process count (<= 0 selects 8).
 func NewSessionPool(maxPerKey int) *SessionPool {
 	if maxPerKey <= 0 {
 		maxPerKey = 8
 	}
 	return &SessionPool{
-		idle:   make(map[poolKey][]*sched.Session),
-		keys:   make(map[*sched.Session]poolKey),
+		idle:   make(map[int][]*sched.Session),
+		keys:   make(map[*sched.Session]int),
 		maxPer: maxPerKey,
 	}
 }
 
 // Acquire implements explore.RuntimeSource.
-func (p *SessionPool) Acquire(n int, direct bool) (*sched.Session, error) {
-	key := poolKey{n: n, direct: direct}
+func (p *SessionPool) Acquire(n int) (*sched.Session, error) {
 	p.mu.Lock()
-	if q := p.idle[key]; len(q) > 0 {
+	if q := p.idle[n]; len(q) > 0 {
 		rt := q[len(q)-1]
-		p.idle[key] = q[:len(q)-1]
+		p.idle[n] = q[:len(q)-1]
 		p.mu.Unlock()
 		p.reused.Add(1)
 		return rt, nil
 	}
 	p.mu.Unlock()
-	rt, err := sched.NewSessionWith(n, sched.SessionOptions{Direct: direct})
+	rt, err := sched.NewSession(n)
 	if err != nil {
 		return nil, err
 	}
 	p.mu.Lock()
-	p.keys[rt] = key
+	p.keys[rt] = n
 	p.mu.Unlock()
 	p.spawned.Add(1)
 	return rt, nil

@@ -7,17 +7,17 @@ import (
 )
 
 // TestPoolReuse: a released healthy session is reused by the next acquire of
-// the same (procs, protocol) shape; a different shape spawns fresh.
+// the same process count; a different count spawns fresh.
 func TestPoolReuse(t *testing.T) {
 	p := NewSessionPool(2)
 	defer p.Close()
 
-	a, err := p.Acquire(2, true)
+	a, err := p.Acquire(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Release(a)
-	b, err := p.Acquire(2, true)
+	b, err := p.Acquire(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestPoolReuse(t *testing.T) {
 		t.Error("same-shape acquire did not reuse the parked session")
 	}
 
-	c, err := p.Acquire(3, true)
+	c, err := p.Acquire(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +47,11 @@ func TestPoolCapacityAndForeignSessions(t *testing.T) {
 	p := NewSessionPool(1)
 	defer p.Close()
 
-	a, err := p.Acquire(2, true)
+	a, err := p.Acquire(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.Acquire(2, true)
+	b, err := p.Acquire(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestPoolCapacityAndForeignSessions(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 
-	foreign, err := sched.NewSessionWith(2, sched.SessionOptions{Direct: true})
+	foreign, err := sched.NewSession(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,11 @@ func TestPoolCapacityAndForeignSessions(t *testing.T) {
 // sessions instead of parking them.
 func TestPoolClose(t *testing.T) {
 	p := NewSessionPool(4)
-	a, err := p.Acquire(2, true)
+	a, err := p.Acquire(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.Acquire(2, true)
+	b, err := p.Acquire(2)
 	if err != nil {
 		t.Fatal(err)
 	}

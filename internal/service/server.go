@@ -29,8 +29,8 @@ type ServerConfig struct {
 	// (RatePerSec <= 0 disables limiting).
 	RatePerSec float64
 	RateBurst  int
-	// MaxIdleSessions bounds the warm session pool per (procs, protocol)
-	// key (0 = 8).
+	// MaxIdleSessions bounds the warm session pool per process count
+	// (0 = 8).
 	MaxIdleSessions int
 	// StreamInterval is the events stream's progress poll period (0 = 100ms).
 	StreamInterval time.Duration
