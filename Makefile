@@ -1,10 +1,11 @@
 # Development entry points. CI should run:
 #   make build vet test explore-smoke   (test job)
 #   make bench-check                    (test job)
+#   make alloc-check                    (test job)
 #   make docs-check                     (docs/health job)
 GO ?= go
 
-.PHONY: build vet test bench bench-check bench-json bench-trend throughput-gate profile explore-smoke sample-smoke service-smoke spec-conformance symmetry-conformance weakmem-conformance experiments docs-check
+.PHONY: build vet test alloc-check bench bench-check bench-json bench-trend throughput-gate profile explore-smoke sample-smoke service-smoke spec-conformance symmetry-conformance weakmem-conformance experiments docs-check
 
 build:
 	$(GO) build ./...
@@ -16,6 +17,13 @@ vet:
 # whole suite race-clean.
 test: build vet
 	$(GO) test -race ./...
+
+# Allocation checks: the testing.AllocsPerRun tests of the fold path (every
+# object package's Fingerprint and observed reads allocate nothing). They
+# are built with !race, since allocation counts mean nothing under the race
+# detector, so `make test` never runs them.
+alloc-check: build
+	$(GO) test -count=1 -run Allocs ./internal/...
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -15,6 +15,8 @@ package algorithms
 import (
 	"fmt"
 	"sort"
+
+	"mpcn/internal/sched"
 )
 
 // API is the operation set available to one process of a simulated
@@ -265,6 +267,13 @@ func (a GroupedKSet) Run(api API) {
 type renameCell struct {
 	orig int
 	prop int
+}
+
+// Fingerprint implements sched.Fingerprinter so published cells fold
+// without fmt formatting.
+func (c renameCell) Fingerprint(h *sched.FP) {
+	h.Int(c.orig)
+	h.Int(c.prop)
 }
 
 // Renaming is the classic wait-free (2n-1)-renaming algorithm of Attiya et

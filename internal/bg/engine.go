@@ -104,6 +104,20 @@ type memCell struct {
 	sn  int
 }
 
+// memRow is one simulator's published copy of the simulated memory: the
+// component it writes to MEM.
+type memRow []memCell
+
+// Fingerprint implements sched.Fingerprinter so MEM's components fold
+// without fmt formatting, cell by cell.
+func (r memRow) Fingerprint(h *sched.FP) {
+	h.Int(len(r))
+	for i := range r {
+		h.Value(r[i].val)
+		h.Int(r[i].sn)
+	}
+}
+
 // agKey addresses the agreement object of the snapsn-th snapshot of
 // simulated process j (the SAFE_AG[j, snapsn] array of Figure 3).
 type agKey struct {
@@ -117,7 +131,7 @@ type engineRun struct {
 	n     int // simulated processes
 	ports [][]int
 
-	mem     *snapshot.Primitive[[]memCell]
+	mem     *snapshot.Primitive[memRow]
 	snapAG  map[agKey]Agreement
 	xconsAG map[int]Agreement
 	tas     []*object.TestAndSet // colored decision claiming (§5.5)
@@ -181,7 +195,7 @@ func New(cfg Config) (*engineRun, error) {
 		cfg:       cfg,
 		n:         n,
 		ports:     ports,
-		mem:       snapshot.NewPrimitive[[]memCell]("MEM", cfg.Simulators),
+		mem:       snapshot.NewPrimitive[memRow]("MEM", cfg.Simulators),
 		snapAG:    make(map[agKey]Agreement),
 		xconsAG:   make(map[int]Agreement),
 		decisions: make([]any, cfg.Simulators),
@@ -280,7 +294,7 @@ func (r *engineRun) xconsAGAt(a int) Agreement {
 // memory, sequence counters, cached x_cons results, the two thread-local
 // mutexes and the decisions its threads produced.
 type simulatorState struct {
-	memi   []memCell
+	memi   memRow
 	wSN    []int
 	snapSN []int
 	xres   map[int]any
@@ -298,7 +312,7 @@ type simulatorState struct {
 func (r *engineRun) simulatorBody(i int) sched.Proc {
 	return func(e *sched.Env) {
 		sim := &simulatorState{
-			memi:    make([]memCell, r.n),
+			memi:    make(memRow, r.n),
 			wSN:     make([]int, r.n),
 			snapSN:  make([]int, r.n),
 			xres:    make(map[int]any),
@@ -396,7 +410,7 @@ func (a *simAPI) Write(v any) {
 	if a.r.onWrite != nil {
 		a.r.onWrite(a.i, a.j, sim.wSN[a.j], v)
 	}
-	snap := make([]memCell, len(sim.memi))
+	snap := make(memRow, len(sim.memi))
 	copy(snap, sim.memi)
 	a.y.Call(func() { a.r.mem.Update(a.e, a.i, snap) }) // line 03
 	a.y.Yield()                                         // fair interleaving of the simulator's threads (§2.4)
@@ -406,7 +420,7 @@ func (a *simAPI) Write(v any) {
 func (a *simAPI) Snapshot() []any {
 	r, sim := a.r, a.sim
 
-	var sm [][]memCell
+	var sm []memRow
 	a.y.Call(func() { sm = r.mem.Scan(a.e) }) // line 01
 	input := make([]any, r.n)
 	for y := 0; y < r.n; y++ { // lines 02-03: adopt the most advanced write

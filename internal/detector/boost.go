@@ -38,10 +38,17 @@ type BoostedConsensus struct {
 	n, x int
 
 	dec *reg.Register[decCell]
-	xc  map[string]*object.XConsensus
+	xc  map[xcKey]*object.XConsensus
 	ca  map[int]*agreement.CommitAdopt
 
 	annSnap *snapshot.Primitive[annCell]
+}
+
+// xcKey addresses XC[S, r]. An Ωx output is the window {lo..lo+x-1} (see
+// sched.Env.LeaderSet), so its lowest member names the whole set.
+type xcKey struct {
+	lo    sched.ProcID
+	round int
 }
 
 // annCell is one process's announcement: the latest round it completed as a
@@ -51,10 +58,24 @@ type annCell struct {
 	v     any
 }
 
+// Fingerprint implements sched.Fingerprinter so announcement observations
+// fold without fmt formatting.
+func (c annCell) Fingerprint(h *sched.FP) {
+	h.Int(c.round)
+	h.Value(c.v)
+}
+
 // decCell is the published decision.
 type decCell struct {
 	set bool
 	v   any
+}
+
+// Fingerprint implements sched.Fingerprinter so decision observations fold
+// without fmt formatting.
+func (c decCell) Fingerprint(h *sched.FP) {
+	h.Bool(c.set)
+	h.Value(c.v)
 }
 
 // NewBoostedConsensus returns a consensus object for processes 0..n-1 built
@@ -68,7 +89,7 @@ func NewBoostedConsensus(name string, n, x int) *BoostedConsensus {
 		n:       n,
 		x:       x,
 		dec:     reg.New[decCell](name + ".DEC"),
-		xc:      make(map[string]*object.XConsensus),
+		xc:      make(map[xcKey]*object.XConsensus),
 		ca:      make(map[int]*agreement.CommitAdopt),
 		annSnap: snapshot.NewPrimitive[annCell](name+".ANN", n),
 	}
@@ -76,10 +97,10 @@ func NewBoostedConsensus(name string, n, x int) *BoostedConsensus {
 
 // xcAt returns XC[S, r], creating it lazily with ports S.
 func (b *BoostedConsensus) xcAt(set []sched.ProcID, r int) *object.XConsensus {
-	key := fmt.Sprintf("%v@%d", set, r)
+	key := xcKey{lo: set[0], round: r}
 	obj, ok := b.xc[key]
 	if !ok {
-		obj = object.NewXConsensus(fmt.Sprintf("%s.XC[%s]", b.name, key), b.x, set)
+		obj = object.NewXConsensus(fmt.Sprintf("%s.XC[%v@%d]", b.name, set, r), b.x, set)
 		b.xc[key] = obj
 	}
 	return obj
@@ -108,7 +129,7 @@ func (b *BoostedConsensus) Propose(e *sched.Env, v any) any {
 	}
 
 	est := v
-	proposed := make(map[string]bool)
+	proposed := make(map[xcKey]bool)
 	for r := 1; ; r++ {
 		// Wait for a round >= r announcement (or a published decision),
 		// re-evaluating leader-set membership on every probe: the oracle
@@ -128,7 +149,7 @@ func (b *BoostedConsensus) Propose(e *sched.Env, v any) any {
 				return d.v
 			}
 			set := e.LeaderSet(b.x)
-			if key := fmt.Sprintf("%v@%d", set, r); containsProc(set, e.ID()) && !proposed[key] {
+			if key := (xcKey{lo: set[0], round: r}); containsProc(set, e.ID()) && !proposed[key] {
 				proposed[key] = true
 				w := b.xcAt(set, r).Propose(e, est)
 				b.annSnap.Update(e, me, annCell{round: r, v: w})

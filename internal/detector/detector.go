@@ -33,6 +33,15 @@ type cell struct {
 	dec any // decided value, published for the others
 }
 
+// Fingerprint implements sched.Fingerprinter so cell observations fold
+// without fmt formatting.
+func (c cell) Fingerprint(h *sched.FP) {
+	h.Int(c.rr)
+	h.Int(c.ww)
+	h.Value(c.vv)
+	h.Value(c.dec)
+}
+
 // OmegaConsensus is a consensus object for n processes built from a snapshot
 // memory and the runtime's Ω oracle. It tolerates any number of crashes
 // (wait-free termination for every correct process), which registers alone

@@ -262,6 +262,9 @@ type scripted struct {
 	fpFn    func(h *sched.FP)
 	cutAt   int
 	cutAlts int
+	// fp is the reusable plain accumulator: a local would escape through
+	// the indirect fpFn call and be heap-allocated at every fingerprint.
+	fp sched.FP
 
 	// Symmetry-reduction fields (symmetric == false: plain fingerprints).
 	// symFP is the reusable orbit-canonical accumulator, lazily sized to the
@@ -376,7 +379,8 @@ func (s *scripted) fingerprint(v sched.View) sched.Fingerprint {
 	if s.symmetric {
 		return s.symFingerprint(v)
 	}
-	var h sched.FP
+	h := &s.fp
+	h.Reset()
 	for i := range v.Pending {
 		h.Label(v.Pending[i])
 		h.Bool(v.Crashed[i])
@@ -385,8 +389,8 @@ func (s *scripted) fingerprint(v sched.View) sched.Fingerprint {
 		h.Word(obs.Lo)
 		h.Word(obs.Hi)
 	}
-	s.foldPrev(&h)
-	s.fpFn(&h)
+	s.foldPrev(h)
+	s.fpFn(h)
 	return h.Sum()
 }
 

@@ -73,7 +73,7 @@ func (t *TestAndSet) TestAndSet(e *sched.Env) bool {
 	e.StepL(t.tasL)
 	won := !t.set
 	t.set = true
-	sched.Observe(e, won)
+	sched.ObserveBool(e, won)
 	return won
 }
 
@@ -109,7 +109,7 @@ func (q *Queue[T]) Fingerprint(h *sched.FP) {
 	h.Label(q.enqueueL)
 	h.Int(len(q.items))
 	for i := range q.items {
-		h.Value(q.items[i])
+		sched.Fold(h, &q.items[i])
 	}
 }
 
@@ -126,13 +126,13 @@ func (q *Queue[T]) Items() []T {
 func (q *Queue[T]) Dequeue(e *sched.Env) (v T, ok bool) {
 	e.StepL(q.dequeueL)
 	if len(q.items) == 0 {
-		sched.Observe(e, false)
+		sched.ObserveBool(e, false)
 		return v, false
 	}
+	sched.ObserveBool(e, true)
+	sched.Observe(e, &q.items[0])
 	v = q.items[0]
 	q.items = q.items[1:]
-	sched.Observe(e, true)
-	sched.Observe(e, v)
 	return v, true
 }
 
@@ -168,7 +168,7 @@ func (s *Stack[T]) Fingerprint(h *sched.FP) {
 	h.Label(s.pushL)
 	h.Int(len(s.items))
 	for i := range s.items {
-		h.Value(s.items[i])
+		sched.Fold(h, &s.items[i])
 	}
 }
 
@@ -185,13 +185,14 @@ func (s *Stack[T]) Items() []T {
 func (s *Stack[T]) Pop(e *sched.Env) (v T, ok bool) {
 	e.StepL(s.popL)
 	if len(s.items) == 0 {
-		sched.Observe(e, false)
+		sched.ObserveBool(e, false)
 		return v, false
 	}
-	v = s.items[len(s.items)-1]
-	s.items = s.items[:len(s.items)-1]
-	sched.Observe(e, true)
-	sched.Observe(e, v)
+	top := len(s.items) - 1
+	sched.ObserveBool(e, true)
+	sched.Observe(e, &s.items[top])
+	v = s.items[top]
+	s.items = s.items[:top]
 	return v, true
 }
 
@@ -216,7 +217,7 @@ func NewCompareAndSwap[T comparable](name string, init T) *CompareAndSwap[T] {
 // Read atomically reads the register.
 func (c *CompareAndSwap[T]) Read(e *sched.Env) T {
 	e.StepL(c.readL)
-	sched.Observe(e, c.v)
+	sched.Observe(e, &c.v)
 	return c.v
 }
 
@@ -228,18 +229,18 @@ func (c *CompareAndSwap[T]) Value() T { return c.v }
 // Fingerprint implements sched.Fingerprinter.
 func (c *CompareAndSwap[T]) Fingerprint(h *sched.FP) {
 	h.Label(c.casL)
-	h.Value(c.v)
+	sched.Fold(h, &c.v)
 }
 
 // CompareAndSwap atomically replaces old with new and reports success.
 func (c *CompareAndSwap[T]) CompareAndSwap(e *sched.Env, old, new T) bool {
 	e.StepL(c.casL)
 	if c.v != old {
-		sched.Observe(e, false)
+		sched.ObserveBool(e, false)
 		return false
 	}
 	c.v = new
-	sched.Observe(e, true)
+	sched.ObserveBool(e, true)
 	return true
 }
 
@@ -280,7 +281,7 @@ func (c *XConsensus) X() int { return c.x }
 func (c *XConsensus) Fingerprint(h *sched.FP) {
 	h.Label(c.propL)
 	h.Bool(c.decided)
-	h.Value(c.value)
+	sched.Fold(h, &c.value)
 	h.ProcSet(c.proposed)
 }
 
@@ -303,7 +304,7 @@ func (c *XConsensus) Propose(e *sched.Env, v any) any {
 		c.decided = true
 		c.value = v
 	}
-	sched.Observe(e, c.value)
+	sched.Observe(e, &c.value)
 	return c.value
 }
 
@@ -339,8 +340,8 @@ func NewMLSetAgreement(name string, m, l int, portIDs []sched.ProcID) *MLSetAgre
 func (o *MLSetAgreement) Fingerprint(h *sched.FP) {
 	h.Label(o.propL)
 	h.Int(len(o.decided))
-	for _, v := range o.decided {
-		h.Value(v)
+	for i := range o.decided {
+		sched.Fold(h, &o.decided[i])
 	}
 	h.ProcSet(o.seen)
 }
@@ -360,15 +361,14 @@ func (o *MLSetAgreement) Propose(e *sched.Env, v any) any {
 			o.ports.name, len(o.seen), o.m))
 	}
 	e.StepL(o.propL)
-	var out any
-	if len(o.decided) < o.l {
+	k := len(o.decided)
+	if k < o.l {
 		o.decided = append(o.decided, v)
-		out = v
 	} else {
 		// Spread returned values across the decided set to keep disagreement
 		// maximal while staying deterministic.
-		out = o.decided[len(o.seen)%len(o.decided)]
+		k = len(o.seen) % len(o.decided)
 	}
-	sched.Observe(e, out)
-	return out
+	sched.Observe(e, &o.decided[k])
+	return o.decided[k]
 }

@@ -42,7 +42,7 @@ func NewWith[T any](name string, init T) *Register[T] {
 // Read atomically reads the register.
 func (r *Register[T]) Read(e *sched.Env) T {
 	e.StepL(r.readL)
-	sched.Observe(e, r.v)
+	sched.Observe(e, &r.v)
 	return r.v
 }
 
@@ -56,7 +56,7 @@ func (r *Register[T]) Write(e *sched.Env, v T) {
 // identity (its interned write label) and current value.
 func (r *Register[T]) Fingerprint(h *sched.FP) {
 	h.Label(r.writeL)
-	h.Value(r.v)
+	sched.Fold(h, &r.v)
 }
 
 // Array is an array of atomic registers sharing a common name prefix. Cell i
@@ -96,7 +96,7 @@ func (a *Array[T]) Len() int { return len(a.cells) }
 // Read atomically reads cell i.
 func (a *Array[T]) Read(e *sched.Env, i int) T {
 	e.StepL(a.readL[i])
-	sched.Observe(e, a.cells[i])
+	sched.Observe(e, &a.cells[i])
 	return a.cells[i]
 }
 
@@ -114,7 +114,7 @@ func (a *Array[T]) Write(e *sched.Env, i int, v T) {
 func (a *Array[T]) Fingerprint(h *sched.FP) {
 	h.Label(a.writeL[0])
 	for i := range a.cells {
-		h.Lane(sched.ProcID(i)).Value(a.cells[i])
+		sched.Fold(h.Lane(sched.ProcID(i)), &a.cells[i])
 	}
 }
 

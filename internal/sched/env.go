@@ -125,7 +125,7 @@ func (e *Env) Leader() ProcID {
 	}
 	// The oracle reads global crash state: record the observation so replay
 	// engines' fingerprints capture what this process may have branched on.
-	Observe(e, int(leader))
+	e.observeScalar(fpTagInt, uint64(leader))
 	return leader
 }
 
@@ -164,8 +164,8 @@ func (e *Env) StepCount() int { return e.s.stepsOf[e.id] }
 
 // TotalSteps returns the number of steps scheduled so far across all
 // processes. Like the oracles it reads global state, so it records an
-// observation (see sched.Observe).
+// observation (see Observe).
 func (e *Env) TotalSteps() int {
-	Observe(e, e.s.steps)
+	e.observeScalar(fpTagInt, uint64(e.s.steps))
 	return e.s.steps
 }

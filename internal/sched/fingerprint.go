@@ -22,9 +22,10 @@ type Fingerprint struct {
 // maps).
 //
 // The zero FP is a plain value (two words, no heap state): hashing allocates
-// nothing as long as the values folded are label IDs, integers and booleans.
-// Value falls back to reflection-free type switching and, as a last resort,
-// to fmt formatting (which allocates) for exotic types.
+// nothing. Stored values fold through Fold, straight from the storage the
+// object already holds, with no interface boxing; Value folds values that
+// are already interfaces. fmt formatting (which allocates) is a last resort
+// for foreign types that implement no Fingerprinter.
 //
 // NewOrbitFP builds an FP in orbit-canonical mode: it additionally carries
 // one digest lane per process, and Sum folds the lane digests in sorted
@@ -196,6 +197,7 @@ const (
 	fpTagProc
 	fpTagOther
 	fpTagOwnCell
+	fpTagSlice
 )
 
 // SymLabel folds an interned label the way a symmetric per-process lane
@@ -219,16 +221,24 @@ func (h *FP) SymLabel(l Label) {
 	h.Label(l)
 }
 
-// Value folds a dynamically-typed value, as stored in registers, snapshots
-// and decision logs. Common scalar types are folded without allocation;
-// values implementing Fingerprinter fold themselves (the hook composite cell
-// types use); anything else falls back to fmt formatting, which allocates —
-// acceptable for rare types, but hot-path state should stick to scalars or
-// implement Fingerprinter.
+// Value folds a value that is already an interface: an any-typed cell,
+// decision or log entry. Common scalar types fold without allocation under
+// type tags that keep differently-typed values apart; []any (BG's snapshot
+// proposals) folds structurally, element by element; values implementing
+// Fingerprinter fold themselves. Stored values of a known type go through
+// Fold instead, which reaches the same words without boxing them. fmt
+// formatting is a last resort for foreign, user-defined types that implement
+// no Fingerprinter: it allocates on every fold, and no type in this
+// repository reaches it. In orbit mode the canon hook maps v first.
 func (h *FP) Value(v any) {
 	if h.orb != nil && h.orb.canon != nil {
 		v = h.orb.canon(v)
 	}
+	h.value(v)
+}
+
+// value is Value after canonicalization.
+func (h *FP) value(v any) {
 	switch t := v.(type) {
 	case nil:
 		h.Word(fpTagNil)
@@ -259,11 +269,74 @@ func (h *FP) Value(v any) {
 	case ProcID:
 		h.Word(fpTagProc)
 		h.Int(int(t))
+	case []any:
+		h.Word(fpTagSlice)
+		h.Int(len(t))
+		for i := range t {
+			h.Value(t[i])
+		}
 	case Fingerprinter:
 		t.Fingerprint(h)
 	default:
 		h.Word(fpTagOther)
 		h.String(fmt.Sprintf("%T:%v", v, v))
+	}
+}
+
+// Fold folds the value *v in place: the allocation-free way to fold state an
+// object stores (a register's value, a snapshot component, a queue item).
+// Pass a pointer into that storage: v escapes, so a pointer to a local copy
+// would move the copy to the heap. Fold never retains v.
+// Scalars fold under Value's type tags, an *any defers to Value, and a *T
+// that implements Fingerprinter (T's value methods included) folds through
+// the pointer, so the words match what Value folds for the boxed *v. Other
+// types fall back to Value(*v). In orbit mode with a canon hook, the fold is
+// Value(canon(*v)): canon sees the whole value, and a result still of type T
+// folds through its pointer.
+func Fold[T any](h *FP, v *T) {
+	if h.orb != nil && h.orb.canon != nil {
+		c := h.orb.canon(*v)
+		t, ok := c.(T)
+		if !ok {
+			h.value(c)
+			return
+		}
+		v = &t
+	}
+	switch p := any(v).(type) {
+	case *any:
+		h.value(*p)
+	case *bool:
+		h.Word(fpTagBool)
+		h.Bool(*p)
+	case *int:
+		h.Word(fpTagInt)
+		h.Int(*p)
+	case *int32:
+		h.Word(fpTagInt)
+		h.Word(uint64(*p))
+	case *int64:
+		h.Word(fpTagInt)
+		h.Word(uint64(*p))
+	case *uint:
+		h.Word(fpTagUint)
+		h.Word(uint64(*p))
+	case *uint64:
+		h.Word(fpTagUint)
+		h.Word(*p)
+	case *string:
+		h.Word(fpTagString)
+		h.String(*p)
+	case *Label:
+		h.Word(fpTagLabel)
+		h.Label(*p)
+	case *ProcID:
+		h.Word(fpTagProc)
+		h.Int(int(*p))
+	case Fingerprinter:
+		p.Fingerprint(h)
+	default:
+		h.value(*v)
 	}
 }
 
@@ -318,20 +391,43 @@ func (h *FP) orbitSum() Fingerprint {
 	return fpSum(t.a, t.b)
 }
 
-// Observe folds v into the calling process's observation digest when the
-// run's Config.Observe is set (and is a cheap branch otherwise — v is not
-// boxed unless tracking is on). Shared-object implementations call it with
-// every value they return that derives from shared state: the value a read
-// or scan observed, the winner/emptiness verdict of a test&set, dequeue or
-// CAS, an oracle's output. Writes need no observation (no information flows
-// back into the process). The digests make each process's local state a
-// function of its fingerprintable history; replay engines rely on that for
-// state deduplication.
-func Observe[T any](e *Env, v T) {
+// Observe folds *v into the calling process's observation digest when the
+// run's Config.Observe is set, and is a cheap branch otherwise. Shared-object
+// implementations call it with every value they return that derives from
+// shared state, passing a pointer to the value where the object stores it
+// (the register, snapshot component or queue slot the operation read): the
+// fold is Fold's, so nothing is boxed or copied. Writes need no observation
+// (no information flows back into the process). The digests make each
+// process's local state a function of its fingerprintable history; replay
+// engines rely on that for state deduplication.
+func Observe[T any](e *Env, v *T) {
 	if !e.s.cfg.Observe {
 		return
 	}
-	e.s.obs[e.id].Value(v)
+	Fold(&e.s.obs[e.id], v)
+}
+
+// ObserveBool is Observe for a verdict the operation computes rather than
+// reads from storage (a test&set's winner flag, a dequeue's emptiness): it
+// folds the same words Observe folds for a stored bool.
+func ObserveBool(e *Env, b bool) {
+	var w uint64
+	if b {
+		w = 1
+	}
+	e.observeScalar(fpTagBool, w)
+}
+
+// observeScalar folds one tagged scalar word, as Value folds a bool, int or
+// uint, into the observation digest; the oracles observe their results
+// through it.
+func (e *Env) observeScalar(tag, w uint64) {
+	if !e.s.cfg.Observe {
+		return
+	}
+	h := &e.s.obs[e.id]
+	h.Word(tag)
+	h.Word(w)
 }
 
 // ProcSet folds an unordered process set commutatively (membership-counted,

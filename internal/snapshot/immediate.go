@@ -33,11 +33,12 @@ type isCell[T any] struct {
 	val   T
 }
 
-// Fingerprint implements sched.Fingerprinter so isCell values folded through
-// the backing register array hash without fmt formatting.
-func (c isCell[T]) Fingerprint(h *sched.FP) {
+// Fingerprint implements sched.Fingerprinter. The receiver is a pointer so
+// that the T-typed value folds in place through sched.Fold: the backing
+// register array reaches the cell by pointer, and nothing is boxed.
+func (c *isCell[T]) Fingerprint(h *sched.FP) {
 	h.Int(c.level)
-	h.Value(c.val)
+	sched.Fold(h, &c.val)
 }
 
 // NewImmediate returns a one-shot immediate snapshot for n processes.

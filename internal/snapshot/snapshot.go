@@ -68,7 +68,7 @@ func (s *Primitive[T]) Scan(e *sched.Env) []T {
 	e.StepL(s.scanL)
 	if e.Observing() {
 		for i := range s.cells {
-			sched.Observe(e, s.cells[i])
+			sched.Observe(e, &s.cells[i])
 		}
 	}
 	out := make([]T, len(s.cells))
@@ -86,7 +86,7 @@ func (s *Primitive[T]) ScanView(e *sched.Env) []T {
 	e.StepL(s.scanL)
 	if e.Observing() {
 		for i := range s.cells {
-			sched.Observe(e, s.cells[i])
+			sched.Observe(e, &s.cells[i])
 		}
 	}
 	return s.cells
@@ -114,7 +114,7 @@ func (s *Primitive[T]) Len() int { return len(s.cells) }
 func (s *Primitive[T]) Fingerprint(h *sched.FP) {
 	h.Label(s.scanL)
 	for i := range s.cells {
-		h.Lane(sched.ProcID(i)).Value(s.cells[i])
+		sched.Fold(h.Lane(sched.ProcID(i)), &s.cells[i])
 	}
 }
 
@@ -127,14 +127,16 @@ type afekCell[T any] struct {
 	view []T
 }
 
-// Fingerprint implements sched.Fingerprinter so afekCell observations and
-// state folds avoid the fmt fallback.
-func (c afekCell[T]) Fingerprint(h *sched.FP) {
-	h.Value(c.val)
+// Fingerprint implements sched.Fingerprinter. The receiver is a pointer so
+// that the T-typed value and view fold in place through sched.Fold: the
+// register array's observations and state folds reach the cell by pointer,
+// and nothing is boxed.
+func (c *afekCell[T]) Fingerprint(h *sched.FP) {
+	sched.Fold(h, &c.val)
 	h.Int(c.seq)
 	h.Int(len(c.view))
 	for i := range c.view {
-		h.Value(c.view[i])
+		sched.Fold(h, &c.view[i])
 	}
 }
 
@@ -161,7 +163,7 @@ type regArray[T any] struct {
 
 func (a *regArray[T]) read(e *sched.Env, i int) afekCell[T] {
 	e.StepL(a.readL[i])
-	sched.Observe(e, a.cells[i])
+	sched.Observe(e, &a.cells[i])
 	return a.cells[i]
 }
 

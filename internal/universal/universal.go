@@ -31,6 +31,20 @@ type opDesc[O any] struct {
 	op   O
 }
 
+// Fingerprint implements sched.Fingerprinter. The announce board holds
+// *opDesc, so the fold covers the descriptor's contents, never its address;
+// a nil descriptor (an empty announce cell) folds apart from every
+// announced one.
+func (d *opDesc[O]) Fingerprint(h *sched.FP) {
+	h.Bool(d != nil)
+	if d == nil {
+		return
+	}
+	h.Int(d.port)
+	h.Int(d.seq)
+	sched.Fold(h, &d.op)
+}
+
 // Universal is the shared part of the construction. Each participating
 // process obtains a Handle and performs operations through it.
 type Universal[S, O, R any] struct {
