@@ -2,10 +2,11 @@
 #   make build vet test explore-smoke   (test job)
 #   make bench-check                    (test job)
 #   make alloc-check                    (test job)
+#   make store-race                     (test job)
 #   make docs-check                     (docs/health job)
 GO ?= go
 
-.PHONY: build vet test alloc-check bench bench-check bench-json bench-trend throughput-gate profile explore-smoke sample-smoke service-smoke spec-conformance symmetry-conformance weakmem-conformance experiments docs-check
+.PHONY: build vet test alloc-check store-race bench bench-check bench-json bench-trend throughput-gate profile explore-smoke sample-smoke service-smoke spec-conformance symmetry-conformance weakmem-conformance experiments docs-check
 
 build:
 	$(GO) build ./...
@@ -24,6 +25,15 @@ test: build vet
 # detector, so `make test` never runs them.
 alloc-check: build
 	$(GO) test -count=1 -run Allocs ./internal/...
+
+# Race shake of the two concurrent hot paths: the visited store's lock-free
+# probes (hits write no shared memory) and the scheduler's in-place
+# adversary consultations, run twice at 1, 2 and 4 CPUs so the race detector
+# sees several interleavings of each. -short trims the n=3 cells of the
+# sequential dedup coverage battery, which `make test` runs in full; at six
+# race runs they would take most of an hour.
+store-race: build
+	$(GO) test -race -short -count=2 -cpu 1,2,4 -run 'Dedup|Visited|Equivalence|AdversaryPanic|Sticky' ./internal/explore ./internal/sched
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -17,7 +17,8 @@ const big = 1 << 20
 
 // TestFoldAllocs: annCell (the announcement snapshot's component) and
 // decCell (the decision register) fold without allocating, in Fingerprint
-// and on an observed read.
+// and on an observed read, and one probe of BoostedConsensus's wait loop
+// allocates nothing.
 func TestFoldAllocs(t *testing.T) {
 	ann := snapshot.NewPrimitive[annCell]("ann", 3)
 	dec := reg.NewWith[decCell]("dec", decCell{set: true, v: big})
@@ -40,5 +41,20 @@ func TestFoldAllocs(t *testing.T) {
 	}
 	if n := schedtest.Allocs(t, 100, func(e *sched.Env) { dec.Read(e) }); n != 0 {
 		t.Errorf("Register[decCell].Read: %v allocs, want 0", n)
+	}
+
+	// One iteration of BoostedConsensus's wait loop: the decision register,
+	// the Ωx window, the announcement scan and the adoption search. The
+	// process is a member of the window but has already proposed there, as
+	// on every probe after its first.
+	b := NewBoostedConsensus("bc", 3, 1)
+	proposed := map[xcKey]bool{{lo: 0, round: 2}: true}
+	schedtest.Run(t, func(e *sched.Env) { b.annSnap.Update(e, 1, annCell{round: 2, v: big}) })
+	var adopted any
+	if n := schedtest.Allocs(t, 100, func(e *sched.Env) { adopted, _ = b.probe(e, 2, big, proposed) }); n != 0 {
+		t.Errorf("BoostedConsensus wait-loop probe: %v allocs, want 0", n)
+	}
+	if adopted != big {
+		t.Errorf("probe adopted %v, want %v", adopted, big)
 	}
 }

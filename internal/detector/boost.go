@@ -95,12 +95,17 @@ func NewBoostedConsensus(name string, n, x int) *BoostedConsensus {
 	}
 }
 
-// xcAt returns XC[S, r], creating it lazily with ports S.
-func (b *BoostedConsensus) xcAt(set []sched.ProcID, r int) *object.XConsensus {
-	key := xcKey{lo: set[0], round: r}
+// xcAt returns XC[S, r] for the window S = {key.lo..key.lo+x-1} and round
+// r = key.round, creating it lazily with ports S; only then is S built as a
+// slice.
+func (b *BoostedConsensus) xcAt(key xcKey) *object.XConsensus {
 	obj, ok := b.xc[key]
 	if !ok {
-		obj = object.NewXConsensus(fmt.Sprintf("%s.XC[%v@%d]", b.name, set, r), b.x, set)
+		set := make([]sched.ProcID, b.x)
+		for i := range set {
+			set[i] = key.lo + sched.ProcID(i)
+		}
+		obj = object.NewXConsensus(fmt.Sprintf("%s.XC[%v@%d]", b.name, set, key.round), b.x, set)
 		b.xc[key] = obj
 	}
 	return obj
@@ -123,8 +128,7 @@ func (b *BoostedConsensus) Propose(e *sched.Env, v any) any {
 	if v == nil {
 		panic(fmt.Sprintf("detector: nil proposal to %s", b.name))
 	}
-	me := int(e.ID())
-	if me >= b.n {
+	if me := int(e.ID()); me >= b.n {
 		panic(fmt.Sprintf("detector: process %d outside %s's population %d", me, b.name, b.n))
 	}
 
@@ -145,24 +149,9 @@ func (b *BoostedConsensus) Propose(e *sched.Env, v any) any {
 		// each round, so commit-adopt converges and commits.
 		var adopted any
 		for adopted == nil {
-			if d := b.dec.Read(e); d.set {
-				return d.v
-			}
-			set := e.LeaderSet(b.x)
-			if key := (xcKey{lo: set[0], round: r}); containsProc(set, e.ID()) && !proposed[key] {
-				proposed[key] = true
-				w := b.xcAt(set, r).Propose(e, est)
-				b.annSnap.Update(e, me, annCell{round: r, v: w})
-			}
-			ann := b.annSnap.Scan(e)
-			best := -1
-			for j, c := range ann {
-				if c.round >= r && c.v != nil && (best < 0 || c.round < ann[best].round) {
-					best = j
-				}
-			}
-			if best >= 0 {
-				adopted = ann[best].v
+			var decided bool
+			if adopted, decided = b.probe(e, r, est, proposed); decided {
+				return adopted
 			}
 		}
 
@@ -175,11 +164,31 @@ func (b *BoostedConsensus) Propose(e *sched.Env, v any) any {
 	}
 }
 
-func containsProc(set []sched.ProcID, id sched.ProcID) bool {
-	for _, p := range set {
-		if p == id {
-			return true
+// probe is one iteration of round r's wait loop. It returns the published
+// decision (decided set), or else the round-r value to adopt, nil while no
+// announcement qualifies. A member of the current Ωx window first funnels
+// est through XC[window, r] and announces the outcome, once per window. The
+// announcements are read through ScanView and consumed before the next
+// step, so a probe that proposes nothing allocates nothing.
+func (b *BoostedConsensus) probe(e *sched.Env, r int, est any, proposed map[xcKey]bool) (v any, decided bool) {
+	if d := b.dec.Read(e); d.set {
+		return d.v, true
+	}
+	lo := e.LeaderWindow(b.x)
+	if key := (xcKey{lo: lo, round: r}); e.ID() >= lo && e.ID() < lo+sched.ProcID(b.x) && !proposed[key] {
+		proposed[key] = true
+		w := b.xcAt(key).Propose(e, est)
+		b.annSnap.Update(e, int(e.ID()), annCell{round: r, v: w})
+	}
+	ann := b.annSnap.ScanView(e)
+	best := -1
+	for j, c := range ann {
+		if c.round >= r && c.v != nil && (best < 0 || c.round < ann[best].round) {
+			best = j
 		}
 	}
-	return false
+	if best < 0 {
+		return nil, false
+	}
+	return ann[best].v, false
 }

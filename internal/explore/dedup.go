@@ -1,7 +1,7 @@
 // The visited-state store behind Config.Dedup: a lock-striped,
 // power-of-two-sharded fingerprint set grown on demand up to a memory
 // ceiling, with a bounded-memory eviction policy, per-shard stats, and a
-// lock-free read path.
+// lock-free read path that writes nothing on a hit.
 //
 // Exploration with Dedup computes a canonical state fingerprint at every NEW
 // decision node (sched control points + the harness's Session.Fingerprint)
@@ -58,11 +58,31 @@
 // insert always takes the first empty slot of its window (or overwrites the
 // oldest entry of a full one) and slots never empty out again, so nothing of
 // the window lies beyond an empty slot. A probe
-// that finds its fingerprint returns "visited" without ever taking the lock
-// (the approximate-LRU stamp refresh is a best-effort CAS); a probe that
-// misses — or reads a torn slot — falls back to the mutex, re-probes, and
-// inserts, which preserves the store's exactness guarantee: for each
-// resident fingerprint exactly one caller ever gets "not visited".
+// that finds its fingerprint returns "visited" without ever taking the lock;
+// a probe that misses — or reads a torn slot — falls back to the mutex,
+// re-probes, and inserts, which preserves the store's exactness guarantee:
+// for each resident fingerprint exactly one caller ever gets "not visited".
+//
+// # Hits write nothing: engine-side lookups, LRU refresh only at the ceiling
+//
+// Nearly every probe hits (about 99% on the sampling workloads), so the hit
+// path is kept free of writes to shared memory: with several workers, a
+// per-shard counter or stamp bumped on every hit bounces its cache line
+// between cores and costs more than the probe itself. Two consequences:
+//
+//   - The store counts inserts (States) and evictions, not probes. Engines
+//     count their own probes — the walker's scripted adversary and the
+//     sampler's adversary, one plain increment each — and publish the count
+//     with addLookups at run boundaries, as they publish runs to Progress.
+//     Hits is derived as Lookups − States, exact once the engines have
+//     published, because every visit is either a hit or an insert. A
+//     snapshot taken mid-run may see inserts whose probes are not yet
+//     published; it reports Lookups as at least States, so Hits is never
+//     negative and the identity holds in every snapshot.
+//   - A hit refreshes its entry's LRU stamp (a best-effort CAS) only in a
+//     table at the shard's ceiling. Only such a table evicts, so only there
+//     does a stamp choose a victim; below the ceiling a full window grows
+//     the table instead, and stamps simply keep insertion order.
 //
 // # Growth: tables grown on demand under a memory ceiling
 //
@@ -75,8 +95,9 @@
 // nothing is evicted the store therefore holds exactly the set of inserted
 // fingerprints, as a table preallocated at the ceiling would. A lock-free
 // probe may still be reading a superseded table. Nothing writes to such a
-// table after the rehash except best-effort stamp refreshes, so every
-// fingerprint it finds there really was inserted and its hit is real; a miss
+// table after the rehash (it was below the ceiling, so its hits never
+// restamp), so every fingerprint it finds there really was inserted and its
+// hit is real; a miss
 // falls through to the mutex, which probes the current table. The stamps
 // copied into a new table were already unique in the old one, and the new
 // table is invisible to probes until published, so stamps still never repeat
@@ -122,41 +143,42 @@ type dedupEntry struct {
 // dedupTable is one generation of a shard's slot array. Its size never
 // changes: a shard grows by publishing a bigger table, so a lock-free probe
 // that loaded the previous table keeps a consistent {slots, mask} pair.
+// atCeiling marks the shard's last generation, the only one that evicts and
+// so the only one whose hits refresh stamps.
 type dedupTable struct {
-	slots []dedupEntry
-	mask  uint64
+	slots     []dedupEntry
+	mask      uint64
+	atCeiling bool
 }
 
-func newDedupTable(slots int) *dedupTable {
-	return &dedupTable{slots: make([]dedupEntry, slots), mask: uint64(slots - 1)}
+func newDedupTable(slots, ceiling int) *dedupTable {
+	return &dedupTable{slots: make([]dedupEntry, slots), mask: uint64(slots - 1), atCeiling: slots >= ceiling}
 }
 
 // dedupShard is one stripe: a power-of-two open-addressing table with
-// window-local oldest-entry eviction (an approximate LRU — hits refresh the
-// stamp — that makes the store's memory strictly bounded). The table starts
-// small and doubles whenever an insert finds its probe window full, up to
-// ceiling slots; only a shard at its ceiling evicts. The mutex guards writes
-// and growth; probes read the seqlock entries lock-free. The counters are
-// atomic and exact: every visit increments lookups once and exactly one of
-// hits or inserts.
+// window-local oldest-entry eviction (an approximate LRU — at the ceiling,
+// hits refresh the stamp — that makes the store's memory strictly bounded).
+// The table starts small and doubles whenever an insert finds its probe
+// window full, up to ceiling slots; only a shard at its ceiling evicts. The
+// mutex guards writes and growth; probes read the seqlock entries lock-free.
+// The counters are atomic, exact, and written only under the mutex.
 type dedupShard struct {
 	mu      sync.Mutex
 	table   atomic.Pointer[dedupTable]
 	ceiling int // slots the table may grow to: the shard's share of the memory bound
 	stamp   atomic.Uint64
 	occ     atomic.Int64
-	lookups atomic.Int64
-	hits    atomic.Int64
 	inserts atomic.Int64
 	evicted atomic.Int64
 }
 
 // dedupStore is the sharded visited-state set. Shard selection uses the
 // fingerprint's high half, slot addressing its low half, so the two are
-// uncorrelated.
+// uncorrelated. lookups is the probe count the engines publish (addLookups).
 type dedupStore struct {
-	shards []dedupShard
-	mask   uint64
+	shards  []dedupShard
+	mask    uint64
+	lookups atomic.Int64
 }
 
 // ceilPow2 rounds up to a power of two (minimum 1).
@@ -194,7 +216,7 @@ func newDedupStore(memBytes, shards int) *dedupStore {
 	st := &dedupStore{shards: make([]dedupShard, shards), mask: uint64(shards - 1)}
 	for i := range st.shards {
 		st.shards[i].ceiling = ceiling
-		st.shards[i].table.Store(newDedupTable(initial))
+		st.shards[i].table.Store(newDedupTable(initial, ceiling))
 	}
 	return st
 }
@@ -203,11 +225,11 @@ func newDedupStore(memBytes, shards int) *dedupStore {
 // Exactly one caller ever gets "false" for a given resident fingerprint; a
 // full probe window grows the shard's table, or, at the shard's ceiling,
 // evicts the window's oldest entry (bounded memory, approximate LRU). The
-// hit path is lock-free (see the package comment); only a miss or a torn
-// read takes the shard mutex.
+// hit path is lock-free and, below the ceiling, read-only (see the package
+// comment); only a miss or a torn read takes the shard mutex. Callers count
+// their visits and publish the count with addLookups.
 func (st *dedupStore) visit(fp sched.Fingerprint) bool {
 	sh := &st.shards[fp.Hi&st.mask]
-	sh.lookups.Add(1)
 	t := sh.table.Load()
 	home := fp.Lo
 	for i := uint64(0); i < dedupProbeWindow; i++ {
@@ -222,10 +244,11 @@ func (st *dedupStore) visit(fp sched.Fingerprint) bool {
 			if s.stamp.Load() != st1 {
 				break // torn read: a writer moved the slot; resolve under the lock
 			}
-			sh.hits.Add(1)
-			// Best-effort LRU refresh: keep hot states resident. A failed CAS
-			// means a writer (or another hit) already restamped the slot.
-			s.stamp.CompareAndSwap(st1, sh.stamp.Add(1))
+			if t.atCeiling {
+				// Best-effort LRU refresh: keep hot states resident. A failed
+				// CAS means a writer (or another hit) already restamped the slot.
+				s.stamp.CompareAndSwap(st1, sh.stamp.Add(1))
+			}
 			return true
 		}
 	}
@@ -244,8 +267,9 @@ func (sh *dedupShard) visitSlow(fp sched.Fingerprint) bool {
 	t := sh.table.Load()
 	match, free, victim := t.window(fp.Lo, fp.Hi)
 	if match >= 0 {
-		sh.hits.Add(1)
-		t.slots[match].stamp.Store(sh.stamp.Add(1)) // refresh: hot states stay resident
+		if t.atCeiling {
+			t.slots[match].stamp.Store(sh.stamp.Add(1)) // refresh: hot states stay resident
+		}
 		return true
 	}
 	// A rehash never adds fp, so after growing only free and victim change.
@@ -308,8 +332,8 @@ func (t *dedupTable) put(idx int, lo, hi, stamp uint64) {
 // publishes it. Called under the shard mutex, with t below the ceiling.
 func (sh *dedupShard) grow(t *dedupTable) *dedupTable {
 	for n := 2 * len(t.slots); ; n *= 2 {
-		next := newDedupTable(n)
-		if sh.rehash(next, t, n >= sh.ceiling) {
+		next := newDedupTable(n, sh.ceiling)
+		if sh.rehash(next, t, next.atCeiling) {
 			sh.table.Store(next)
 			return next
 		}
@@ -350,10 +374,13 @@ func (sh *dedupShard) rehash(next, old *dedupTable, evict bool) bool {
 // unless Config.Dedup was set).
 type DedupStats struct {
 	// Lookups is the number of fingerprint probes (one per new decision
-	// node).
+	// node), as the engines publish them at run boundaries: exact once the
+	// exploration has returned, and never below States in a mid-run
+	// snapshot.
 	Lookups int64
 	// Hits is the number of probes that found their state already visited —
-	// each hit cut one converged subtree.
+	// each hit cut one converged subtree. It is Lookups − States: every
+	// probe either hits or inserts.
 	Hits int64
 	// States is the number of fingerprints inserted (distinct states
 	// discovered; evicted states that are re-discovered count again).
@@ -380,7 +407,16 @@ func (d DedupStats) String() string {
 		d.States, d.Hits, d.CutAlternatives, d.Evictions, d.Occupied, d.Capacity, d.Shards)
 }
 
-// snapshot aggregates the per-shard counters.
+// addLookups publishes n probes counted by a caller of visit. Engines call
+// it once per run with their run's probe count, so the shared counter is
+// written per run, not per probe.
+func (st *dedupStore) addLookups(n int64) {
+	if n != 0 {
+		st.lookups.Add(n)
+	}
+}
+
+// snapshot aggregates the per-shard counters and the published lookups.
 func (st *dedupStore) snapshot() DedupStats {
 	var d DedupStats
 	if st == nil {
@@ -389,22 +425,22 @@ func (st *dedupStore) snapshot() DedupStats {
 	d.Shards = len(st.shards)
 	for i := range st.shards {
 		sh := &st.shards[i]
-		d.Lookups += sh.lookups.Load()
-		d.Hits += sh.hits.Load()
 		d.States += sh.inserts.Load()
 		d.Evictions += sh.evicted.Load()
 		d.Capacity += sh.ceiling
 		d.Occupied += int(sh.occ.Load())
 	}
+	// Mid-run, inserts can be ahead of the lookups published for them.
+	d.Lookups = max(st.lookups.Load(), d.States)
+	d.Hits = d.Lookups - d.States
 	return d
 }
 
 // ShardStats reports one lock stripe's counters (diagnostic surface for
-// tuning DedupShards/DedupMem).
+// tuning DedupShards/DedupMem). Probes are counted per store, not per
+// shard, so a stripe reports inserts and residency only.
 type ShardStats struct {
 	Shard     int
-	Lookups   int64
-	Hits      int64
 	States    int64
 	Evictions int64
 	Occupied  int
@@ -417,8 +453,7 @@ func (st *dedupStore) shardStats() []ShardStats {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		out[i] = ShardStats{
-			Shard: i, Lookups: sh.lookups.Load(), Hits: sh.hits.Load(),
-			States: sh.inserts.Load(), Evictions: sh.evicted.Load(),
+			Shard: i, States: sh.inserts.Load(), Evictions: sh.evicted.Load(),
 			Occupied: int(sh.occ.Load()), Capacity: sh.ceiling,
 		}
 	}

@@ -15,6 +15,29 @@ import (
 
 // --- store unit tests -------------------------------------------------------
 
+// probeCounter counts a caller's visits and publishes them to the store in
+// batches, the way the engines publish one run's probes at its boundary.
+type probeCounter struct {
+	st      *dedupStore
+	pending int64
+}
+
+// visit probes the store and counts the probe; every 1000 probes (a "run")
+// it publishes them.
+func (c *probeCounter) visit(fp sched.Fingerprint) bool {
+	c.pending++
+	if c.pending == 1000 {
+		c.publish()
+	}
+	return c.st.visit(fp)
+}
+
+// publish hands the unpublished probes to the store.
+func (c *probeCounter) publish() {
+	c.st.addLookups(c.pending)
+	c.pending = 0
+}
+
 func TestDedupStoreVisit(t *testing.T) {
 	st := newDedupStore(1<<20, 4)
 	fp := func(i uint64) sched.Fingerprint {
@@ -22,16 +45,18 @@ func TestDedupStoreVisit(t *testing.T) {
 		h.Word(i)
 		return h.Sum()
 	}
+	probes := probeCounter{st: st}
 	for i := uint64(0); i < 1000; i++ {
-		if st.visit(fp(i)) {
+		if probes.visit(fp(i)) {
 			t.Fatalf("fresh fingerprint %d reported visited", i)
 		}
 	}
 	for i := uint64(0); i < 1000; i++ {
-		if !st.visit(fp(i)) {
+		if !probes.visit(fp(i)) {
 			t.Fatalf("resident fingerprint %d reported fresh", i)
 		}
 	}
+	probes.publish()
 	d := st.snapshot()
 	if d.States != 1000 || d.Hits != 1000 || d.Lookups != 2000 || d.Occupied != 1000 {
 		t.Fatalf("stats inconsistent: %+v", d)
@@ -39,13 +64,13 @@ func TestDedupStoreVisit(t *testing.T) {
 	if d.Evictions != 0 {
 		t.Fatalf("unexpected evictions: %+v", d)
 	}
-	sum := int64(0)
+	states := int64(0)
 	occ := 0
 	for _, sh := range st.shardStats() {
-		sum += sh.Lookups
+		states += sh.States
 		occ += sh.Occupied
 	}
-	if sum != d.Lookups || occ != d.Occupied {
+	if states != d.States || occ != d.Occupied {
 		t.Fatalf("per-shard stats do not add up to the aggregate")
 	}
 
@@ -119,15 +144,15 @@ func TestDedupStoreEviction(t *testing.T) {
 	// ceiling; at the ceiling it keeps the window's newest entries and counts
 	// the rest as evictions, as inserts there would.
 	sh := &newDedupStore(1, 1).shards[0]
-	old := newDedupTable(64)
+	old := newDedupTable(64, 64)
 	for i := 0; i < 20; i++ {
 		old.put(i, 0, uint64(i), uint64(i+1)) // all homed at slot 0, stamps 1..20
 		sh.occ.Add(1)
 	}
-	if sh.rehash(newDedupTable(64), old, false) {
+	if sh.rehash(newDedupTable(64, 64), old, false) {
 		t.Fatal("overflowing rehash below the ceiling succeeded")
 	}
-	next := newDedupTable(64)
+	next := newDedupTable(64, 64)
 	if !sh.rehash(next, old, true) {
 		t.Fatal("rehash at the ceiling failed")
 	}
@@ -167,13 +192,15 @@ func TestDedupStoreExactlyOneInserter(t *testing.T) {
 				wg.Add(1)
 				go func(seed int) {
 					defer wg.Done()
+					probes := probeCounter{st: st}
+					defer probes.publish()
 					for i := 0; i < fps; i++ {
 						// Each worker walks the fingerprints in a different order so
 						// first-visit races land on different fps across workers.
 						j := (i*(2*seed+1) + seed) % fps
 						var h sched.FP
 						h.Word(uint64(j))
-						if !st.visit(h.Sum()) {
+						if !probes.visit(h.Sum()) {
 							fresh[j].Add(1)
 						}
 					}
@@ -213,10 +240,10 @@ func TestDedupStoreExactlyOneInserter(t *testing.T) {
 // insert beyond the first window evicts), and a store whose shards double
 // four times before they evict, each shared by many goroutines revisiting a
 // hot working set. The race detector checks the seqlock discipline and the
-// table publication; the assertions check that the atomic counters stay
-// exact — every visit is counted once as a lookup and exactly once as a hit
-// or an insert, evictions and occupancy reconcile — no matter how reads,
-// writes and rehashes interleave.
+// table publication; the assertions check that the counters stay exact —
+// every visit the workers publish is a lookup and exactly one hit or insert,
+// evictions and occupancy reconcile — no matter how reads, writes and
+// rehashes interleave.
 func TestDedupStoreConcurrentHammer(t *testing.T) {
 	const workers = 8
 	const visitsPerWorker = 30000
@@ -235,6 +262,8 @@ func TestDedupStoreConcurrentHammer(t *testing.T) {
 				wg.Add(1)
 				go func(seed uint64) {
 					defer wg.Done()
+					probes := probeCounter{st: st}
+					defer probes.publish()
 					x := seed*0x9e3779b97f4a7c15 + 1
 					for i := 0; i < visitsPerWorker; i++ {
 						// xorshift keeps the mix of hot revisits and fresh inserts
@@ -244,7 +273,7 @@ func TestDedupStoreConcurrentHammer(t *testing.T) {
 						x ^= x << 17
 						var h sched.FP
 						h.Word(x % tc.keyspace)
-						st.visit(h.Sum())
+						probes.visit(h.Sum())
 					}
 				}(uint64(w))
 			}
@@ -280,10 +309,11 @@ func TestDedupStoreConcurrentHammer(t *testing.T) {
 // per-shard surface sums to the aggregate.
 func TestDedupEvictionStatsExact(t *testing.T) {
 	st := newDedupStore(1, 1) // one shard, 16 slots
+	probes := probeCounter{st: st}
 	visit := func(i uint64) bool {
 		var h sched.FP
 		h.Word(i)
-		return st.visit(h.Sum())
+		return probes.visit(h.Sum())
 	}
 	// Fill distinct fingerprints well past capacity, then revisit a recent
 	// window; every probe outcome is deterministic sequentially.
@@ -293,6 +323,7 @@ func TestDedupEvictionStatsExact(t *testing.T) {
 			t.Fatalf("fresh fingerprint %d reported visited", i)
 		}
 	}
+	probes.publish()
 	d := st.snapshot()
 	if d.States != distinct || d.Hits != 0 || d.Lookups != distinct {
 		t.Fatalf("after fill: %+v", d)
@@ -309,6 +340,7 @@ func TestDedupEvictionStatsExact(t *testing.T) {
 	for i := uint64(0); i < distinct; i++ {
 		visit(i)
 	}
+	probes.publish()
 	d = st.snapshot()
 	if d.Lookups != 2*distinct || d.Hits+d.States != d.Lookups {
 		t.Fatalf("after revisit: %+v", d)
@@ -322,8 +354,7 @@ func TestDedupEvictionStatsExact(t *testing.T) {
 		t.Fatalf("want 1 shard, got %d", len(shards))
 	}
 	sh := shards[0]
-	if sh.Lookups != d.Lookups || sh.Hits != d.Hits || sh.States != d.States ||
-		sh.Evictions != d.Evictions || sh.Occupied != d.Occupied {
+	if sh.States != d.States || sh.Evictions != d.Evictions || sh.Occupied != d.Occupied {
 		t.Fatalf("per-shard stats %+v diverge from aggregate %+v", sh, d)
 	}
 }

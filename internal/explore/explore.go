@@ -258,10 +258,13 @@ type scripted struct {
 	// dedup.go). cutAt is the depth of this replay's dedup cut (-1 = none):
 	// from there on the run collapses to its leftmost remaining alternatives
 	// and the store is neither consulted nor extended.
+	// lookups counts this replay's store probes; the walker publishes it to
+	// the store at the run boundary (see dedupStore.addLookups).
 	store   *dedupStore
 	fpFn    func(h *sched.FP)
 	cutAt   int
 	cutAlts int
+	lookups int64
 	// fp is the reusable plain accumulator: a local would escape through
 	// the indirect fpFn call and be heap-allocated at every fingerprint.
 	fp sched.FP
@@ -518,8 +521,11 @@ func (s *scripted) Next(v sched.View) sched.Decision {
 	}
 	alts := s.alternatives(v)
 	if s.store != nil {
-		if d := len(s.taken); s.cutAt < 0 && d >= len(s.prefix) && s.store.visit(s.fingerprint(v)) {
-			s.cutAt = d
+		if d := len(s.taken); s.cutAt < 0 && d >= len(s.prefix) {
+			s.lookups++
+			if s.store.visit(s.fingerprint(v)) {
+				s.cutAt = d
+			}
 		}
 		if s.cutAt >= 0 {
 			// Converged state: every continuation below it was (or is being)
@@ -793,6 +799,10 @@ func (w *walker) replay(prefix []int, cached bool) (*scripted, *sched.Result, er
 		if err == nil {
 			res, err = w.rt.Run(sched.Config{Adversary: adv, MaxSteps: w.cfg.MaxSteps, Observe: w.store != nil}, bodies)
 		}
+	}
+	if w.store != nil {
+		w.store.addLookups(adv.lookups)
+		adv.lookups = 0
 	}
 	if err != nil {
 		return adv, nil, fmt.Errorf("%w: %v (schedule %v)", ErrRunFailed, err, scriptOf(adv))

@@ -1,6 +1,7 @@
 // Progress: the live counter surface of a running exploration. The walkers
 // publish into atomic counters (one add per completed run — negligible next
-// to the replay itself) and the visited-state store's own atomic counters
+// to the replay itself; the run's store probes are published to the store
+// at the same boundary) and the visited-state store's own atomic counters
 // are snapshotted on demand, so a concurrent observer (the exploredd
 // daemon's NDJSON progress stream) can poll a running job without locks and
 // without perturbing the hot path. When the exploration returns, the store's

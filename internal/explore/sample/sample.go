@@ -215,10 +215,12 @@ type adversary struct {
 
 	// Coverage fields (nil store = estimator off). fp is the reusable
 	// accumulator: a local would escape through the indirect fpFn call and
-	// be heap-allocated at every decision boundary.
-	store *explore.VisitedStore
-	fpFn  func(*sched.FP)
-	fp    sched.FP
+	// be heap-allocated at every decision boundary. lookups counts the run's
+	// store visits, published to the store at the run boundary.
+	store   *explore.VisitedStore
+	fpFn    func(*sched.FP)
+	fp      sched.FP
+	lookups int64
 }
 
 var _ sched.Adversary = (*adversary)(nil)
@@ -252,6 +254,7 @@ func (a *adversary) fingerprint(v sched.View) sched.Fingerprint {
 // Next implements sched.Adversary.
 func (a *adversary) Next(v sched.View) sched.Decision {
 	if a.store != nil {
+		a.lookups++
 		a.store.Visit(a.fingerprint(v))
 	}
 	alts := a.altsBuf[:0]
@@ -328,8 +331,9 @@ func (w *worker) retire() {
 
 // acquire obtains a runtime for n processes, from the configured
 // RuntimeSource when one is set. Sampling strategies decide step by step (no
-// batched grants), but the direct protocol's cheap token handoff pays off
-// all the same.
+// batched grants), but the direct protocol consults them in place when a
+// process parks, so a pick that re-grants the running process costs no
+// token handoff at all.
 func (w *worker) acquire(n int) (*sched.Session, error) {
 	if w.cfg.Runtime != nil {
 		return w.cfg.Runtime.Acquire(n)
@@ -360,6 +364,10 @@ func (w *worker) sampleOne(i int) error {
 		MaxSteps:  w.cfg.MaxSteps,
 		Observe:   w.store != nil,
 	}, bodies)
+	if w.store != nil {
+		w.store.AddLookups(w.adv.lookups)
+		w.adv.lookups = 0
+	}
 	if err != nil {
 		return fmt.Errorf("%w: %v (sample %d, schedule %v)", explore.ErrRunFailed, err, i, w.adv.script())
 	}

@@ -33,13 +33,25 @@ func NewVisitedStore(memBytes, shards int) *VisitedStore {
 }
 
 // Visit reports whether fp was already resident, inserting it if not.
-// Exactly one caller ever gets "false" for a given resident fingerprint.
+// Exactly one caller ever gets "false" for a given resident fingerprint. A
+// hit writes no shared memory, so Visit does not count itself: callers that
+// want Stats.Lookups and Stats.Hits count their visits and publish them with
+// AddLookups.
 func (v *VisitedStore) Visit(fp sched.Fingerprint) bool {
 	return v.st.visit(fp)
 }
 
+// AddLookups publishes n Visit calls made by the caller. Engines count
+// visits in a local and publish once per run, keeping the shared counter off
+// the probe path.
+func (v *VisitedStore) AddLookups(n int64) {
+	v.st.addLookups(n)
+}
+
 // Stats snapshots the store counters. Stats.States is the insert count — the
-// distinct-state estimate (exact until the first eviction).
+// distinct-state estimate (exact until the first eviction). Stats.Lookups is
+// the published visit count (see AddLookups) and Stats.Hits is Lookups −
+// States: exact once every caller has published, and never negative.
 func (v *VisitedStore) Stats() DedupStats {
 	if v == nil {
 		return DedupStats{}

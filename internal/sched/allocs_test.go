@@ -53,3 +53,48 @@ func TestFoldAllocs(t *testing.T) {
 		t.Errorf("observations: %v allocs, want 0", n)
 	}
 }
+
+// regranter re-grants the process it granted last for as long as that
+// process is runnable: under the direct protocol every step after a
+// process's first is consulted and granted in place.
+type regranter struct{ last sched.ProcID }
+
+func (a *regranter) Next(v sched.View) sched.Decision {
+	for _, id := range v.Runnable {
+		if id == a.last {
+			return sched.Decision{Run: id}
+		}
+	}
+	a.last = v.Runnable[0]
+	return sched.Decision{Run: a.last}
+}
+
+// TestSelfGrantAllocs: a whole 3-process run whose adversary re-grants the
+// running process at every step — the in-place consultation path — allocates
+// nothing.
+func TestSelfGrantAllocs(t *testing.T) {
+	s, err := sched.NewSession(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	labels := sched.InternIndexed("%s[%d]", "selfgrant", 16)
+	body := func(e *sched.Env) {
+		for _, l := range labels {
+			e.StepL(l)
+		}
+	}
+	bodies := []sched.Proc{body, body, body}
+	adv := &regranter{}
+	cfg := sched.Config{Adversary: adv}
+	run := func() {
+		adv.last = -1
+		res, err := s.Run(cfg, bodies)
+		if err != nil || res.Steps != 3*len(labels) {
+			t.Fatalf("run: %v %+v", err, res)
+		}
+	}
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Errorf("self-granted run: %v allocs, want 0", n)
+	}
+}

@@ -25,6 +25,20 @@ import (
 // only, no switch — and other processes' planned grants cost one switch and
 // zero adversary consultations.
 //
+// Self-grants an adversary decides step by step are consumed in place too.
+// A process that parks with no plan or sprint pending and budget left would
+// only hand the token to the dispatcher for it to consult the adversary on
+// exactly that state, so StepL makes the consultation itself, on its own
+// stack, through the same consult helper and View the dispatcher uses. A
+// plain grant of the process's own next step (Run naming it, no crashes, no
+// plan) is taken with the ordinary grant bookkeeping and no switch; any
+// other decision is stashed, the process yields, and the dispatcher applies
+// the stash exactly as if it had consulted. Sampling adversaries re-grant
+// the running process at most of their decisions, so this removes two
+// coroutine switches from most sampled steps. An adversary panic raised in
+// place unwinds the process's body and is turned into the run error by
+// directRunBody, which sees inNext set.
+//
 // A coroutine can only be suspended from its own stack, so processes take
 // their steps on their own execution context. Bodies that run nested
 // coroutines (internal/bg's simulator threads) hand each shared step back to
@@ -47,7 +61,10 @@ func (s *Session) startCoro(e *Env) (func() (struct{}, bool), func()) {
 
 // directRunBody executes one run's body, recording the terminal state the
 // rendezvous protocol's wrapper defer reports: crash sentinels mark the process
-// crashed, foreign panics fail the run (the session stays usable).
+// crashed, foreign panics fail the run (the session stays usable). A panic
+// raised by an adversary consulted in place (inNext set) unwinds this
+// process's stack and fails the run with the error runDirect reports for a
+// dispatcher-side consultation.
 func (s *Session) directRunBody(e *Env) {
 	defer func() {
 		r := recover()
@@ -68,7 +85,12 @@ func (s *Session) directRunBody(e *Env) {
 			} else {
 				s.statuses[e.id] = StatusHalted
 			}
-			s.dFail = fmt.Errorf("sched: process %d panicked: %v", e.id, r)
+			if s.inNext {
+				s.inNext = false
+				s.dFail = fmt.Errorf("sched: adversary panicked: %v", r)
+			} else {
+				s.dFail = fmt.Errorf("sched: process %d panicked: %v", e.id, r)
+			}
 		}
 	}()
 	s.bodies[e.id](e)
@@ -79,6 +101,8 @@ func (s *Session) runDirect(bodies []Proc) (res *Result, err error) {
 	// One function-level recover stands in for a per-consultation
 	// defer/recover around every adversary call: the inNext flag scopes it to
 	// panics raised inside Adversary.Next, so dispatcher bugs still crash.
+	// (A consultation made in place by a parking process panics on that
+	// process's stack instead; directRunBody catches it.)
 	defer func() {
 		if r := recover(); r != nil {
 			if !s.inNext {
@@ -97,13 +121,13 @@ func (s *Session) runDirect(bodies []Proc) (res *Result, err error) {
 		s.state[i] = stateParked
 		s.pending[i] = LabelStart
 	}
-	view := View{
+	s.view = View{
 		Pending: s.pending,
 		Crashed: s.crashed,
 		StepsOf: s.stepsOf,
 	}
 	if s.cfg.Observe {
-		view.Obs = s.obs
+		s.view.Obs = s.obs
 	}
 
 	budgetExhausted := false
@@ -156,20 +180,25 @@ func (s *Session) runDirect(bodies []Proc) (res *Result, err error) {
 			s.sprint = -1
 		}
 
-		runnable := s.runnable()
-		if len(runnable) == 0 {
-			break
+		// A process that parked with no plan or sprint pending has already
+		// consulted the adversary in place; a decision other than its own
+		// plain grant was stashed in s.dec for the dispatcher to apply,
+		// exactly as if the consultation had been made here.
+		if s.stashed {
+			s.stashed = false
+		} else {
+			var done bool
+			if done, budgetExhausted = s.consult(); done {
+				break
+			}
+			if budgetExhausted {
+				s.teardownDirect()
+				break
+			}
 		}
-		if s.steps >= s.cfg.MaxSteps {
-			budgetExhausted = true
-			s.teardownDirect()
-			break
-		}
-		view.Step = s.steps
-		view.Runnable = runnable
-		s.inNext = true
-		dec := s.adv.Next(view)
-		s.inNext = false
+		// dec stays valid until the grant below resumes a process, which may
+		// consult in place and overwrite s.dec.
+		dec := &s.dec
 		for _, c := range dec.Crash {
 			if int(c) < 0 || int(c) >= s.n || s.state[c] != stateParked {
 				continue
@@ -208,6 +237,29 @@ func (s *Session) runDirect(bodies []Proc) (res *Result, err error) {
 	return s.collect(budgetExhausted), nil
 }
 
+// consult is the direct protocol's one adversary consultation, made by the
+// dispatcher or in place by a parking process (StepL). It consults nothing
+// and reports done when no process is parked (the run is complete), or
+// exhausted when the step budget is spent; otherwise it leaves the
+// adversary's decision on the current View in s.dec. inNext marks the Next
+// call so a panic raised inside it is attributed to the adversary, on
+// whichever stack it unwinds.
+func (s *Session) consult() (done, exhausted bool) {
+	runnable := s.runnable()
+	if len(runnable) == 0 {
+		return true, false
+	}
+	if s.steps >= s.cfg.MaxSteps {
+		return false, true
+	}
+	s.view.Step = s.steps
+	s.view.Runnable = runnable
+	s.inNext = true
+	s.dec = s.adv.Next(s.view)
+	s.inNext = false
+	return false, false
+}
+
 // resumeDirect switches to process id's coroutine and surfaces any foreign
 // panic its body raised as a run error (after tearing the run down).
 func (s *Session) resumeDirect(id ProcID) error {
@@ -243,11 +295,12 @@ func (s *Session) directCrash(id ProcID) {
 
 // teardownDirect ends the run early: every parked process is reaped as
 // StatusBlocked (started ones are crash-unwound to the run boundary), and
-// the batched-grant state is dropped.
+// the batched-grant state and any stashed decision are dropped.
 func (s *Session) teardownDirect() {
 	s.plan = s.plan[:0]
 	s.planIdx = 0
 	s.sprint = -1
+	s.stashed = false
 	for i := 0; i < s.n; i++ {
 		if s.state[i] != stateParked {
 			continue

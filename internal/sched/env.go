@@ -74,6 +74,23 @@ func (e *Env) StepL(label Label) {
 		}
 		s.pending[e.id] = label
 		s.state[e.id] = stateParked
+		// Self-grant fast path: with no plan or sprint pending and budget
+		// left, the dispatcher's next move would be to consult the adversary
+		// on exactly this state, so consult it here, on this stack. A plain
+		// grant of this process's own step is taken in place — no switch to
+		// the dispatcher and back; any other decision is left in s.dec,
+		// marked stashed, for the dispatcher to apply.
+		if s.planIdx >= len(s.plan) && s.sprint < 0 && s.steps < s.cfg.MaxSteps {
+			s.consult()
+			if dec := &s.dec; dec.Run == e.id && len(dec.Crash) == 0 && len(dec.Plan) == 0 {
+				if dec.Sprint {
+					s.sprint = e.id
+				}
+				s.grantBookkeeping(e.id)
+				return
+			}
+			s.stashed = true
+		}
 		if !e.yield(struct{}{}) {
 			// The session was closed while we were parked mid-run (a
 			// contract violation, but don't run the body further): unwind.
@@ -138,19 +155,22 @@ func (e *Env) Leader() ProcID {
 // may be crashed, so Ω1 cannot be derived by taking the set's minimum.
 // Queries are local (no scheduler step). x must be in 1..N().
 func (e *Env) LeaderSet(x int) []ProcID {
-	if x < 1 || x > e.n {
-		panic(fmt.Sprintf("sched: LeaderSet(%d) with %d processes", x, e.n))
-	}
-	leader := int(e.Leader())
-	s := leader - (x - 1)
-	if s < 0 {
-		s = 0
-	}
+	s := e.LeaderWindow(x)
 	set := make([]ProcID, x)
 	for i := range set {
-		set[i] = ProcID(s + i)
+		set[i] = s + ProcID(i)
 	}
 	return set
+}
+
+// LeaderWindow is LeaderSet without the slice: it returns the lowest member
+// s of the Ωx window {s..s+x-1}, recording the same observation. Wait loops
+// that query the oracle at every probe use it to stay allocation-free.
+func (e *Env) LeaderWindow(x int) ProcID {
+	if x < 1 || x > e.n {
+		panic(fmt.Sprintf("sched: Ωx set of size %d with %d processes", x, e.n))
+	}
+	return max(0, e.Leader()-ProcID(x-1))
 }
 
 // Observing reports whether the session records observation digests

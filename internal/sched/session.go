@@ -28,10 +28,13 @@ import (
 //   - The direct protocol, the default and the one every engine runs on,
 //     runs every process as a coroutine (iter.Pull) pulled by the goroutine
 //     that called Run: a token handoff is a coroutine switch, not a goroutine
-//     wakeup, and batched grants (Decision.Plan, Decision.Sprint) consume
-//     consecutive self-grants without any switch at all. Processes take their
-//     steps on their own execution context; internal/bg's simulators do so by
-//     running their threads' shared steps on the simulator's own stack.
+//     wakeup. Consecutive self-grants take no switch at all: batched grants
+//     (Decision.Plan, Decision.Sprint) are consumed inside the parked
+//     process, and a parking process with nothing batched consults the
+//     adversary in place, taking a re-grant of its own step directly (see
+//     direct.go). Processes take their steps on their own execution context;
+//     internal/bg's simulators do so by running their threads' shared steps
+//     on the simulator's own stack.
 //
 //   - The rendezvous protocol (SessionOptions.Rendezvous) is the original
 //     central-scheduler design: a dedicated goroutine per process, and every
@@ -58,10 +61,19 @@ type Session struct {
 	dNext  []func() (struct{}, bool)
 	dStop  []func()
 	dFail  error
-	// inNext is set across direct-protocol Adversary.Next calls so
-	// runDirect's single deferred recover can attribute a panic to the
-	// adversary (per-consultation defers were measurably hot).
+	// inNext is set across direct-protocol Adversary.Next calls so a panic
+	// can be attributed to the adversary by runDirect's single deferred
+	// recover, or by directRunBody's when the consultation was made in place
+	// (per-consultation defers were measurably hot).
 	inNext bool
+	// view is the direct protocol's View, built once per run and refreshed
+	// (Step, Runnable) by every consultation; dec is the latest
+	// consultation's decision. stashed marks a dec a process consulted in
+	// place but could not apply itself (anything but a plain grant of its
+	// own next step), pending for the dispatcher.
+	view    View
+	dec     Decision
+	stashed bool
 
 	// Batched-grant state: the adopted Decision.Plan with its consumption
 	// cursor, the process a Decision.Sprint keeps granting, and the

@@ -1,6 +1,10 @@
 package sched
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -532,41 +536,261 @@ func TestSessionSelfCrashMidRound(t *testing.T) {
 }
 
 // panicky is an adversary that panics after a fixed number of decisions.
-type panicky struct{ left int }
+// It always grants the lowest runnable process, so after the first grant
+// process 0 is re-granted while it runs — under the direct protocol those
+// consultations are made in place, on process 0's stack. inPlace records
+// whether the panicking consultation was one of them.
+type panicky struct {
+	left    int
+	inPlace bool
+}
 
 func (a *panicky) Next(v View) Decision {
 	if a.left <= 0 {
+		a.inPlace = onStack("(*Env).StepL")
 		panic("adversary bug")
 	}
 	a.left--
 	return Decision{Run: v.Runnable[0]}
 }
 
+// onStack reports whether a function whose name ends in fn is on the
+// calling goroutine's (or coroutine's) stack.
+func onStack(fn string) bool {
+	pcs := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, fn) {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
 // TestAdversaryPanicFailsRunUnderBothProtocols: a panic inside
-// Adversary.Next surfaces as the same run error under both protocols, every
-// goroutine is reaped, and the session stays usable.
+// Adversary.Next surfaces as the same run error under both protocols —
+// whether the direct protocol's dispatcher made the consultation (the first
+// one) or a parked process made it in place — every process is reaped, and
+// the session stays healthy and usable.
 func TestAdversaryPanicFailsRunUnderBothProtocols(t *testing.T) {
-	var msgs []string
+	cases := []struct {
+		name    string
+		left    int
+		inPlace bool // under the direct protocol
+	}{
+		{"dispatcher", 0, false},
+		{"in-place", 3, true},
+	}
+	msgs := map[string][]string{}
 	sessionProtocols(t, func(t *testing.T, opts SessionOptions) {
 		s, err := NewSessionWith(2, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		_, err = s.Run(Config{Adversary: &panicky{left: 3}}, crashyBodies(2, 5))
-		if err == nil {
-			t.Fatal("adversary panic should fail the run")
-		}
-		msgs = append(msgs, err.Error())
-		// The session must still work.
-		res, err := s.Run(Config{Adversary: NewRoundRobin()}, crashyBodies(2, 3))
-		if err != nil || res.NumDecided() != 2 {
-			t.Fatalf("session unusable after adversary panic: %v %+v", err, res)
+		for _, tc := range cases {
+			adv := &panicky{left: tc.left}
+			_, err = s.Run(Config{Adversary: adv}, crashyBodies(2, 5))
+			if err == nil {
+				t.Fatalf("%s: adversary panic should fail the run", tc.name)
+			}
+			if want := tc.inPlace && !opts.Rendezvous; adv.inPlace != want {
+				t.Fatalf("%s: panicking consultation in place = %v, want %v", tc.name, adv.inPlace, want)
+			}
+			msgs[tc.name] = append(msgs[tc.name], err.Error())
+			if !s.Healthy() {
+				t.Fatalf("%s: session unhealthy after adversary panic", tc.name)
+			}
+			// The session must still work, and the next run be exact.
+			want, err := Run(Config{Adversary: NewRoundRobin(), TraceCapacity: 64}, crashyBodies(2, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = copyResult(want)
+			res, err := s.Run(Config{Adversary: NewRoundRobin(), TraceCapacity: 64}, crashyBodies(2, 3))
+			if err != nil || res.NumDecided() != 2 {
+				t.Fatalf("%s: session unusable after adversary panic: %v %+v", tc.name, err, res)
+			}
+			compareResults(t, "fresh", "after-panic", want, res)
 		}
 	})
-	if len(msgs) == 2 && msgs[0] != msgs[1] {
-		t.Fatalf("protocols report different errors: %q vs %q", msgs[0], msgs[1])
+	for _, tc := range cases {
+		if m := msgs[tc.name]; len(m) != 2 || m[0] != m[1] {
+			t.Fatalf("%s: protocols report different errors: %q", tc.name, m)
+		}
 	}
+}
+
+// stickyAdversary mostly re-grants the process it granted last — the
+// decision the direct protocol takes in place, without a switch — and
+// otherwise draws from a seeded mix: grant another process, a crash-only
+// round, a crash plus a grant (sometimes naming the victim, so the runtime
+// falls back), a grant with a Plan of other processes' grants and a crash,
+// or a Sprint. Every View it is shown is folded into digest, so two runs
+// agree only if each consultation saw the same state.
+type stickyAdversary struct {
+	rng     *rand.Rand
+	stick   int // percent of rounds that re-grant the last process
+	crashes int // crashes left to inject
+	last    ProcID
+	digest  FP
+}
+
+func newSticky(seed int64, stick, crashes int) *stickyAdversary {
+	return &stickyAdversary{rng: rand.New(rand.NewSource(seed)), stick: stick, crashes: crashes, last: -1}
+}
+
+func (a *stickyAdversary) Next(v View) Decision {
+	h := &a.digest
+	h.Int(v.Step)
+	for _, id := range v.Runnable {
+		h.Int(int(id))
+	}
+	for i := range v.Pending {
+		h.Label(v.Pending[i])
+		h.Bool(v.Crashed[i])
+		h.Int(v.StepsOf[i])
+		if v.Obs != nil {
+			obs := v.Obs[i].Sum()
+			h.Word(obs.Lo)
+			h.Word(obs.Hi)
+		}
+	}
+	parked := func(id ProcID) bool {
+		for _, r := range v.Runnable {
+			if r == id {
+				return true
+			}
+		}
+		return false
+	}
+	pick := func() ProcID { return v.Runnable[a.rng.Intn(len(v.Runnable))] }
+	r := a.rng.Intn(100)
+	if r < a.stick && parked(a.last) {
+		return Decision{Run: a.last}
+	}
+	switch r % 6 {
+	case 1:
+		if a.crashes > 0 && len(v.Runnable) > 1 {
+			a.crashes--
+			return CrashDecision(pick())
+		}
+	case 2:
+		if a.crashes > 0 && len(v.Runnable) > 1 {
+			a.crashes--
+			victim, run := pick(), pick() // run may name the victim: the runtime falls back
+			a.last = run
+			return Decision{Run: run, Crash: []ProcID{victim}}
+		}
+	case 3:
+		// Grant a process — often the last one, a self-grant carrying a
+		// plan — then pre-commit one grant of each other parked process (each
+		// is still parked when its turn comes: nobody else runs in between)
+		// and possibly a crash of the first.
+		run := pick()
+		if parked(a.last) && a.rng.Intn(2) == 0 {
+			run = a.last
+		}
+		var plan []Grant
+		for _, id := range v.Runnable {
+			if id != run && a.rng.Intn(2) == 0 {
+				plan = append(plan, Grant{ID: id})
+				a.last = id
+			}
+		}
+		if a.crashes > 0 && a.rng.Intn(3) == 0 {
+			a.crashes--
+			plan = append(plan, Grant{ID: run, Crash: true})
+		}
+		if len(plan) == 0 {
+			a.last = run
+		}
+		return Decision{Run: run, Plan: plan}
+	case 4:
+		a.last = pick()
+		return Decision{Run: a.last, Sprint: a.rng.Intn(4) == 0}
+	}
+	a.last = pick()
+	return Decision{Run: a.last}
+}
+
+// stickyBodies are processes of different lengths that observe a value per
+// step, so runs mix self-grant streaks, completions and observation digests.
+func stickyBodies(n int) []Proc {
+	bodies := make([]Proc, n)
+	for i := range bodies {
+		k := 3 + 7*i
+		labels := InternIndexed("sticky%s/%d", fmt.Sprint(i), k)
+		bodies[i] = func(e *Env) {
+			c := 0
+			for j := 0; j < k; j++ {
+				e.StepL(labels[j])
+				c += j
+				ObserveBool(e, c%3 == 0)
+			}
+			e.Decide(c)
+		}
+	}
+	return bodies
+}
+
+// TestStickyEquivalence is the differential battery of in-place
+// self-grants: seeded sticky adversaries, most of whose decisions re-grant
+// the process that just parked, produce byte-identical Results and Traces,
+// and identical Views at every consultation, under the rendezvous protocol
+// (every decision made by the dispatcher) and the direct protocol (self
+// re-grants consulted and taken in place). The step budgets include ones
+// that expire inside a self-grant streak.
+func TestStickyEquivalence(t *testing.T) {
+	const n = 4
+	type outcome struct {
+		res    *Result
+		err    error
+		digest Fingerprint
+	}
+	streakCut := 0
+	for _, maxSteps := range []int{0, 9, 23, 37, 61} {
+		for _, stick := range []int{60, 90, 98} {
+			for seed := int64(1); seed <= 12; seed++ {
+				cfgName := fmt.Sprintf("steps=%d/stick=%d/seed=%d", maxSteps, stick, seed)
+				var runs [2]outcome
+				for i, opts := range []SessionOptions{{Rendezvous: true}, {}} {
+					s, err := NewSessionWith(n, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					adv := newSticky(seed, stick, 2)
+					res, err := s.Run(Config{Adversary: adv, MaxSteps: maxSteps, TraceCapacity: 1 << 12, Observe: true}, stickyBodies(n))
+					runs[i] = outcome{err: err, digest: adv.digest.Sum()}
+					if err == nil {
+						runs[i].res = copyResult(res)
+					}
+					s.Close()
+				}
+				ref, got := runs[0], runs[1]
+				if (ref.err == nil) != (got.err == nil) || (ref.err != nil && ref.err.Error() != got.err.Error()) {
+					t.Fatalf("%s: errors differ: %v vs %v", cfgName, ref.err, got.err)
+				}
+				if ref.digest != got.digest {
+					t.Fatalf("%s: the adversary saw different Views", cfgName)
+				}
+				if ref.err != nil {
+					continue
+				}
+				compareResults(t, "rendezvous/"+cfgName, "direct/"+cfgName, ref.res, got.res)
+				if tr := ref.res.Trace; ref.res.BudgetExhausted && len(tr) >= 2 && tr[len(tr)-1].Proc == tr[len(tr)-2].Proc {
+					streakCut++
+				}
+			}
+		}
+	}
+	if streakCut == 0 {
+		t.Fatal("no case exhausted its budget inside a self-grant streak")
+	}
+	t.Logf("%d runs cut by the budget inside a self-grant streak", streakCut)
 }
 
 // TestSessionManyRunsStress reuses one session for a large number of short
