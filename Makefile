@@ -2,11 +2,12 @@
 #   make build vet test explore-smoke   (test job)
 #   make bench-check                    (test job)
 #   make alloc-check                    (test job)
+#   make fp-quality fuzz-fp             (test job)
 #   make store-race                     (test job)
 #   make docs-check                     (docs/health job)
 GO ?= go
 
-.PHONY: build vet test alloc-check store-race bench bench-check bench-json bench-trend throughput-gate profile explore-smoke sample-smoke service-smoke spec-conformance symmetry-conformance weakmem-conformance experiments docs-check
+.PHONY: build vet test alloc-check fp-quality fuzz-fp store-race bench bench-check bench-json bench-trend throughput-gate profile explore-smoke sample-smoke service-smoke spec-conformance symmetry-conformance weakmem-conformance experiments docs-check
 
 build:
 	$(GO) build ./...
@@ -20,11 +21,27 @@ test: build vet
 	$(GO) test -race ./...
 
 # Allocation checks: the testing.AllocsPerRun tests of the fold path (every
-# object package's Fingerprint and observed reads allocate nothing). They
+# object package's Fingerprint and observed reads allocate nothing, nor do
+# the session harnesses' log folds) and the per-sample bound of a
+# commitadopt/swarm sampling pass with coverage. They
 # are built with !race, since allocation counts mean nothing under the race
 # detector, so `make test` never runs them.
 alloc-check: build
 	$(GO) test -count=1 -run Allocs ./internal/...
+
+# Hash-quality battery of the fingerprint fold: 2^24 structured sequences
+# checked for 64-bit collisions, 32-bit-truncation collisions against the
+# birthday bound, and Sum's per-bit avalanche. Built !race like the
+# allocation checks (the race detector only slows single-goroutine
+# arithmetic), so `make test` never runs it.
+fp-quality: build
+	$(GO) test -count=1 -run 'TestFPQuality|TestFPAvalanche' ./internal/sched
+
+# Fuzz the fingerprint layer for 30 s: Mix and each lane's Word round stay
+# bijections, orbit lanes stay permutation-invariant, and string splits and
+# type tags stay apart (internal/sched/fingerprint_fuzz_test.go).
+fuzz-fp:
+	$(GO) test -run '^$$' -fuzz FuzzFP -fuzztime 30s ./internal/sched
 
 # Race shake of the two concurrent hot paths: the visited store's lock-free
 # probes (hits write no shared memory) and the scheduler's in-place

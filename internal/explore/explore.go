@@ -368,30 +368,27 @@ func (s *scripted) setDedup(store *dedupStore, fpFn func(h *sched.FP), symmetric
 }
 
 // fingerprint digests the canonical state at the current decision boundary:
-// each process's control point (pending label, crashed flag, step count —
-// the step counts depth-stamp the state, keeping the state graph acyclic and
-// the remaining MaxSteps budget equal for equal fingerprints) and
-// observation digest (every value the process read from shared state —
-// sched.Observe — which pins its in-flight local state: locals are
-// deterministic functions of code position and observations), the previous
-// decision when pruning (two nodes only merge when their partial-order
-// filters coincide, so a cut subtree is exactly the reduced subtree the
-// first visit expanded), and everything the harness registered (shared
-// objects + checker-visible logs).
-func (s *scripted) fingerprint(v sched.View) sched.Fingerprint {
-	if s.symmetric {
-		return s.symFingerprint(v)
-	}
+// each process's control point and observation digest (sched.FP's
+// ControlPoints), the previous decision when pruning (two nodes only merge
+// when their partial-order filters coincide, so a cut subtree is exactly the
+// reduced subtree the first visit expanded), and everything the harness
+// registered (shared objects + checker-visible logs). Under symmetry the
+// digest is orbit-canonical: process i's control point goes into digest
+// lane i, the symmetry-declaring session's Fingerprint routes per-process
+// shared state into the lanes likewise, and Sum folds the sorted lane
+// digests — so two states that are process permutations of one another hash
+// identically. Asymmetric context (the POR previous decision) stays in the
+// root digest.
+func (s *scripted) fingerprint(v *sched.View) sched.Fingerprint {
 	h := &s.fp
-	h.Reset()
-	for i := range v.Pending {
-		h.Label(v.Pending[i])
-		h.Bool(v.Crashed[i])
-		h.Int(v.StepsOf[i])
-		obs := v.Obs[i].Sum()
-		h.Word(obs.Lo)
-		h.Word(obs.Hi)
+	if s.symmetric {
+		if n := len(v.Pending); s.symFP == nil || s.symFP.Lanes() != n {
+			s.symFP = sched.NewOrbitFP(n, s.canon)
+		}
+		h = s.symFP
 	}
+	h.Reset()
+	h.ControlPoints(v)
 	s.foldPrev(h)
 	s.fpFn(h)
 	return h.Sum()
@@ -415,34 +412,6 @@ func (s *scripted) foldPrev(h *sched.FP) {
 	} else {
 		h.Int(0)
 	}
-}
-
-// symFingerprint is the orbit-canonical variant of fingerprint: process i's
-// control point and observation digest go into digest lane i (pending labels
-// through SymLabel, which erases the process's own cell index), the
-// symmetry-declaring session's Fingerprint routes per-process shared state
-// into the lanes likewise, and Sum folds the sorted lane digests — so two
-// states that are process permutations of one another hash identically.
-// Asymmetric context (the POR previous decision) stays in the root digest.
-func (s *scripted) symFingerprint(v sched.View) sched.Fingerprint {
-	n := len(v.Pending)
-	if s.symFP == nil || s.symFP.Lanes() != n {
-		s.symFP = sched.NewOrbitFP(n, s.canon)
-	}
-	h := s.symFP
-	h.Reset()
-	for i := range v.Pending {
-		ln := h.Lane(sched.ProcID(i))
-		ln.SymLabel(v.Pending[i])
-		ln.Bool(v.Crashed[i])
-		ln.Int(v.StepsOf[i])
-		obs := v.Obs[i].Sum()
-		ln.Word(obs.Lo)
-		ln.Word(obs.Hi)
-	}
-	s.foldPrev(h)
-	s.fpFn(h)
-	return h.Sum()
 }
 
 // alternatives enumerates the decision alternatives at the current node:
@@ -523,7 +492,7 @@ func (s *scripted) Next(v sched.View) sched.Decision {
 	if s.store != nil {
 		if d := len(s.taken); s.cutAt < 0 && d >= len(s.prefix) {
 			s.lookups++
-			if s.store.visit(s.fingerprint(v)) {
+			if s.store.visit(s.fingerprint(&v)) {
 				s.cutAt = d
 			}
 		}

@@ -212,6 +212,10 @@ type adversary struct {
 	crashes    int
 	choices    []Choice
 	altsBuf    []Choice
+	// victim backs the crash list of a crash decision: the runtime reads
+	// it before it consults the adversary again, so one array serves every
+	// crash, where sched.CrashDecision would allocate one per crash.
+	victim [1]sched.ProcID
 
 	// Coverage fields (nil store = estimator off). fp is the reusable
 	// accumulator: a local would escape through the indirect fpFn call and
@@ -234,17 +238,10 @@ func (a *adversary) reset() {
 // per-process control points and observation digests (as the exhaustive
 // walker's dedup fingerprint, minus its POR context), plus the harness
 // digest when the session carries one.
-func (a *adversary) fingerprint(v sched.View) sched.Fingerprint {
+func (a *adversary) fingerprint(v *sched.View) sched.Fingerprint {
 	h := &a.fp
 	h.Reset()
-	for i := range v.Pending {
-		h.Label(v.Pending[i])
-		h.Bool(v.Crashed[i])
-		h.Int(v.StepsOf[i])
-		obs := v.Obs[i].Sum()
-		h.Word(obs.Lo)
-		h.Word(obs.Hi)
-	}
+	h.ControlPoints(v)
 	if a.fpFn != nil {
 		a.fpFn(h)
 	}
@@ -255,7 +252,7 @@ func (a *adversary) fingerprint(v sched.View) sched.Fingerprint {
 func (a *adversary) Next(v sched.View) sched.Decision {
 	if a.store != nil {
 		a.lookups++
-		a.store.Visit(a.fingerprint(v))
+		a.store.Visit(a.fingerprint(&v))
 	}
 	alts := a.altsBuf[:0]
 	for _, id := range v.Runnable {
@@ -275,7 +272,8 @@ func (a *adversary) Next(v sched.View) sched.Decision {
 	a.choices = append(a.choices, c)
 	if c.Crash {
 		a.crashes++
-		return sched.CrashDecision(c.Proc)
+		a.victim[0] = c.Proc
+		return sched.Decision{Run: -1, Crash: a.victim[:]}
 	}
 	return sched.RunDecision(c.Proc)
 }

@@ -14,6 +14,7 @@ package sessions
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"mpcn/internal/agreement"
@@ -394,17 +395,24 @@ func StoreBuffer(backend reg.Backend) func() explore.Session {
 // checker here treats its log as a set (required under Prune anyway).
 // Per-entry digests go through h.Sub() so that, under symmetry reduction,
 // entry values canonicalize through the session's Canon exactly like
-// top-level state (Sub is a zero FP on a plain accumulator).
+// top-level state (Sub is a zero FP on a plain accumulator). The per-entry
+// accumulator comes from subFPs: it escapes through the fold closure, so a
+// local would be heap-allocated for every entry of every fingerprint.
 func foldMultiset(h *sched.FP, n int, fold func(i int, t *sched.FP)) {
+	t := subFPs.Get().(*sched.FP)
 	var sum uint64
 	for i := 0; i < n; i++ {
-		t := h.Sub()
-		fold(i, &t)
+		*t = h.Sub()
+		fold(i, t)
 		sum += sched.Mix(t.Sum().Lo)
 	}
+	subFPs.Put(t)
 	h.Int(n)
 	h.Word(sum)
 }
+
+// subFPs recycles foldMultiset's per-entry accumulators.
+var subFPs = sync.Pool{New: func() any { return new(sched.FP) }}
 
 // eraseProposals returns the symmetry Canon of the proposal-value sessions:
 // the distinct per-process inputs 100..100+n-1 all map to one tag, so runs

@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Fingerprint is a 128-bit canonical digest of a run state, computed at a
 // decision boundary (every process parked or finished, no step in flight).
@@ -20,6 +23,11 @@ type Fingerprint struct {
 // fold state in a canonical order (or combine per-element digests
 // commutatively — see Mix — for genuinely unordered collections such as
 // maps).
+//
+// The digest is two 64-bit lanes. Word costs one multiply-rotate round per
+// lane — a bijection of each lane for a fixed word, with no avalanche — and
+// Sum runs the full avalanche once, when the lanes are finalized, so a long
+// fold pays for mixing once rather than per word.
 //
 // The zero FP is a plain value (two words, no heap state): hashing allocates
 // nothing. Stored values fold through Fold, straight from the storage the
@@ -124,18 +132,28 @@ func (h *FP) Reset() {
 	}
 }
 
-// mixing constants: splitmix64 / murmur3 finalizer multipliers and the
-// 64-bit golden ratio.
+// Mix constants: the murmur3 finalizer multipliers and the 64-bit golden
+// ratio.
 const (
 	fpM1     = 0xff51afd7ed558ccd
 	fpM2     = 0xc4ceb9fe1a85ec53
 	fpGolden = 0x9e3779b97f4a7c15
 )
 
-// Mix is a 64-bit finalizer (murmur3-style avalanche). It is exported so
-// harnesses can combine per-element digests of unordered collections
-// commutatively: sum (or xor) Mix-ed element digests, then fold the total
-// into the FP with Word.
+// Word-round constants: the xxHash64 primes. Every multiplier is odd, so
+// each lane's round is a bijection of the lane for a fixed word.
+const (
+	fpP1 = 0x9e3779b185ebca87
+	fpP2 = 0xc2b2ae3d27d4eb4f
+	fpP3 = 0x165667b19e3779f9
+	fpP4 = 0x85ebca77c2b2ae63
+	fpP5 = 0x27d4eb2f165667c5
+)
+
+// Mix is a 64-bit finalizer (murmur3-style avalanche) and a bijection. It is
+// exported so harnesses can combine per-element digests of unordered
+// collections commutatively: sum (or xor) Mix-ed element digests, then fold
+// the total into the FP with Word.
 func Mix(z uint64) uint64 {
 	z ^= z >> 33
 	z *= fpM1
@@ -145,11 +163,21 @@ func Mix(z uint64) uint64 {
 	return z
 }
 
-// Word folds one 64-bit word. The two lanes use decorrelated update
-// functions so the pair behaves like a 128-bit digest.
+// Word folds one 64-bit word with one multiply-rotate round per lane, in the
+// style of xxHash64's accumulate round, with different constants on the two
+// lanes. What the round guarantees: for a fixed word each lane's update is a
+// bijection of that lane (an added term, a rotation and an odd multiply), so
+// two different states never merge on the same word, and the word enters
+// each lane through a different odd multiplier, so distinct words from one
+// state move both lanes to distinct states. The constant xored into the
+// word's term keeps the zero state from being a fixed point of the zero word;
+// being an xor, not an add, it stays off the lane's dependency chain, which
+// is one add, one rotate and one multiply per word. The round does not
+// avalanche on its own: Sum applies Mix to the lane pair, and that final
+// avalanche is what spreads every input bit over the whole Fingerprint.
 func (h *FP) Word(v uint64) {
-	h.a = Mix(h.a ^ v)
-	h.b = Mix(h.b + fpGolden + v*fpM1)
+	h.a = bits.RotateLeft64(h.a+(v*fpP2^fpP5), 31) * fpP1
+	h.b = bits.RotateLeft64(h.b+(v*fpP4^fpGolden), 27) * fpP3
 }
 
 // Int folds an int.
@@ -157,11 +185,11 @@ func (h *FP) Int(v int) { h.Word(uint64(v)) }
 
 // Bool folds a boolean.
 func (h *FP) Bool(v bool) {
+	var w uint64
 	if v {
-		h.Word(1)
-	} else {
-		h.Word(0)
+		w = 1
 	}
+	h.Word(w)
 }
 
 // Label folds an interned step label by identity. Labels are stable for the
@@ -211,14 +239,91 @@ const (
 // cross-process references literally coincide), which can under-merge but
 // never unsoundly over-merge. On a plain FP, SymLabel is exactly Label.
 func (h *FP) SymLabel(l Label) {
-	if h.orb != nil && h.orb.owner >= 0 {
-		if base, idx, ok := IndexedLabel(l); ok && ProcID(idx) == h.orb.owner {
-			h.Word(fpTagOwnCell)
-			h.Label(base)
-			return
-		}
+	if base, own := h.ownCell(l); own {
+		h.Word(fpTagOwnCell)
+		h.Label(base)
+		return
 	}
 	h.Label(l)
+}
+
+// ownCell reports whether l is a per-cell label of the lane's own process
+// (always false off a lane) and, if so, returns the family's base label.
+func (h *FP) ownCell(l Label) (Label, bool) {
+	if h.orb != nil && h.orb.owner >= 0 {
+		if base, idx, ok := IndexedLabel(l); ok && ProcID(idx) == h.orb.owner {
+			return base, true
+		}
+	}
+	return l, false
+}
+
+// Control-word layout of ControlPoints: the label in bits 0-31, the crashed
+// flag in bit 32, the own-cell marker in bit 33 and the step count in bits
+// 34-63. A count of ctlStepsEsc or more saturates the field and folds as a
+// word of its own, so the packing stays injective for every count.
+const (
+	ctlCrashed    = 1 << 32
+	ctlOwnCell    = 1 << 33
+	ctlStepsShift = 34
+	ctlStepsEsc   = 1<<(64-ctlStepsShift) - 1
+)
+
+// controlWord packs one process's control point — pending label, crashed
+// flag, step count — and the own-cell marker into the single word
+// ControlPoints folds. ok is false when the step count does not fit the
+// packed field; the word then carries the saturated field, and the count
+// must be folded as a word of its own.
+func controlWord(l Label, own, crashed bool, steps int) (w uint64, ok bool) {
+	w = uint64(uint32(l))
+	if crashed {
+		w |= ctlCrashed
+	}
+	if own {
+		w |= ctlOwnCell
+	}
+	if uint64(steps) >= ctlStepsEsc {
+		return w | ctlStepsEsc<<ctlStepsShift, false
+	}
+	return w | uint64(steps)<<ctlStepsShift, true
+}
+
+// ControlPoints folds the per-process part of a decision-boundary state, the
+// fold both replay engines' fingerprints start with: for each process, its
+// control point as one packed word (controlWord) and its observation digest
+// as the raw lane pair, then the step count when it does not fit the packed
+// word. The control
+// point (pending label, crashed flag, step count — the step counts
+// depth-stamp the state, keeping the state graph acyclic and the remaining
+// MaxSteps budget equal for equal fingerprints) and the observations (every
+// value the process read from shared state, see Observe) pin the process's
+// local state: locals are deterministic functions of code position and
+// observations. In orbit mode process i folds into lane i with its label
+// canonicalized as SymLabel does; on a plain FP everything folds into the
+// root in process order.
+func (h *FP) ControlPoints(v *View) {
+	n := len(v.Pending)
+	crashed, steps := v.Crashed[:n], v.StepsOf[:n]
+	var obs []FP
+	if v.Obs != nil {
+		obs = v.Obs[:n]
+	}
+	for i, l := range v.Pending {
+		ln := h.Lane(ProcID(i))
+		own := false
+		if ln.orb != nil {
+			l, own = ln.ownCell(l)
+		}
+		w, ok := controlWord(l, own, crashed[i], steps[i])
+		ln.Word(w)
+		if obs != nil {
+			ln.Word(obs[i].a)
+			ln.Word(obs[i].b)
+		}
+		if !ok {
+			ln.Int(steps[i])
+		}
+	}
 }
 
 // Value folds a value that is already an interface: an any-typed cell,
@@ -340,8 +445,11 @@ func Fold[T any](h *FP, v *T) {
 	}
 }
 
-// Sum finalizes the accumulated state into a Fingerprint. Sum does not
-// consume the FP; more words may be folded and Sum taken again. In orbit
+// Sum finalizes the accumulated state into a Fingerprint. This is where the
+// avalanche lives: each half of the result is Mix of a different
+// combination of both lanes, so every folded bit reaches every output bit,
+// which Word's round alone does not do. Sum does not consume the FP; more
+// words may be folded and Sum taken again. In orbit
 // mode the root digest, the lane count and the per-process lane digests —
 // sorted, so any permutation of lane contents sums identically — are
 // combined into the result.

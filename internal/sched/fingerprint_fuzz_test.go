@@ -6,6 +6,8 @@ package sched
 //
 //   - Mix must stay a bijection on 64-bit words — the commutative multiset
 //     fold (sum of Mix-ed element digests) loses no element information.
+//   - Each lane's Word round must stay a bijection of the lane for a fixed
+//     word — two states that differ never merge on the next word.
 //   - Orbit lane digests must be permutation-invariant, and root folds must
 //     stay order-sensitive and distinct from lane folds.
 //   - The length-prefixed String fold must keep differently-split
@@ -15,6 +17,7 @@ package sched
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"testing"
 )
 
@@ -39,6 +42,17 @@ func unmix(z uint64) uint64 {
 	z *= invOdd(fpM1)
 	z ^= z >> 33
 	return z
+}
+
+// unroundA and unroundB invert lane a's and lane b's Word round for the
+// folded word v: the odd multiply by its modular inverse, the rotation by
+// the opposite rotation, the added word term by subtraction.
+func unroundA(z, v uint64) uint64 {
+	return bits.RotateLeft64(z*invOdd(fpP1), -31) - (v*fpP2 ^ fpP5)
+}
+
+func unroundB(z, v uint64) uint64 {
+	return bits.RotateLeft64(z*invOdd(fpP3), -27) - (v*fpP4 ^ fpGolden)
 }
 
 // fuzzWords splits the input into 64-bit words (little-endian, zero-padded
@@ -73,6 +87,25 @@ func FuzzFP(f *testing.F) {
 			}
 		}
 
+		// Round bijectivity: along the fold of the input, and from the state
+		// the input spells when read as a lane pair, each lane's previous
+		// state is recovered from the next one and the word.
+		var h FP
+		for i, w := range words {
+			if i+1 < len(words) {
+				h2 := FP{a: words[i], b: words[i+1]}
+				h2.Word(w)
+				if unroundA(h2.a, w) != words[i] || unroundB(h2.b, w) != words[i+1] {
+					t.Fatalf("round of %#x from (%#x, %#x) not inverted", w, words[i], words[i+1])
+				}
+			}
+			prev := h
+			h.Word(w)
+			if a, b := unroundA(h.a, w), unroundB(h.b, w); a != prev.a || b != prev.b {
+				t.Fatalf("round of %#x: unround gives (%#x, %#x), want (%#x, %#x)", w, a, b, prev.a, prev.b)
+			}
+		}
+
 		// Lane permutation invariance: rotating which lane receives which
 		// content leaves the orbit sum unchanged; folding one extra word
 		// into the root (order-sensitive territory) changes it.
@@ -94,8 +127,10 @@ func FuzzFP(f *testing.F) {
 
 		// Split separation: every way of folding the input as two strings
 		// yields a distinct sum (the length prefix keeps concatenation
-		// boundaries in the digest).
-		s := string(data)
+		// boundaries in the digest). Every cut folds the whole string, so
+		// the check reads at most the first 256 bytes: on the megabyte
+		// inputs the fuzzer grows, a quadratic loop stalls the worker.
+		s := string(data[:min(len(data), 256)])
 		seen := make(map[Fingerprint]int, len(s)+1)
 		for cut := 0; cut <= len(s); cut++ {
 			var h FP

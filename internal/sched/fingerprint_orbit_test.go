@@ -272,3 +272,96 @@ func TestIndexedLabelMetadata(t *testing.T) {
 		t.Error("never-interned label reported as indexed")
 	}
 }
+
+// TestControlWordInjective: the packed control word decodes back to its
+// label, own-cell marker, crashed flag and step count at every field edge —
+// labels from LabelNone to the largest Label, both flags, and step counts at
+// 2^k−1 and 2^k for every k — and a count past the packed width saturates
+// the field and asks for the count as a word of its own. So ControlPoints'
+// word sequence is injective for any step count; the last part checks that
+// its sums are too.
+func TestControlWordInjective(t *testing.T) {
+	type point struct {
+		label        Label
+		own, crashed bool
+		steps        int
+	}
+	steps := []int{0}
+	for k := 1; k < 63; k++ {
+		steps = append(steps, 1<<k-1, 1<<k)
+	}
+	steps = append(steps, 1<<63-1)
+	var points []point
+	for _, l := range []Label{LabelNone, LabelStart, 1<<31 - 1} {
+		for _, own := range []bool{false, true} {
+			for _, crashed := range []bool{false, true} {
+				for _, s := range steps {
+					points = append(points, point{l, own, crashed, s})
+				}
+			}
+		}
+	}
+	for _, p := range points {
+		w, ok := controlWord(p.label, p.own, p.crashed, p.steps)
+		got := point{Label(uint32(w)), w&ctlOwnCell != 0, w&ctlCrashed != 0, int(w >> ctlStepsShift)}
+		if got.label != p.label || got.own != p.own || got.crashed != p.crashed {
+			t.Errorf("%+v: word %#x decodes to %+v", p, w, got)
+		}
+		switch {
+		case p.steps < ctlStepsEsc && (!ok || got.steps != p.steps):
+			t.Errorf("%+v: steps field %d (ok %v), want the count", p, got.steps, ok)
+		case p.steps >= ctlStepsEsc && (ok || got.steps != ctlStepsEsc):
+			t.Errorf("%+v: steps field %d (ok %v), want the saturated field", p, got.steps, ok)
+		}
+	}
+
+	// One parked process per point, with an empty observation digest: every
+	// point folds to its own sum (a plain FP folds no own-cell marker).
+	seen := make(map[Fingerprint]point, len(points))
+	for _, p := range points {
+		if p.own {
+			continue
+		}
+		var h FP
+		h.ControlPoints(&View{
+			Pending: []Label{p.label}, Crashed: []bool{p.crashed}, StepsOf: []int{p.steps}, Obs: make([]FP, 1),
+		})
+		if prev, dup := seen[h.Sum()]; dup {
+			t.Fatalf("control points %+v and %+v sum identically", prev, p)
+		}
+		seen[h.Sum()] = p
+	}
+}
+
+// TestControlPointsOrbit: ControlPoints folds process i into lane i with
+// SymLabel's own-cell canonicalization, so swapping two processes parked on
+// their own cells leaves the sum unchanged, while parking one on the other's
+// cell changes it; on a plain FP the same views fold in process order.
+func TestControlPointsOrbit(t *testing.T) {
+	ls := InternIndexed("%s[%d].op", "ctlorbit", 2)
+	view := func(p0, p1 Label, s0, s1 int) *View {
+		obs := make([]FP, 2)
+		obs[0].Int(7)
+		return &View{Pending: []Label{p0, p1}, Crashed: make([]bool, 2), StepsOf: []int{s0, s1}, Obs: obs}
+	}
+	sum := func(h *FP, v *View) Fingerprint {
+		h.Reset()
+		h.ControlPoints(v)
+		return h.Sum()
+	}
+	orb := NewOrbitFP(2, nil)
+	a := view(ls[0], ls[1], 3, 5)
+	// Permuting the processes keeps each one parked on its own cell.
+	swapped := view(ls[0], ls[1], 5, 3)
+	swapped.Obs[0], swapped.Obs[1] = a.Obs[1], a.Obs[0]
+	if sum(orb, a) != sum(orb, swapped) {
+		t.Error("own-cell control points of swapped processes sum differently")
+	}
+	if sum(orb, a) == sum(orb, view(ls[1], ls[1], 3, 5)) {
+		t.Error("a process parked on a foreign cell sums like one on its own cell")
+	}
+	var plain FP
+	if sum(&plain, a) == sum(&plain, swapped) {
+		t.Error("plain control points ignore process order")
+	}
+}

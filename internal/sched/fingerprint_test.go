@@ -210,3 +210,18 @@ func TestFPValueSliceStructural(t *testing.T) {
 		t.Fatal("[]any fold not deterministic")
 	}
 }
+
+// TestFPZeroRuns: runs of zero words of different lengths sum differently —
+// the zero state is no fixed point of the zero word, so padding a fold with
+// zeros (an absent label, a false flag, a zero count) is never invisible.
+func TestFPZeroRuns(t *testing.T) {
+	seen := make(map[Fingerprint]int)
+	var h FP
+	for k := range 64 {
+		if prev, dup := seen[h.Sum()]; dup {
+			t.Fatalf("%d and %d zero words sum identically", prev, k)
+		}
+		seen[h.Sum()] = k
+		h.Word(0)
+	}
+}
