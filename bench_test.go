@@ -16,6 +16,7 @@ import (
 	"mpcn/internal/detector"
 	"mpcn/internal/explore"
 	"mpcn/internal/explore/sessions"
+	"mpcn/internal/explore/spec"
 	"mpcn/internal/hierarchy"
 	"mpcn/internal/model"
 	"mpcn/internal/object"
@@ -487,8 +488,7 @@ func BenchmarkParallelVsSequential(b *testing.B) {
 	}
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := exploreBenchSession()
-			stats, err := explore.Explore(s.Make, s.Check, explore.Config{})
+			stats, err := explore.ExploreSession(exploreBenchSession(), explore.Config{})
 			verify(b, stats, err, wantRuns)
 		}
 	})
@@ -503,36 +503,31 @@ func BenchmarkParallelVsSequential(b *testing.B) {
 	}
 	b.Run("sequential-pruned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := exploreBenchSession()
-			stats, err := explore.Explore(s.Make, s.Check, explore.Config{Prune: true})
+			stats, err := explore.ExploreSession(exploreBenchSession(), explore.Config{Prune: true})
 			verify(b, stats, err, 0)
 		}
 	})
 }
 
 // BenchmarkSessionReplay measures the session-reuse runtime on the
-// commit-adopt exhaustive sweep (n=2, one crash allowed: 1174 runs). The
-// respawn variant is the PR-1 baseline — a freshly spawned
-// rendezvous-protocol scheduler and a freshly allocated exploring adversary
-// per run — and the session variant is the zero-respawn engine: process
-// coroutines created once, direct token dispatch, pooled buffers. The
-// acceptance bar is session >= 2x respawn in runs/sec; the state spaces are
-// asserted identical here and verified in depth by explore's
-// TestSessionReuseMatchesRespawn.
+// commit-adopt exhaustive sweep (n=2, one crash allowed: 1174 runs):
+// process coroutines created once, direct token dispatch, pooled buffers,
+// sequential and with a four-worker pool. The state spaces are asserted
+// identical here and checked against the rendezvous protocol by explore's
+// TestSessionReuseMatchesRendezvous.
 func BenchmarkSessionReplay(b *testing.B) {
 	const wantRuns = 1174
-	variant := func(respawn, parallel bool) func(b *testing.B) {
+	variant := func(parallel bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := explore.Config{MaxCrashes: 1, MaxSteps: 64, Respawn: respawn}
+				cfg := explore.Config{MaxCrashes: 1, MaxSteps: 64}
 				var stats explore.Stats
 				var err error
 				if parallel {
 					cfg.Workers = 4
 					stats, err = explore.ExploreParallel(sessions.CommitAdopt(2), cfg)
 				} else {
-					s := sessions.CommitAdopt(2)()
-					stats, err = explore.Explore(s.Make, s.Check, cfg)
+					stats, err = explore.ExploreSession(sessions.CommitAdopt(2)(), cfg)
 				}
 				if err != nil || !stats.Exhausted {
 					b.Fatal(err)
@@ -544,9 +539,52 @@ func BenchmarkSessionReplay(b *testing.B) {
 			}
 		}
 	}
-	b.Run("respawn", variant(true, false))
-	b.Run("session", variant(false, false))
-	b.Run("parallel-session", variant(false, true))
+	b.Run("session", variant(false))
+	b.Run("parallel-session", variant(true))
+}
+
+// trackedCellFloor is BenchmarkTrackedCell's throughput floor in runs/sec:
+// 0.4 × 492,421, the last runs/sec recorded for the cell before this
+// benchmark became its gate, less a 60% tolerance. The tolerance absorbs
+// the spread between hosts; the floor exists to catch order-of-magnitude
+// regressions of the replay hot path, not to rank CI hardware.
+const trackedCellFloor = 196968
+
+// BenchmarkTrackedCell exhausts the tracked throughput cell — commit-adopt,
+// n=3, no crashes, 756,756 runs — with the sequential engine and reports
+// the best runs/sec of the b.N exhaustions. Once b.N reaches 3 it fails
+// when that best falls below trackedCellFloor; `make throughput-gate` runs
+// it with -benchtime 3x.
+func BenchmarkTrackedCell(b *testing.B) {
+	const wantRuns = 756756
+	s, err := spec.Lookup("commitadopt")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := spec.Resolve(s, spec.Params{"n": 3, spec.ParamCrashes: 0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := spec.Config(s, p, explore.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	best := 0.0
+	for i := 0; i < b.N; i++ {
+		stats, err := explore.ExploreSession(s.New(p), cfg)
+		if err != nil || !stats.Exhausted {
+			b.Fatalf("exploration failed: err=%v exhausted=%v", err, stats.Exhausted)
+		}
+		if stats.Runs != wantRuns {
+			b.Fatalf("runs = %d, want %d", stats.Runs, wantRuns)
+		}
+		best = max(best, stats.RunsPerSec())
+	}
+	b.ReportMetric(best, "runs/sec")
+	if b.N >= 3 && best < trackedCellFloor {
+		b.Fatalf("throughput regression: best of %d exhaustions ran %.0f runs/sec, below the floor of %d",
+			b.N, best, trackedCellFloor)
+	}
 }
 
 // BenchmarkCommitAdopt measures one commit-adopt round under contention.

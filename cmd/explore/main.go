@@ -112,7 +112,6 @@ type options struct {
 	symmetry bool
 	compare  bool
 	seq      bool
-	respawn  bool
 	sample   string
 	samples  int
 	depth    int
@@ -191,7 +190,6 @@ func run(args []string, out io.Writer) int {
 	fs.BoolVar(&o.symmetry, "symmetry", false, "enable symmetry reduction (orbit-canonical fingerprints; needs -dedup)")
 	fs.BoolVar(&o.compare, "compare", false, "verify the parallel run count against the sequential explorer")
 	fs.BoolVar(&o.seq, "seq", false, "use the sequential explorer only")
-	fs.BoolVar(&o.respawn, "respawn", false, "respawn the scheduler per run (pre-session baseline; for comparisons)")
 	fs.StringVar(&o.sample, "sample", "", "sampling strategy: pct|walk|swarm (empty = exhaustive exploration)")
 	fs.IntVar(&o.samples, "samples", 10000, "sampled runs per grid cell (with -sample)")
 	fs.IntVar(&o.depth, "depth", 0, "PCT depth d: d-1 priority-change points per run (0 = spec/engine default)")
@@ -297,7 +295,7 @@ func rejectInapplicableFlags(o options, explicit map[string]bool, haveSets bool)
 		return fmt.Errorf("-dedupmem %d out of range [0, %d] MiB", o.dedupMem, service.MaxDedupMemMiB)
 	}
 	if o.sample != "" {
-		for _, name := range []string{"prune", "dedup", "dedupmem", "symmetry", "maxruns", "compare", "respawn"} {
+		for _, name := range []string{"prune", "dedup", "dedupmem", "symmetry", "maxruns", "compare"} {
 			if explicit[name] {
 				return fmt.Errorf("-%s applies to exhaustive exploration only (drop it or drop -sample)", name)
 			}
@@ -457,7 +455,6 @@ func sweep(ctx context.Context, o options, out io.Writer) error {
 			Dedup:    o.dedup,
 			DedupMem: o.dedupMem << 20,
 			Symmetry: o.symmetry,
-			Respawn:  o.respawn,
 		})
 		if err != nil {
 			return err

@@ -405,7 +405,7 @@ func TestListEnumeratesRegistry(t *testing.T) {
 
 // TestSpecAllDeterministicOrder: the registry enumerates name-sorted, and
 // repeated calls agree — the ordering contract -list, -allspecs sweeps and
-// the benchexplore tables rely on.
+// the spectest conformance suite rely on.
 func TestSpecAllDeterministicOrder(t *testing.T) {
 	a, b := spec.All(), spec.All()
 	if len(a) == 0 || len(a) != len(b) {

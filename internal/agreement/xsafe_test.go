@@ -330,7 +330,7 @@ func TestExhaustiveXSafeAgreementSafety(t *testing.T) {
 	for _, x := range []int{1, 2} {
 		t.Run(fmt.Sprintf("x=%d", x), func(t *testing.T) {
 			s := xsafeSession(2, x)()
-			stats, err := explore.Explore(s.Make, s.Check, explore.Config{MaxCrashes: 1, MaxSteps: 256})
+			stats, err := explore.ExploreSession(s, explore.Config{MaxCrashes: 1, MaxSteps: 256})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -349,7 +349,7 @@ func TestExhaustiveXSafeParallelDeterminism(t *testing.T) {
 	for _, prune := range []bool{false, true} {
 		cfg := explore.Config{MaxCrashes: 1, MaxSteps: 256, Workers: 4, Prune: prune}
 		s := xsafeSession(2, 2)()
-		seq, err := explore.Explore(s.Make, s.Check, cfg)
+		seq, err := explore.ExploreSession(s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

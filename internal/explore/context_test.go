@@ -215,6 +215,27 @@ func (k *keepingRuntime) close() {
 	}
 }
 
+// rendezvousRuntime is a RuntimeSource leasing rendezvous-protocol
+// sessions, the differential reference of the direct protocol.
+type rendezvousRuntime struct{}
+
+func (rendezvousRuntime) Acquire(n int) (*sched.Session, error) {
+	return sched.NewSessionWith(n, sched.SessionOptions{Rendezvous: true})
+}
+
+func (rendezvousRuntime) Release(rt *sched.Session) { rt.Close() }
+
+// Rendezvous returns cfg walked on rendezvous-protocol sessions without
+// batched grants: the reference walk the direct, batched engine must
+// match. Under NoBatch, scripted.reset always rewinds in full, so every
+// run starts from an adversary in its fresh state. Exported for the
+// external test package.
+func Rendezvous(cfg Config) Config {
+	cfg.Runtime = rendezvousRuntime{}
+	cfg.NoBatch = true
+	return cfg
+}
+
 // countingRuntime wraps the default session source, counting the lease
 // traffic.
 type countingRuntime struct {

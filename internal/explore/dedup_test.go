@@ -490,7 +490,7 @@ func TestDedupDeterministic(t *testing.T) {
 
 // TestDedupStateCoverage: cutting converged subtrees must not lose reachable
 // final states. The set of checker-observable outcomes must be identical
-// across plain, dedup, prune, prune+dedup and respawn+dedup exploration.
+// across plain, dedup, prune, prune+dedup and rendezvous+dedup exploration.
 func TestDedupStateCoverage(t *testing.T) {
 	coverage := func(cfg Config) map[string]bool {
 		cover := make(map[string]bool)
@@ -508,7 +508,7 @@ func TestDedupStateCoverage(t *testing.T) {
 		{MaxCrashes: 1, Dedup: true},
 		{MaxCrashes: 1, Prune: true},
 		{MaxCrashes: 1, Prune: true, Dedup: true},
-		{MaxCrashes: 1, Dedup: true, Respawn: true},
+		Rendezvous(Config{MaxCrashes: 1, Dedup: true}),
 	} {
 		got := coverage(cfg)
 		if len(got) != len(want) {
@@ -660,28 +660,24 @@ func TestDedupRequiresFingerprint(t *testing.T) {
 	if _, err := ExploreParallel(bare, Config{Dedup: true}); !errors.Is(err, ErrNoFingerprint) {
 		t.Fatalf("parallel: got %v, want ErrNoFingerprint", err)
 	}
-	// And the legacy Explore entry point (no way to pass a Fingerprint).
-	s := rmwSession(2, nil)()
-	if _, err := Explore(s.Make, s.Check, Config{Dedup: true}); !errors.Is(err, ErrNoFingerprint) {
-		t.Fatalf("Explore: got %v, want ErrNoFingerprint", err)
-	}
 }
 
-// TestDedupRespawnMatchesSession: the respawning baseline and the
-// session-reuse engine walk identical dedup-cut trees (the store interaction
-// is a function of the decision sequence, not the runtime).
-func TestDedupRespawnMatchesSession(t *testing.T) {
-	run := func(respawn bool) Stats {
-		st, err := ExploreSession(rmwSession(3, nil)(), Config{MaxCrashes: 1, Dedup: true, Respawn: respawn})
+// TestDedupRendezvousMatchesSession: the rendezvous reference walk and the
+// batched direct-protocol walk cut identical dedup trees (the store
+// interaction is a function of the decision sequence, not the runtime).
+func TestDedupRendezvousMatchesSession(t *testing.T) {
+	run := func(cfg Config) Stats {
+		st, err := ExploreSession(rmwSession(3, nil)(), cfg)
 		if err != nil || !st.Exhausted {
-			t.Fatalf("respawn=%v: %v", respawn, err)
+			t.Fatalf("%+v: %v", cfg, err)
 		}
 		return st
 	}
-	s, r := run(false), run(true)
-	if s.Runs != r.Runs || s.Dedup.Hits != r.Dedup.Hits || s.Dedup.States != r.Dedup.States ||
-		s.Dedup.CutAlternatives != r.Dedup.CutAlternatives {
-		t.Fatalf("session/respawn dedup divergence: %+v vs %+v", s.Dedup, r.Dedup)
+	cfg := Config{MaxCrashes: 1, Dedup: true}
+	d, r := run(cfg), run(Rendezvous(cfg))
+	if d.Runs != r.Runs || d.Dedup.Hits != r.Dedup.Hits || d.Dedup.States != r.Dedup.States ||
+		d.Dedup.CutAlternatives != r.Dedup.CutAlternatives {
+		t.Fatalf("direct/rendezvous dedup divergence: %+v vs %+v", d.Dedup, r.Dedup)
 	}
 }
 

@@ -99,13 +99,6 @@ type Config struct {
 	// that declares Symmetric (see ErrNoSymmetry): under an undeclared
 	// asymmetry the canonical hash would merge states whose futures differ.
 	Symmetry bool
-	// Respawn disables the session-reuse runtime and replays every run the
-	// way the explorer worked before the Session refactor: a freshly spawned
-	// scheduler per run over the strict rendezvous handoff, with a freshly
-	// allocated exploring adversary. It exists as the baseline of the
-	// session-reuse benchmarks and regression tests; the visited tree is
-	// identical either way.
-	Respawn bool
 	// NoBatch disables batched step grants (prefix plans and sprint tails;
 	// see the scripted adversary) while keeping the session-reuse runtime,
 	// forcing every decision through an adversary consultation. The visited
@@ -125,8 +118,7 @@ type Config struct {
 	// lease warm sessions across explorations (process coroutines stay
 	// parked between jobs) rather than respawning them per exploration.
 	// Every harness runs on the direct protocol, so the process count is
-	// the only shape a source keys on. Ignored under Respawn, whose whole
-	// point is the spawn-per-run baseline.
+	// the only shape a source keys on.
 	Runtime RuntimeSource
 }
 
@@ -296,12 +288,12 @@ type scripted struct {
 
 var _ sched.Adversary = (*scripted)(nil)
 
-func newScripted(prefix []int, cfg Config) *scripted {
+func newScripted(cfg Config) *scripted {
 	return &scripted{
-		prefix:     prefix,
 		maxCrashes: cfg.MaxCrashes,
 		prune:      cfg.Prune,
 		indep:      cfg.Independent,
+		batch:      !cfg.NoBatch,
 		cutAt:      -1,
 	}
 }
@@ -737,37 +729,22 @@ func (w *walker) acquire(n int) (*sched.Session, error) {
 // owned by the walker's runtime and valid until the next replay.
 func (w *walker) replay(prefix []int, cached bool) (*scripted, *sched.Result, error) {
 	bodies := w.session.Make()
-	var adv *scripted
+	if w.adv == nil {
+		w.adv = newScripted(w.cfg)
+		// The dedup wiring is walker-constant, so the pooled adversary is
+		// wired once here rather than per run.
+		w.adv.setDedup(w.store, w.session.Fingerprint, w.cfg.Symmetry, w.session.Canon)
+	}
+	adv := w.adv
+	adv.reset(prefix, cached)
 	var res *sched.Result
 	var err error
-	if w.cfg.Respawn {
-		// Baseline mode: fresh adversary, fresh rendezvous-protocol runtime,
-		// exactly as the explorer worked before the session-reuse refactor.
-		adv = newScripted(prefix, w.cfg)
-		adv.setDedup(w.store, w.session.Fingerprint, w.cfg.Symmetry, w.session.Canon)
-		var rt *sched.Session
-		rt, err = sched.NewSessionWith(len(bodies), sched.SessionOptions{Rendezvous: true})
-		if err == nil {
-			res, err = rt.Run(sched.Config{Adversary: adv, MaxSteps: w.cfg.MaxSteps, Observe: w.store != nil}, bodies)
-			rt.Close()
-		}
-	} else {
-		if w.adv == nil {
-			w.adv = newScripted(nil, w.cfg)
-			w.adv.batch = !w.cfg.NoBatch
-			// The dedup wiring is walker-constant, so the pooled adversary is
-			// wired once here rather than per run.
-			w.adv.setDedup(w.store, w.session.Fingerprint, w.cfg.Symmetry, w.session.Canon)
-		}
-		adv = w.adv
-		adv.reset(prefix, cached)
-		if w.rt == nil || w.rt.N() != len(bodies) {
-			w.close()
-			w.rt, err = w.acquire(len(bodies))
-		}
-		if err == nil {
-			res, err = w.rt.Run(sched.Config{Adversary: adv, MaxSteps: w.cfg.MaxSteps, Observe: w.store != nil}, bodies)
-		}
+	if w.rt == nil || w.rt.N() != len(bodies) {
+		w.close()
+		w.rt, err = w.acquire(len(bodies))
+	}
+	if err == nil {
+		res, err = w.rt.Run(sched.Config{Adversary: adv, MaxSteps: w.cfg.MaxSteps, Observe: w.store != nil}, bodies)
 	}
 	if w.store != nil {
 		w.store.addLookups(adv.lookups)
@@ -860,16 +837,10 @@ func checkSymmetry(s Session, cfg Config) error {
 	return nil
 }
 
-// Explore enumerates the decision tree of the processes returned by mk
-// (fresh shared state per run) and applies check to every complete run. It
-// stops at the first property violation. Sessions carrying a Fingerprint
-// (required for Config.Dedup) go through ExploreSession instead.
-func Explore(mk func() []sched.Proc, check func(*sched.Result) error, cfg Config) (Stats, error) {
-	return ExploreSession(Session{Make: mk, Check: check}, cfg)
-}
-
-// ExploreSession is Explore over a prebuilt Session, the entry point for
-// harnesses that carry a Fingerprint for Config.Dedup.
+// ExploreSession enumerates the decision tree of s's processes (fresh
+// shared state per run, from s.Make) and applies s.Check to every complete
+// run. It stops at the first property violation. Config.Dedup needs a
+// Session carrying a Fingerprint.
 func ExploreSession(s Session, cfg Config) (Stats, error) {
 	return ExploreSessionContext(context.Background(), s, cfg)
 }

@@ -42,12 +42,12 @@ func TestLabelsIndependent(t *testing.T) {
 // collapse them while still exhausting the canonical tree.
 func TestPruneReducesIndependentInterleavings(t *testing.T) {
 	s := registersSession(3, 2)()
-	plain, err := Explore(s.Make, s.Check, Config{})
+	plain, err := ExploreSession(s, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s = registersSession(3, 2)()
-	pruned, err := Explore(s.Make, s.Check, Config{Prune: true})
+	pruned, err := ExploreSession(s, Config{Prune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +81,12 @@ func TestPruneCanonicalizesCrashPlacements(t *testing.T) {
 		}
 	}
 	s := session()
-	plain, err := Explore(s.Make, s.Check, Config{MaxCrashes: 2})
+	plain, err := ExploreSession(s, Config{MaxCrashes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s = session()
-	pruned, err := Explore(s.Make, s.Check, Config{MaxCrashes: 2, Prune: true})
+	pruned, err := ExploreSession(s, Config{MaxCrashes: 2, Prune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestPruneKeepsDependentInterleavings(t *testing.T) {
 		}
 		return nil
 	}
-	stats, err := Explore(mk, check, Config{Prune: true})
+	stats, err := ExploreSession(Session{Make: mk, Check: check}, Config{Prune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestPruneStillFindsViolations(t *testing.T) {
 	wantErr := errors.New("always fails")
 	s := registersSession(2, 2)()
 	s.Check = func(*sched.Result) error { return wantErr }
-	_, err := Explore(s.Make, s.Check, Config{Prune: true})
+	_, err := ExploreSession(s, Config{Prune: true})
 	var pe *PropertyError
 	if !errors.As(err, &pe) || !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v", err)
@@ -169,12 +169,12 @@ func TestPruneStillFindsViolations(t *testing.T) {
 func TestPruneCustomIndependence(t *testing.T) {
 	dependent := func(a, b sched.Label) bool { return false }
 	s := registersSession(3, 2)()
-	plain, err := Explore(s.Make, s.Check, Config{})
+	plain, err := ExploreSession(s, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s = registersSession(3, 2)()
-	custom, err := Explore(s.Make, s.Check, Config{Prune: true, Independent: dependent})
+	custom, err := ExploreSession(s, Config{Prune: true, Independent: dependent})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +189,13 @@ func TestPruneCustomIndependence(t *testing.T) {
 func TestPrunedSafetyMatchesUnpruned(t *testing.T) {
 	cfg := Config{MaxCrashes: 1, MaxSteps: 64}
 	s := tasSession()
-	plain, err := Explore(s.Make, s.Check, cfg)
+	plain, err := ExploreSession(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Prune = true
 	s = tasSession()
-	pruned, err := Explore(s.Make, s.Check, cfg)
+	pruned, err := ExploreSession(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

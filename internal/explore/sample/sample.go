@@ -487,18 +487,23 @@ func finish(cfg Config, name string, samples, maxDepth, n int, start time.Time, 
 	return st
 }
 
-// RunWith draws cfg.Samples runs of s sequentially, driving decisions with
-// the sampler mk builds. Sampling stops at the first property violation
-// (returned as an explore.PropertyError wrapping a SampleError) or runtime
-// failure; a clean return means every drawn run passed the checker.
-func RunWith(s explore.Session, mk func() Sampler, cfg Config) (Stats, error) {
-	return RunWithContext(context.Background(), s, mk, cfg)
+// Run draws cfg.Samples runs of s sequentially, driving decisions with the
+// built-in strategy named strategy ("walk", "pct", "swarm"). Sampling stops
+// at the first property violation (returned as an explore.PropertyError
+// wrapping a SampleError) or runtime failure; a clean return means every
+// drawn run passed the checker.
+func Run(s explore.Session, strategy string, cfg Config) (Stats, error) {
+	return RunContext(context.Background(), s, strategy, cfg)
 }
 
-// RunWithContext is RunWith under a context: cancelling ctx stops the draw at
-// the next sample boundary and returns ctx's error with the Stats accumulated
+// RunContext is Run under a context: cancelling ctx stops the draw at the
+// next sample boundary and returns ctx's error with the Stats accumulated
 // so far.
-func RunWithContext(ctx context.Context, s explore.Session, mk func() Sampler, cfg Config) (Stats, error) {
+func RunContext(ctx context.Context, s explore.Session, strategy string, cfg Config) (Stats, error) {
+	mk, err := factory(strategy, cfg.Depth)
+	if err != nil {
+		return Stats{}, err
+	}
 	cfg = cfg.withDefaults()
 	if err := validate(cfg); err != nil {
 		return Stats{}, err
@@ -510,7 +515,6 @@ func RunWithContext(ctx context.Context, s explore.Session, mk func() Sampler, c
 	cps := newCheckpoints(cfg, store)
 	w := &worker{cfg: cfg, session: s, strategy: mk(), store: store}
 	defer w.retire()
-	var err error
 	for i := 0; i < cfg.Samples; i++ {
 		if err = ctx.Err(); err != nil {
 			break
@@ -521,20 +525,6 @@ func RunWithContext(ctx context.Context, s explore.Session, mk func() Sampler, c
 		cps.completed()
 	}
 	return finish(cfg, w.strategy.Name(), w.samples, w.maxDepth, w.n, start, store, cps), err
-}
-
-// Run is RunWith over a built-in strategy name ("walk", "pct", "swarm").
-func Run(s explore.Session, strategy string, cfg Config) (Stats, error) {
-	return RunContext(context.Background(), s, strategy, cfg)
-}
-
-// RunContext is Run under a context (see RunWithContext).
-func RunContext(ctx context.Context, s explore.Session, strategy string, cfg Config) (Stats, error) {
-	mk, err := factory(strategy, cfg.Depth)
-	if err != nil {
-		return Stats{}, err
-	}
-	return RunWithContext(ctx, s, mk, cfg)
 }
 
 // factory validates the strategy name once and returns a per-worker
@@ -549,9 +539,9 @@ func factory(strategy string, depth int) (func() Sampler, error) {
 	}, nil
 }
 
-// RunParallelWith is RunWith sharded across cfg.Workers workers. Workers
-// claim sample indices from a shared counter, so the drawn sample set is the
-// same one the sequential engine draws — sample i's decisions depend only on
+// RunParallel is Run sharded across cfg.Workers workers. Workers claim
+// sample indices from a shared counter, so the drawn sample set is the same
+// one the sequential engine draws — sample i's decisions depend only on
 // (Config.Seed, i) — while the violation sink and the coverage store are
 // shared: the first violation stops the pool, and when several workers find
 // one concurrently the smallest sample index wins (the closest the pool can
@@ -561,17 +551,21 @@ func factory(strategy string, depth int) (func() Sampler, error) {
 // called once per worker; every returned Session must own independent run
 // state. A checker panic in any worker is re-raised on the caller's
 // goroutine.
-func RunParallelWith(newSession func() explore.Session, mk func() Sampler, cfg Config) (Stats, error) {
-	return RunParallelWithContext(context.Background(), newSession, mk, cfg)
+func RunParallel(newSession func() explore.Session, strategy string, cfg Config) (Stats, error) {
+	return RunParallelContext(context.Background(), newSession, strategy, cfg)
 }
 
-// RunParallelWithContext is RunParallelWith under a context: cancelling ctx
-// halts every worker at its next sample boundary and the run returns ctx's
-// error (a violation a worker found before the halt outranks it) with the
-// Stats accumulated so far.
-func RunParallelWithContext(ctx context.Context, newSession func() explore.Session, mk func() Sampler, cfg Config) (Stats, error) {
+// RunParallelContext is RunParallel under a context: cancelling ctx halts
+// every worker at its next sample boundary and the run returns ctx's error
+// (a violation a worker found before the halt outranks it) with the Stats
+// accumulated so far.
+func RunParallelContext(ctx context.Context, newSession func() explore.Session, strategy string, cfg Config) (Stats, error) {
+	mk, err := factory(strategy, cfg.Depth)
+	if err != nil {
+		return Stats{}, err
+	}
 	if newSession == nil {
-		panic("sample: RunParallelWith needs a session factory")
+		panic("sample: RunParallel needs a session factory")
 	}
 	cfg = cfg.withDefaults()
 	if err := validate(cfg); err != nil {
@@ -687,21 +681,6 @@ func RunParallelWithContext(ctx context.Context, newSession func() explore.Sessi
 	st := finish(cfg, mk().Name(), samples, maxDepth, n, start, store, cps)
 	st.Workers = workers
 	return st, firstErr
-}
-
-// RunParallel is RunParallelWith over a built-in strategy name.
-func RunParallel(newSession func() explore.Session, strategy string, cfg Config) (Stats, error) {
-	return RunParallelContext(context.Background(), newSession, strategy, cfg)
-}
-
-// RunParallelContext is RunParallel under a context (see
-// RunParallelWithContext).
-func RunParallelContext(ctx context.Context, newSession func() explore.Session, strategy string, cfg Config) (Stats, error) {
-	mk, err := factory(strategy, cfg.Depth)
-	if err != nil {
-		return Stats{}, err
-	}
-	return RunParallelWithContext(ctx, newSession, mk, cfg)
 }
 
 // Replay re-executes sample index of the (strategy, cfg) stream and returns

@@ -21,17 +21,19 @@ type (
 )
 
 var (
-	Explore         = explore.Explore
+	ExploreSession  = explore.ExploreSession
 	ExploreParallel = explore.ExploreParallel
 )
 
-// TestSessionReuseMatchesRespawn is the session-reuse acceptance regression:
-// the session-backed explorer must visit exactly the state space the PR-1
-// respawning explorer visited — identical visited-run counts, pruned-branch
-// counts, depths and exhaustion verdicts — on the commit-adopt exhaustive
-// sweep, with and without crashes and partial-order reduction, and likewise
-// for the x-safe sweep and the parallel engine.
-func TestSessionReuseMatchesRespawn(t *testing.T) {
+// TestSessionReuseMatchesRendezvous is the session-reuse acceptance
+// regression: the batched walk on the direct protocol must visit exactly
+// the state space of the reference walk — rendezvous-protocol sessions, no batched
+// grants, an adversary rewound in full every run — with identical
+// visited-run counts, pruned-branch counts, depths and exhaustion verdicts,
+// on the commit-adopt exhaustive sweep, with and without crashes and
+// partial-order reduction, and likewise for the x-safe sweep and the
+// parallel engine.
+func TestSessionReuseMatchesRendezvous(t *testing.T) {
 	cases := []struct {
 		name       string
 		newSession func() Session
@@ -45,22 +47,18 @@ func TestSessionReuseMatchesRespawn(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			respawnCfg := tc.cfg
-			respawnCfg.Respawn = true
-			s := tc.newSession()
-			baseline, err := Explore(s.Make, s.Check, respawnCfg)
+			baseline, err := ExploreSession(tc.newSession(), explore.Rendezvous(tc.cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
-			s = tc.newSession()
-			reused, err := Explore(s.Make, s.Check, tc.cfg)
+			direct, err := ExploreSession(tc.newSession(), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if reused.Runs != baseline.Runs || reused.Pruned != baseline.Pruned ||
-				reused.MaxDepth != baseline.MaxDepth || reused.Exhausted != baseline.Exhausted {
-				t.Fatalf("session-reuse diverged from respawn baseline:\nreuse:   %+v\nrespawn: %+v",
-					reused, baseline)
+			if direct.Runs != baseline.Runs || direct.Pruned != baseline.Pruned ||
+				direct.MaxDepth != baseline.MaxDepth || direct.Exhausted != baseline.Exhausted {
+				t.Fatalf("direct walk diverged from the rendezvous reference:\ndirect:     %+v\nrendezvous: %+v",
+					direct, baseline)
 			}
 			if baseline.Runs == 0 || !baseline.Exhausted {
 				t.Fatalf("baseline did not explore: %+v", baseline)
@@ -77,12 +75,12 @@ func TestSessionReuseMatchesRespawn(t *testing.T) {
 	}
 }
 
-// TestSessionReuseByteIdenticalScripts: on a property violation, the failing
-// decision script surfaced by the session-backed explorer is identical to
-// the respawning explorer's — the counterexamples users replay are
-// unaffected by the runtime swap.
+// TestSessionReuseByteIdenticalScripts: on a property violation, the
+// failing decision script surfaced by the batched direct-protocol walk is
+// identical to the rendezvous reference's — the counterexamples users
+// replay do not depend on the runtime.
 func TestSessionReuseByteIdenticalScripts(t *testing.T) {
-	script := func(respawn bool) []string {
+	script := func(cfg Config) []string {
 		s := sessions.Registers(2, 2, 0, reg.Atomic)()
 		runs := 0
 		inner := s.Check
@@ -96,18 +94,19 @@ func TestSessionReuseByteIdenticalScripts(t *testing.T) {
 			}
 			return nil
 		}
-		_, err := Explore(s.Make, s.Check, Config{MaxCrashes: 1, Respawn: respawn})
+		_, err := ExploreSession(s, cfg)
 		var pe *PropertyError
 		if !errors.As(err, &pe) {
 			t.Fatalf("want PropertyError, got %v", err)
 		}
 		return pe.Script
 	}
-	baseline, reused := script(true), script(false)
+	cfg := Config{MaxCrashes: 1}
+	baseline, direct := script(explore.Rendezvous(cfg)), script(cfg)
 	if len(baseline) == 0 {
 		t.Fatal("empty counterexample script")
 	}
-	if fmt.Sprint(baseline) != fmt.Sprint(reused) {
-		t.Fatalf("counterexample scripts differ:\nrespawn: %v\nreuse:   %v", baseline, reused)
+	if fmt.Sprint(baseline) != fmt.Sprint(direct) {
+		t.Fatalf("counterexample scripts differ:\nrendezvous: %v\ndirect:     %v", baseline, direct)
 	}
 }

@@ -6,8 +6,8 @@ package sessions
 // treated as multisets) so the scenarios are safe under explore.Config.Prune,
 // and every session carries a Fingerprint so explore.Config.Dedup composes.
 // Each scenario registers itself with the spec registry; the parameter
-// domains declared here are what cmd/explore, cmd/benchexplore, the E16 rows
-// and the spectest conformance suite parse against.
+// domains declared here are what cmd/explore, the exploredd daemon, the E16
+// rows and the spectest conformance suite parse against.
 
 import (
 	"errors"

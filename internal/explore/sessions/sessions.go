@@ -5,8 +5,9 @@
 // Every scenario registers itself with the spec registry
 // (internal/explore/spec) from an init func — specs.go declares the
 // agreement/simulation scenarios, objects.go the object-layer ones — and
-// cmd/explore, cmd/benchexplore, the E16 experiment rows and the spectest
-// conformance suite all resolve the harnesses through that registry.
+// cmd/explore, the exploredd daemon, the E16 experiment rows and the
+// spectest conformance suite all resolve the harnesses through that
+// registry.
 // Checkers are insensitive to the order of commuting operations, so every
 // session is safe under explore.Config.Prune.
 package sessions

@@ -1,9 +1,10 @@
 // Package spec is the registry-driven model-spec API of the exhaustive
 // explorer: every checkable scenario — an agreement object, a simulation, a
 // Herlihy-hierarchy object under a safety property — is a self-describing
-// Spec with typed parameter domains, and every consumer (cmd/explore,
-// cmd/benchexplore, the E16 experiment rows, the spectest conformance suite)
-// resolves scenarios exclusively through the package-level registry.
+// Spec with typed parameter domains, and every consumer (cmd/explore, the
+// exploredd daemon, the E16 experiment rows, the spectest conformance
+// suite, the bench module) resolves scenarios exclusively through the
+// package-level registry.
 //
 // A scenario is one Decl passed to Register, typically from an init func of
 // the package that implements its harness:
@@ -153,8 +154,8 @@ func (p Params) Text(s Spec) string {
 // is sampleable — the sampling engine (internal/explore/sample) needs
 // nothing beyond Make and Check — so the declaration does not gate the
 // capability; it tunes the budgets consumers apply to bounded sampling runs
-// (`cmd/explore -allspecs`, cmd/benchexplore's sampling series, the
-// sample-smoke CI cells). Zero values defer to consumer/engine defaults.
+// (`cmd/explore -allspecs`, the spectest fold-equivalence coverage pass,
+// the sample-smoke CI cells). Zero values defer to consumer/engine defaults.
 type Sampling struct {
 	// Budget is the spec's default sample count for bounded sampling runs
 	// (0 = consumer default). Specs with huge per-run step counts (the BG

@@ -145,6 +145,9 @@ func foldCounts(t *testing.T, s spec.Spec, crashes int) map[string]int64 {
 	if err != nil {
 		t.Fatalf("sample %s at %s: %v", s.Name(), p.Text(s), err)
 	}
+	if len(st.Series) == 0 {
+		t.Errorf("sample %s at %s: coverage pass recorded no Series", s.Name(), p.Text(s))
+	}
 	out[key+"distinct"] = st.Distinct
 	return out
 }

@@ -27,9 +27,10 @@
 //     graphs (runs and store stats);
 //   - outcome-set preservation: the set of checker-observable final states
 //     (per-process outcomes + the harness fingerprint digest at the leaf) is
-//     identical with dedup on and off, with pruning on and off, and with
-//     both composed — dedup may only cut redundant work, pruning may only
-//     drop commuting-order duplicates;
+//     identical with dedup on and off, with pruning on and off, with both
+//     composed, and with dedup on a 16-slot store that evicts — dedup may
+//     only cut redundant work, evictions only cost reduction, pruning may
+//     only drop commuting-order duplicates;
 //   - sampler conformance: every built-in sampling strategy draws
 //     byte-identical run scripts under a fixed seed, and — on exhaustible
 //     cells — every sampled run's outcome is contained in the exhaustive
@@ -256,6 +257,17 @@ func cell(t *testing.T, s spec.Spec, p spec.Params, opt Options) {
 			t.Errorf("dedup explored MORE runs than the tree walk: %d vs %d", st.Runs, a.Runs)
 		}
 		compareCoverage(t, "dedup", want, got)
+
+		// Evictions cost reduction, never coverage: squeezed to one shard of
+		// 16 slots, the store evicts on every cell with more than 16 states,
+		// and the outcome set must not move.
+		evictCfg := dedupCfg
+		evictCfg.DedupMem, evictCfg.DedupShards = 1, 1
+		evicted, est := coverage(t, s, p, evictCfg)
+		compareCoverage(t, "dedup under eviction", want, evicted)
+		if est.Dedup.States > 16 && est.Dedup.Evictions == 0 {
+			t.Errorf("a 16-slot store held %d states without evicting: %+v", est.Dedup.States, est.Dedup)
+		}
 
 		// Fingerprint determinism: two dedup walks visit the identical state
 		// graph — same runs, same distinct-state count, same hits.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mpcn/internal/explore"
 	"mpcn/internal/explore/sample"
 	"mpcn/internal/explore/spec"
 	"mpcn/internal/explore/spectest"
@@ -108,4 +109,77 @@ func TestSymmetryVerdictPermutationInvariance(t *testing.T) {
 	if symmetric < 3 {
 		t.Fatalf("only %d symmetry-declaring specs; commitadopt, registers and testandset should be present", symmetric)
 	}
+}
+
+// dedupGateMaxRuns bounds the tree walks of TestDedupReductionGate: cells
+// whose tree does not exhaust within it have no reduction ratio to measure.
+const dedupGateMaxRuns = 20000
+
+// TestDedupReductionGate is the reduction witness of state dedup. Its cells
+// are every dedup-capable spec at its defaults with crash budgets 0 and 1,
+// plus the registers writers at n=2 under the regular backend, whose
+// three-step writes put weak-backend state into the fingerprints. On every
+// cell whose tree exhausts within dedupGateMaxRuns, the sequential dedup
+// walk replays no more runs than the tree walk, and the best cell replays
+// at most half as many. Both walks are sequential, so every count here is
+// deterministic.
+func TestDedupReductionGate(t *testing.T) {
+	type cell struct {
+		s spec.Spec
+		p spec.Params
+	}
+	var cells []cell
+	for _, s := range spec.All() {
+		if !s.SupportsDedup() {
+			continue
+		}
+		for _, crashes := range []int{0, 1} {
+			p, err := spec.Resolve(s, spec.Params{spec.ParamCrashes: crashes})
+			if err != nil {
+				t.Fatalf("Resolve(%s): %v", s.Name(), err)
+			}
+			cells = append(cells, cell{s, p})
+		}
+	}
+	weak := mustLookup(t, "registers")
+	p, err := spectest.BackendParams(weak, "regular", spec.Params{"n": 2, spec.ParamCrashes: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells = append(cells, cell{weak, p})
+
+	best, bestCell, measured := 0.0, "", 0
+	for _, c := range cells {
+		name := c.s.Name() + " at " + c.p.Text(c.s)
+		cfg, err := spec.Config(c.s, c.p, explore.Config{MaxRuns: dedupGateMaxRuns})
+		if err != nil {
+			t.Fatalf("Config(%s): %v", name, err)
+		}
+		tree, err := explore.ExploreSession(c.s.New(c.p), cfg)
+		if err != nil {
+			t.Fatalf("tree walk of %s: %v", name, err)
+		}
+		if !tree.Exhausted {
+			continue
+		}
+		cfg.Dedup = true
+		dedup, err := explore.ExploreSession(c.s.New(c.p), cfg)
+		if err != nil || !dedup.Exhausted {
+			t.Fatalf("dedup walk of %s: err=%v exhausted=%v", name, err, dedup.Exhausted)
+		}
+		if dedup.Runs > tree.Runs {
+			t.Errorf("%s: dedup explored MORE runs than the tree walk: %d vs %d", name, dedup.Runs, tree.Runs)
+		}
+		measured++
+		if x := float64(tree.Runs) / float64(dedup.Runs); x > best {
+			best, bestCell = x, name
+		}
+	}
+	if measured == 0 {
+		t.Fatalf("no cell exhausts within %d runs", dedupGateMaxRuns)
+	}
+	if best < 2 {
+		t.Fatalf("dedup regression: best runs-explored reduction %.2fx (%s) < 2x over %d cells", best, bestCell, measured)
+	}
+	t.Logf("best dedup reduction %.2fx on %s (%d cells)", best, bestCell, measured)
 }

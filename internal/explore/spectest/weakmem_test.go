@@ -6,9 +6,9 @@ package spectest_test
 //  1. Atomic anchors — the default backend of every backend-declaring spec
 //     is atomic, a cell resolved at the defaults is the same cell as one
 //     resolved with backend=atomic spelled out, and the registers defaults
-//     still produce the seed-era visited counts recorded in
-//     BENCH_explore.json (1680 crash-free runs, 8820 at one crash). Adding
-//     the weak backends must not move the atomic world by a single run.
+//     still produce the seed-era visited counts (1680 crash-free runs, 8820
+//     at one crash), pinned by TestAtomicAnchors. Adding the weak backends
+//     must not move the atomic world by a single run.
 //
 //  2. A regular-only witness — on registers n=1 writes=1 readers=1 the
 //     exhaustive engine exhausts cleanly under atomic and tso but finds the
@@ -36,8 +36,8 @@ import (
 )
 
 // exhaust explores the cell with the plain sequential engine (no dedup, no
-// pruning — the configuration the BENCH_explore.json anchors were recorded
-// under) and requires a clean exhaustion.
+// pruning — the configuration the atomic anchors were recorded under) and
+// requires a clean exhaustion.
 func exhaust(t *testing.T, s spec.Spec, p spec.Params) explore.Stats {
 	t.Helper()
 	cfg, err := spec.Config(s, p, explore.Config{})

@@ -39,9 +39,10 @@ import (
 //   - The rendezvous protocol (SessionOptions.Rendezvous) is the original
 //     central-scheduler design: a dedicated goroutine per process, and every
 //     step granted over unbuffered channels by the goroutine that called Run.
-//     It is kept as the simple reference implementation — the
+//     It is kept as the simple reference implementation: the
 //     protocol-equivalence tests replay both and require byte-identical
-//     traces — and as the faithful baseline of explore.Config.Respawn.
+//     traces, and explore's tests walk trees on it as the reference of the
+//     direct, batched walk.
 //
 // The returned Result and its Outcomes and Trace slices are owned by the
 // Session and overwritten by the next Run; callers that retain them across
@@ -127,8 +128,8 @@ var ErrBroken = errors.New("sched: session broken by invariant violation")
 type SessionOptions struct {
 	// Rendezvous selects the reference central-scheduler protocol: a
 	// goroutine per process, every step granted over unbuffered channels,
-	// two goroutine switches per step. It is kept for differential tests and
-	// as the faithful respawn baseline; the default is the direct protocol.
+	// two goroutine switches per step. It is kept as the reference of
+	// differential tests; the default is the direct protocol.
 	Rendezvous bool
 
 	// Direct is ignored: the direct protocol is the default. The field
