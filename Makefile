@@ -5,6 +5,10 @@
 #   make fp-quality fuzz-fp             (test job)
 #   make store-race                     (test job)
 #   make throughput-gate                (test job)
+#   make sample-smoke service-smoke     (test job)
+#   make spec-conformance               (test job)
+#   make symmetry-conformance           (test job)
+#   make weakmem-conformance            (test job)
 #   make docs-check                     (docs/health job)
 GO ?= go
 
@@ -46,8 +50,9 @@ fuzz-fp:
 
 # Race shake of the two concurrent hot paths: the visited store's lock-free
 # probes (hits write no shared memory) and the scheduler's in-place
-# adversary consultations, run twice at 1, 2 and 4 CPUs so the race detector
-# sees several interleavings of each. -short trims the n=3 cells of the
+# adversary consultations and process-to-process token handoffs, run twice
+# at 1, 2 and 4 CPUs so the race detector sees several interleavings of
+# each. -short trims the n=3 cells of the
 # sequential dedup coverage battery, which `make test` runs in full; at six
 # race runs they would take most of an hour.
 store-race: build

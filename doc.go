@@ -9,8 +9,9 @@
 // The execution substrate is internal/sched: a deterministic single-runner
 // scheduler whose step labels are interned (sched.Label) and whose runtime
 // is a reusable sched.Session — process coroutines are created once, park
-// between runs, and are reset per run, each resumed directly by the
-// scheduling loop, so a token handoff is a coroutine switch. The BG
+// between runs, and are reset per run. The process holding the scheduling
+// token decides the next grant itself and passes the token straight to the
+// grantee, so a token handoff is one coroutine switch. The BG
 // simulators' threads hand their shared steps back to the simulator, which
 // takes them on its own coroutine. The exhaustive explorer
 // (internal/explore) replays millions of runs per sweep on one Session per

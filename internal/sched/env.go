@@ -20,8 +20,9 @@ type Env struct {
 	grant chan grantMsg // rendezvous protocol only
 
 	// Direct-protocol state: yield suspends this process's coroutine back to
-	// the dispatching goroutine; crashNext, set by the dispatcher before a
-	// crash-delivering resume, makes StepL re-raise the crash sentinel.
+	// whoever resumed it, the dispatcher or the process below it on the
+	// chain; crashNext, set by the dispatcher before a crash-delivering
+	// resume, makes StepL re-raise the crash sentinel.
 	yield     func(struct{}) bool
 	crashNext bool
 
@@ -57,8 +58,7 @@ func (e *Env) StepL(label Label) {
 		// Batched-grant fast path: a plan whose next grant is this process,
 		// or an active sprint on it, is consumed in place — the grant
 		// bookkeeping inlined, no park/unpark transition, no coroutine
-		// switch. The budget check defers to the dispatcher, which owns
-		// teardown.
+		// switch. A spent budget falls through to decide, which reports it.
 		if i := s.planIdx; i < len(s.plan) {
 			if g := s.plan[i]; !g.Crash && g.ID == e.id && s.steps < s.cfg.MaxSteps {
 				s.planIdx = i + 1
@@ -74,31 +74,12 @@ func (e *Env) StepL(label Label) {
 		}
 		s.pending[e.id] = label
 		s.state[e.id] = stateParked
-		// Self-grant fast path: with no plan or sprint pending and budget
-		// left, the dispatcher's next move would be to consult the adversary
-		// on exactly this state, so consult it here, on this stack. A plain
-		// grant of this process's own step is taken in place — no switch to
-		// the dispatcher and back; any other decision is left in s.dec,
-		// marked stashed, for the dispatcher to apply.
-		if s.planIdx >= len(s.plan) && s.sprint < 0 && s.steps < s.cfg.MaxSteps {
-			s.consult()
-			if dec := &s.dec; dec.Run == e.id && len(dec.Crash) == 0 && len(dec.Plan) == 0 {
-				if dec.Sprint {
-					s.sprint = e.id
-				}
-				s.grantBookkeeping(e.id)
-				return
-			}
-			s.stashed = true
-		}
-		if !e.yield(struct{}{}) {
-			// The session was closed while we were parked mid-run (a
-			// contract violation, but don't run the body further): unwind.
-			panic(crashSentinel{id: e.id})
-		}
-		if e.crashNext {
-			e.crashNext = false
-			panic(crashSentinel{id: e.id})
+		// The token is ours: make the next decision here, on this stack,
+		// and pass the token on. A grant of this process's own step returns
+		// at once, with no switch.
+		if h := s.decide(false); h != e.id {
+			s.hand = h
+			s.handoff(e)
 		}
 		return
 	}

@@ -7,9 +7,9 @@
 // steps, of which up to t may crash at arbitrary points chosen by an
 // adversary.
 //
-// Exactly one simulated process executes at any time: a token is passed
-// scheduler -> process -> scheduler, each process running as a coroutine
-// resumed by the scheduling loop, so runs are fully deterministic given the
+// Exactly one simulated process executes at any time: each process runs as
+// a coroutine, and a scheduling token passes from process to process, the
+// holder deciding the next grant, so runs are fully deterministic given the
 // adversary (and its seed). Shared objects mark their linearization points by
 // calling Env.Step(label) — or its allocation-free form Env.StepL with a
 // pre-interned Label; everything a process executes between two Step calls is

@@ -26,15 +26,18 @@ import (
 // Two scheduling protocols implement the same observable semantics:
 //
 //   - The direct protocol, the default and the one every engine runs on,
-//     runs every process as a coroutine (iter.Pull) pulled by the goroutine
-//     that called Run: a token handoff is a coroutine switch, not a goroutine
-//     wakeup. Consecutive self-grants take no switch at all: batched grants
-//     (Decision.Plan, Decision.Sprint) are consumed inside the parked
-//     process, and a parking process with nothing batched consults the
-//     adversary in place, taking a re-grant of its own step directly (see
-//     direct.go). Processes take their steps on their own execution context;
-//     internal/bg's simulators do so by running their threads' shared steps
-//     on the simulator's own stack.
+//     runs every process as a coroutine (iter.Pull), and the scheduling
+//     token travels from process to process: the process that holds it
+//     decides the next grant itself and resumes the grantee directly, or
+//     yields back down the chain of nested resumes to it, so a token handoff
+//     is one coroutine switch and no goroutine wakeup. Consecutive
+//     self-grants take no switch at all: batched grants (Decision.Plan,
+//     Decision.Sprint) are consumed inside the parked process, and a
+//     re-grant of the parking process's own step is taken in place. The
+//     goroutine that called Run starts the run, delivers crashes and ends
+//     it (see direct.go). Processes take their steps on their own
+//     execution context; internal/bg's simulators do so by running their
+//     threads' shared steps on the simulator's own stack.
 //
 //   - The rendezvous protocol (SessionOptions.Rendezvous) is the original
 //     central-scheduler design: a dedicated goroutine per process, and every
@@ -62,6 +65,16 @@ type Session struct {
 	dNext  []func() (struct{}, bool)
 	dStop  []func()
 	dFail  error
+	// The token (see direct.go): hand is the process granted next, or a
+	// verdict only the dispatcher acts on (handDecide and the others).
+	// chainPos[i] is process i's 1-based position on the chain of nested
+	// resumes, 0 when it is not on it (parked at its yield or finished);
+	// depth is the chain's length. resumes counts every coroutine resume the
+	// session has made, for tests.
+	hand     ProcID
+	chainPos []int
+	depth    int
+	resumes  int
 	// inNext is set across direct-protocol Adversary.Next calls so a panic
 	// can be attributed to the adversary by runDirect's single deferred
 	// recover, or by directRunBody's when the consultation was made in place
@@ -70,8 +83,7 @@ type Session struct {
 	// view is the direct protocol's View, built once per run and refreshed
 	// (Step, Runnable) by every consultation; dec is the latest
 	// consultation's decision. stashed marks a dec a process consulted in
-	// place but could not apply itself (anything but a plain grant of its
-	// own next step), pending for the dispatcher.
+	// place but left to the dispatcher, because it crashes processes.
 	view    View
 	dec     Decision
 	stashed bool
@@ -170,6 +182,7 @@ func NewSessionWith(n int, opts SessionOptions) (*Session, error) {
 		s.bodies = make([]Proc, n)
 		s.dNext = make([]func() (struct{}, bool), n)
 		s.dStop = make([]func(), n)
+		s.chainPos = make([]int, n)
 		for i := range s.envs {
 			s.envs[i] = &Env{s: s, id: ProcID(i), n: n}
 			s.dNext[i], s.dStop[i] = s.startCoro(s.envs[i])

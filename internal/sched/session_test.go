@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // sessionProtocols runs a subtest under both scheduling protocols.
@@ -311,6 +312,51 @@ func TestSprintEquivalence(t *testing.T) {
 		}
 		s.Close()
 	}
+}
+
+// planSprinter's first decision runs process 0 as a sprint behind a plan
+// granting process 1; after that it grants round-robin.
+type planSprinter struct {
+	rr      *RoundRobin
+	started bool
+}
+
+func (a *planSprinter) Next(v View) Decision {
+	if !a.started {
+		a.started = true
+		return Decision{Run: 0, Plan: []Grant{{ID: 1}}, Sprint: true}
+	}
+	return a.rr.Next(v)
+}
+
+// TestPlanThenSprintEquivalence: a decision carrying both a Plan and a
+// Sprint executes the plan, then keeps sprinting its process, under both
+// protocols alike. (The direct protocol's dispatcher once read a sprinted
+// process still parked after a plan as a spent budget and ended the run.)
+func TestPlanThenSprintEquivalence(t *testing.T) {
+	results := map[string]*Result{}
+	sessionProtocols(t, func(t *testing.T, opts SessionOptions) {
+		res, err := func() (*Result, error) {
+			s, err := NewSessionWith(2, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			return s.Run(Config{Adversary: &planSprinter{rr: NewRoundRobin()}, TraceCapacity: 64}, crashyBodies(2, 4))
+		}()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BudgetExhausted || res.NumDecided() != 2 {
+			t.Fatalf("run cut short: %+v", res)
+		}
+		results[protocolName(opts)] = copyResult(res)
+	})
+	ref, direct := results["rendezvous"], results["direct"]
+	if ref == nil || direct == nil {
+		t.Fatal("missing protocol result")
+	}
+	compareResults(t, "rendezvous", "direct", ref, direct)
 }
 
 // TestSessionSurvivesErrorRuns: a session stays usable after a run fails
@@ -719,7 +765,11 @@ func (a *stickyAdversary) Next(v View) Decision {
 
 // stickyBodies are processes of different lengths that observe a value per
 // step, so runs mix self-grant streaks, completions and observation digests.
-func stickyBodies(n int) []Proc {
+func stickyBodies(n int) []Proc { return probedBodies(n, nil) }
+
+// probedBodies are stickyBodies that call probe, when set, after each
+// granted step; more reports whether the process will step again.
+func probedBodies(n int, probe func(e *Env, more bool)) []Proc {
 	bodies := make([]Proc, n)
 	for i := range bodies {
 		k := 3 + 7*i
@@ -728,6 +778,9 @@ func stickyBodies(n int) []Proc {
 			c := 0
 			for j := 0; j < k; j++ {
 				e.StepL(labels[j])
+				if probe != nil {
+					probe(e, j+1 < k)
+				}
 				c += j
 				ObserveBool(e, c%3 == 0)
 			}
@@ -791,6 +844,265 @@ func TestStickyEquivalence(t *testing.T) {
 		t.Fatal("no case exhausted its budget inside a self-grant streak")
 	}
 	t.Logf("%d runs cut by the budget inside a self-grant streak", streakCut)
+}
+
+// chainProbe wraps an adversary and watches the direct protocol's chain of
+// nested resumes (s is nil under the rendezvous protocol): it counts
+// decisions that crash a process suspended below the top of the chain, and
+// panics at consultation panicAt (counted from 0; negative for never).
+type chainProbe struct {
+	base         Adversary
+	s            *Session
+	calls        int
+	panicAt      int
+	depths       []int // chain depth at each consultation (direct)
+	crashesBelow int
+}
+
+func (a *chainProbe) Next(v View) Decision {
+	call := a.calls
+	a.calls++
+	if a.s != nil {
+		a.depths = append(a.depths, a.s.depth)
+	}
+	if call == a.panicAt {
+		panic(fmt.Sprintf("adversary bug at consultation %d", call))
+	}
+	d := a.base.Next(v)
+	if a.s != nil {
+		for _, c := range d.Crash {
+			if pos := a.s.chainPos[c]; pos > 0 && pos < a.s.depth {
+				a.crashesBelow++
+			}
+		}
+	}
+	return d
+}
+
+// chainRun is one run of a chain-battery case under one protocol.
+type chainRun struct {
+	res    *Result // a copy; nil when the run failed
+	err    error
+	digest Fingerprint // of every View the adversary was shown
+	probe  *chainProbe
+	s      *Session // still open
+	// expiryDepth is the chain depth at which the process that took the
+	// budget's last step parks again (direct protocol only).
+	expiryDepth int
+}
+
+// runChainCase runs stickyBodies(n) under a seeded sticky adversary behind a
+// chainProbe that panics at consultation panicAt.
+func runChainCase(t *testing.T, opts SessionOptions, n, maxSteps, stick int, seed int64, panicAt int) chainRun {
+	t.Helper()
+	s, err := NewSessionWith(n, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sticky := newSticky(seed, stick, n-2)
+	r := chainRun{probe: &chainProbe{base: sticky, panicAt: panicAt}, s: s}
+	var probe func(e *Env, more bool)
+	if !opts.Rendezvous {
+		r.probe.s = s
+		probe = func(e *Env, more bool) {
+			if more && s.steps == s.cfg.MaxSteps {
+				r.expiryDepth = s.depth
+			}
+		}
+	}
+	res, err := s.Run(Config{Adversary: r.probe, MaxSteps: maxSteps, TraceCapacity: 1 << 12, Observe: true},
+		probedBodies(n, probe))
+	r.err, r.digest = err, sticky.digest.Sum()
+	if err == nil {
+		r.res = copyResult(res)
+	}
+	return r
+}
+
+// compareChainRuns requires the rendezvous and direct runs of a case to fail
+// alike or to be byte-identical, and the adversary to have seen the same
+// Views.
+func compareChainRuns(t *testing.T, name string, ref, got chainRun) {
+	t.Helper()
+	if (ref.err == nil) != (got.err == nil) || (ref.err != nil && ref.err.Error() != got.err.Error()) {
+		t.Fatalf("%s: errors differ: %v vs %v", name, ref.err, got.err)
+	}
+	if ref.digest != got.digest {
+		t.Fatalf("%s: the adversary saw different Views", name)
+	}
+	if ref.err == nil {
+		compareResults(t, "rendezvous/"+name, "direct/"+name, ref.res, got.res)
+	}
+}
+
+// TestHandoffChainEquivalence is the differential battery of the token
+// handoff: seeded sticky adversaries that seldom (stick 30) or never (stick
+// 0) re-grant the last process, so most grants move the token and chains of
+// nested resumes reach depth n, produce byte-identical Results and Traces,
+// and identical Views at every consultation, under the rendezvous protocol
+// and the direct protocol. Each case is replayed with the adversary
+// panicking at a consultation the direct protocol makes in place at depth 2
+// or more; both protocols must fail it with the same error, and the direct
+// session must stay healthy, its next run byte-identical to a fresh
+// session's. The battery requires that it saw a crash of a process
+// suspended below the top of the chain, a step budget expiring at chain
+// depth 3 or more, and such an adversary panic.
+func TestHandoffChainEquivalence(t *testing.T) {
+	direct, rendezvous := SessionOptions{}, SessionOptions{Rendezvous: true}
+	crashesBelow, deepExpiries, deepPanics := 0, 0, 0
+	for _, n := range []int{3, 4, 5} {
+		for _, maxSteps := range []int{0, 7, 11, 13, 17, 19, 23, 29, 31, 37, 43} {
+			for _, stick := range []int{0, 30} {
+				for seed := int64(1); seed <= 8; seed++ {
+					name := fmt.Sprintf("n=%d/steps=%d/stick=%d/seed=%d", n, maxSteps, stick, seed)
+					ref := runChainCase(t, rendezvous, n, maxSteps, stick, seed, -1)
+					ref.s.Close()
+					got := runChainCase(t, direct, n, maxSteps, stick, seed, -1)
+					got.s.Close()
+					compareChainRuns(t, name, ref, got)
+					crashesBelow += got.probe.crashesBelow
+					if got.res != nil && got.res.BudgetExhausted && got.expiryDepth >= 3 {
+						deepExpiries++
+					}
+
+					// Panic at the first consultation past a seeded point
+					// that the direct protocol made in place at depth >= 2.
+					panicAt := -1
+					for i := int(seed) % 5; i < len(got.probe.depths); i++ {
+						if got.probe.depths[i] >= 2 {
+							panicAt = i
+							break
+						}
+					}
+					if panicAt < 0 {
+						continue
+					}
+					name = fmt.Sprintf("%s/panic@%d", name, panicAt)
+					ref = runChainCase(t, rendezvous, n, maxSteps, stick, seed, panicAt)
+					ref.s.Close()
+					got = runChainCase(t, direct, n, maxSteps, stick, seed, panicAt)
+					if got.err == nil || !strings.Contains(got.err.Error(), "adversary panicked") {
+						t.Fatalf("%s: run error %v, want an adversary panic", name, got.err)
+					}
+					compareChainRuns(t, name, ref, got)
+					if !got.s.Healthy() {
+						t.Fatalf("%s: session unhealthy after the adversary panic", name)
+					}
+					cfg := func() Config {
+						return Config{Adversary: newSticky(seed, stick, n-2), TraceCapacity: 1 << 12, Observe: true}
+					}
+					after, err := got.s.Run(cfg(), stickyBodies(n))
+					if err != nil {
+						t.Fatalf("%s: run after the panic: %v", name, err)
+					}
+					after = copyResult(after)
+					got.s.Close()
+					fresh, err := Run(cfg(), stickyBodies(n))
+					if err != nil {
+						t.Fatal(err)
+					}
+					compareResults(t, "fresh/"+name, "after-panic/"+name, fresh, after)
+					deepPanics++
+				}
+			}
+		}
+	}
+	if crashesBelow == 0 || deepExpiries == 0 || deepPanics == 0 {
+		t.Fatalf("chain cases not all exercised: %d crashes below the top, %d budget expiries at depth >= 3, %d adversary panics at depth >= 2",
+			crashesBelow, deepExpiries, deepPanics)
+	}
+	t.Logf("%d crashes below the top of the chain, %d budget expiries at depth >= 3, %d adversary panics at depth >= 2",
+		crashesBelow, deepExpiries, deepPanics)
+}
+
+// TestHandoffTeardownLeaksNoGoroutines: runs torn down while the chain of
+// nested resumes is deep — the budget expiring at depth 3 or more, the
+// adversary panicking in place at depth 2 or more, a body panicking in a
+// nested process — leave no coroutine behind once the session is closed.
+// Each process coroutine has a goroutine of its own, so one left suspended
+// inside a resume shows up in runtime.NumGoroutine.
+func TestHandoffTeardownLeaksNoGoroutines(t *testing.T) {
+	const n = 4
+	before := settledGoroutines()
+	s, err := NewSession(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spin := Intern("spin")
+	var expiries, advPanics, bodyPanics int
+	for i := 0; i < 400; i++ {
+		kind, budget := i%3, 10+i%37
+		expiryDepth := 0
+		bodies := make([]Proc, n)
+		for p := range bodies {
+			bodies[p] = func(e *Env) {
+				for {
+					e.StepL(spin)
+					if s.steps == budget {
+						expiryDepth = s.depth
+					}
+					if kind == 2 && s.depth >= 2 && e.StepCount() > (i/3)%3 {
+						panic("body bug")
+					}
+				}
+			}
+		}
+		adv := &chainProbe{base: NewRoundRobin(), s: s, panicAt: -1}
+		if kind == 1 {
+			adv.panicAt = 2 + i%11
+		}
+		res, err := s.Run(Config{Adversary: adv, MaxSteps: budget}, bodies)
+		switch kind {
+		case 0:
+			if err != nil || !res.BudgetExhausted {
+				t.Fatalf("run %d: err=%v, want the budget to expire", i, err)
+			}
+			if expiryDepth >= 3 {
+				expiries++
+			}
+		case 1:
+			if err == nil || !strings.Contains(err.Error(), "adversary panicked") {
+				t.Fatalf("run %d: err=%v, want an adversary panic", i, err)
+			}
+			if adv.depths[adv.panicAt] >= 2 {
+				advPanics++
+			}
+		case 2:
+			if err == nil || !strings.Contains(err.Error(), "panicked: body bug") {
+				t.Fatalf("run %d: err=%v, want a body panic", i, err)
+			}
+			bodyPanics++
+		}
+		if !s.Healthy() {
+			t.Fatalf("run %d: session unhealthy", i)
+		}
+	}
+	s.Close()
+	if expiries == 0 || advPanics == 0 || bodyPanics == 0 {
+		t.Fatalf("teardowns not all exercised mid-chain: %d budget expiries at depth >= 3, %d adversary panics at depth >= 2, %d nested body panics",
+			expiries, advPanics, bodyPanics)
+	}
+	if got := settledGoroutines(); got > before {
+		t.Fatalf("goroutines %d -> %d over 400 torn-down runs and Close", before, got)
+	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine once it has held still for
+// a few polls (or after a second at most). Goroutines left by earlier tests
+// exit asynchronously; a count taken while they wind down would make the
+// leak check flaky, while a leaked coroutine never exits and still shows up.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	deadline := time.Now().Add(time.Second)
+	for still := 0; still < 5 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
 }
 
 // TestSessionManyRunsStress reuses one session for a large number of short
