@@ -2,7 +2,7 @@
 #   make build vet test explore-smoke   (test job)
 #   make bench-check                    (test job)
 #   make alloc-check                    (test job)
-#   make fp-quality fuzz-fp             (test job)
+#   make fp-quality fuzz-fp fuzz-script (test job)
 #   make store-race                     (test job)
 #   make throughput-gate                (test job)
 #   make sample-smoke service-smoke     (test job)
@@ -12,7 +12,7 @@
 #   make docs-check                     (docs/health job)
 GO ?= go
 
-.PHONY: build vet test alloc-check fp-quality fuzz-fp store-race bench bench-check throughput-gate profile explore-smoke sample-smoke service-smoke spec-conformance symmetry-conformance weakmem-conformance experiments docs-check
+.PHONY: build vet test alloc-check fp-quality fuzz-fp fuzz-script store-race bench bench-check throughput-gate profile explore-smoke sample-smoke service-smoke spec-conformance symmetry-conformance weakmem-conformance experiments docs-check
 
 build:
 	$(GO) build ./...
@@ -48,15 +48,24 @@ fp-quality: build
 fuzz-fp:
 	$(GO) test -run '^$$' -fuzz FuzzFP -fuzztime 30s ./internal/sched
 
-# Race shake of the two concurrent hot paths: the visited store's lock-free
-# probes (hits write no shared memory) and the scheduler's in-place
-# adversary consultations and process-to-process token handoffs, run twice
-# at 1, 2 and 4 CPUs so the race detector sees several interleavings of
-# each. -short trims the n=3 cells of the
+# Fuzz the replay-script syntax for 30 s: parsing never panics, and every
+# run(p@label)/crash(p@label) entry the engines render parses back to the
+# same process, kind and label (internal/explore/spectest/script_fuzz_test.go).
+fuzz-script:
+	$(GO) test -run '^$$' -fuzz FuzzParseChoice -fuzztime 30s ./internal/explore/spectest
+
+# Race shake of the concurrent paths: the visited store's lock-free probes
+# (hits write no shared memory), the scheduler's in-place adversary
+# consultations and process-to-process token handoffs, and the engine
+# core's worker pool under both engines (the engine-contract tables:
+# cancellation, progress, leases, panic re-raise, goroutine leaks; and the
+# sampler's whole suite), run twice at 1, 2 and 4 CPUs so the race detector
+# sees several interleavings of each. -short trims the n=3 cells of the
 # sequential dedup coverage battery, which `make test` runs in full; at six
 # race runs they would take most of an hour.
 store-race: build
-	$(GO) test -race -short -count=2 -cpu 1,2,4 -run 'Dedup|Visited|Equivalence|AdversaryPanic|Sticky' ./internal/explore ./internal/sched
+	$(GO) test -race -short -count=2 -cpu 1,2,4 -run 'Dedup|Visited|Equivalence|AdversaryPanic|Sticky|Context|ProgressReleasesStore|RuntimeSourceLeases|CheckerPanic|JobsLeak' ./internal/explore ./internal/sched
+	$(GO) test -race -short -count=2 -cpu 1,2,4 ./internal/explore/sample
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -201,6 +201,9 @@ func run(args []string, out io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if o.seq {
+		o.workers = 1 // the engines' sequential mode
+	}
 	stopProfiles, profErr := startProfiles(o)
 	if profErr != nil {
 		fmt.Fprintf(os.Stderr, "explore: %v\n", profErr)
@@ -410,19 +413,14 @@ func jsonResult(out io.Writer, j *service.Job, est explore.Stats, sst sample.Sta
 }
 
 // exploreJob assembles the service job record of one exhaustive cell, the
-// identity under which -json encodes its result (workers normalized as the
-// daemon does: 1 = sequential engine).
+// identity under which -json encodes its result.
 func exploreJob(s spec.Spec, p spec.Params, o options) *service.Job {
-	workers := o.workers
-	if o.seq {
-		workers = 1
-	}
 	return &service.Job{
 		Spec:   s,
 		Params: p,
 		Engine: service.Engine{
 			Mode:     service.ModeExhaustive,
-			Workers:  workers,
+			Workers:  o.workers,
 			MaxRuns:  o.maxRuns,
 			Prune:    o.prune,
 			Dedup:    o.dedup,
@@ -459,12 +457,7 @@ func sweep(ctx context.Context, o options, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		var stats explore.Stats
-		if o.seq {
-			stats, err = explore.ExploreSessionContext(ctx, s.New(p), cfg)
-		} else {
-			stats, err = explore.ExploreParallelContext(ctx, spec.Factory(s, p), cfg)
-		}
+		stats, err := explore.ExploreContext(ctx, spec.Factory(s, p), cfg)
 		if o.jsonOut {
 			if jerr := jsonResult(out, exploreJob(s, p, o), stats, sample.Stats{}, err); jerr != nil {
 				return jerr
@@ -486,7 +479,7 @@ func sweep(ctx context.Context, o options, out io.Writer) error {
 		if o.dedup {
 			fmt.Fprintf(out, "%-40s %s\n", "  (dedup)", stats.Dedup)
 		}
-		if o.compare && !o.seq {
+		if o.compare && o.workers != 1 {
 			seq, err := explore.ExploreSession(s.New(p), cfg)
 			if err != nil {
 				return fmt.Errorf("spec %q %s (sequential): %w", s.Name(), p.Text(s), err)
@@ -562,23 +555,14 @@ func sampleSweep(ctx context.Context, o options, out io.Writer) error {
 					cfg.MaxSteps = 800
 				}
 			}
-			var stats sample.Stats
-			if o.seq {
-				stats, err = sample.RunContext(ctx, s.New(p), o.sample, cfg)
-			} else {
-				stats, err = sample.RunParallelContext(ctx, spec.Factory(s, p), o.sample, cfg)
-			}
+			stats, err := sample.RunContext(ctx, spec.Factory(s, p), o.sample, cfg)
 			if o.jsonOut {
-				workers := o.workers
-				if o.seq {
-					workers = 1
-				}
 				j := &service.Job{
 					Spec:   s,
 					Params: p,
 					Engine: service.Engine{
 						Mode:     service.ModeSample,
-						Workers:  workers,
+						Workers:  o.workers,
 						Strategy: o.sample,
 						Samples:  cfg.Samples,
 						Depth:    cfg.Depth,

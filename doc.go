@@ -15,7 +15,7 @@
 // simulators' threads hand their shared steps back to the simulator, which
 // takes them on its own coroutine. The exhaustive explorer
 // (internal/explore) replays millions of runs per sweep on one Session per
-// worker; sched.Run remains the one-shot entry point for single runs.
+// worker lane; sched.Run remains the one-shot entry point for single runs.
 //
 // Exploration scales through three knobs on explore.Config: Workers (the
 // frontier-sharded parallel walk), Prune (partial-order reduction over
@@ -27,7 +27,9 @@
 // soundness contract is spelled out in docs/ARCHITECTURE.md.
 //
 // Beyond the exhaustible boundary, internal/explore/sample draws seeded
-// random schedules from the same decision tree (uniform walk, PCT with its
+// random schedules from the same decision tree, as a choice policy plugged
+// into the explorer's engine core — the same lanes, worker pool, progress
+// counters and decision alternatives (uniform walk, PCT with its
 // 1/(n*k^(d-1)) depth-d bug bound, and swarm strategy mixing): sampled
 // outcomes are provably contained in the exhaustive outcome set, fixed
 // seeds reproduce byte-identical run scripts, and a bounded visited-state

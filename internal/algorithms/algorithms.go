@@ -58,11 +58,13 @@ type Algorithm interface {
 }
 
 // asInt coerces a task value to int; the bundled algorithms order proposals,
-// so they require integer inputs.
-func asInt(v any, who string) int {
+// so they require integer inputs. alg is named only when the coercion fails,
+// and passing it boxes nothing (asInt is generic in the algorithm type):
+// asInt runs at every snapshot entry of every run.
+func asInt[A Algorithm](v any, alg A) int {
 	i, ok := v.(int)
 	if !ok {
-		panic(fmt.Sprintf("algorithms: %s requires int values, got %T", who, v))
+		panic(fmt.Sprintf("algorithms: %s requires int values, got %T", alg.Name(), v))
 	}
 	return i
 }
@@ -108,7 +110,7 @@ func (a SnapshotKSet) Run(api API) {
 				continue
 			}
 			seen++
-			iv := asInt(v, a.Name())
+			iv := asInt(v, a)
 			if !have || iv < min {
 				min, have = iv, true
 			}
@@ -250,7 +252,7 @@ func (a GroupedKSet) Run(api API) {
 			if v == nil {
 				continue
 			}
-			iv := asInt(v, a.Name())
+			iv := asInt(v, a)
 			if !have || iv < min {
 				min, have = iv, true
 			}
@@ -295,7 +297,7 @@ func (Renaming) Objects(n int) [][]int { return nil }
 
 // Run implements Algorithm.
 func (a Renaming) Run(api API) {
-	orig := asInt(api.Input(), a.Name())
+	orig := asInt(api.Input(), a)
 	prop := 0
 	for {
 		api.Write(renameCell{orig: orig, prop: prop})

@@ -25,6 +25,7 @@ package bg
 
 import (
 	"fmt"
+	"strconv"
 
 	"mpcn/internal/algorithms"
 	"mpcn/internal/coro"
@@ -269,12 +270,13 @@ func (r *engineRun) Collect(sres *sched.Result) *Result {
 }
 
 // snapAGAt returns SAFE_AG[j, snapsn], creating it on first access. The
-// serialized runtime makes lazy shared creation race-free.
+// serialized runtime makes lazy shared creation race-free. The name is
+// built without fmt: every run creates its agreements afresh.
 func (r *engineRun) snapAGAt(j, snapsn int) Agreement {
 	k := agKey{j: j, snapsn: snapsn}
 	ag, ok := r.snapAG[k]
 	if !ok {
-		ag = r.cfg.NewAgreement(fmt.Sprintf("SAFE_AG[%d,%d]", j, snapsn))
+		ag = r.cfg.NewAgreement("SAFE_AG[" + strconv.Itoa(j) + "," + strconv.Itoa(snapsn) + "]")
 		r.snapAG[k] = ag
 	}
 	return ag
@@ -284,7 +286,7 @@ func (r *engineRun) snapAGAt(j, snapsn int) Agreement {
 func (r *engineRun) xconsAGAt(a int) Agreement {
 	ag, ok := r.xconsAG[a]
 	if !ok {
-		ag = r.cfg.NewAgreement(fmt.Sprintf("XSAFE_AG[%d]", a))
+		ag = r.cfg.NewAgreement("XSAFE_AG[" + strconv.Itoa(a) + "]")
 		r.xconsAG[a] = ag
 	}
 	return ag

@@ -9,14 +9,15 @@
 // for bounded configurations: e.g. safe_agreement's safety holds on *every*
 // schedule of 2 proposers with at most one crash, not just the sampled ones.
 //
-// Three scaling mechanisms keep larger configurations tractable:
+// ExploreContext is the one entry point. Three scaling mechanisms keep
+// larger configurations tractable:
 //
-//   - ExploreParallel shards the decision tree across a worker pool. A
-//     breadth-first pass enumerates a frontier of disjoint prefixes, and each
-//     worker then runs the sequential DFS confined to its own subtrees. Runs
-//     are replayed from scratch, so workers share nothing but the work queue
-//     and a run-budget counter; the visited run count is identical to the
-//     sequential explorer's.
+//   - Config.Workers > 1 shards the decision tree across the engine core's
+//     worker pool. A breadth-first pass enumerates a frontier of disjoint
+//     prefixes, and each worker then runs the sequential DFS confined to the
+//     subtrees it claims. Runs are replayed from scratch, so workers share
+//     nothing but the subtree counter and a run-budget counter; the visited
+//     run count is identical to the sequential explorer's.
 //
 //   - Config.Prune enables partial-order reduction: commuting adjacent
 //     decisions are canonicalized to ascending process order (a sleep-set
@@ -31,6 +32,12 @@
 //     turning the decision tree into graph exploration. Requires a
 //     Session.Fingerprint; see dedup.go for the store and the soundness
 //     argument, and docs/ARCHITECTURE.md for the checker contract.
+//
+// The package is also the engine core both engines run on (core.go): replay
+// lanes that lease sched runtimes, one worker pool, one Progress, and the
+// decision alternatives (Choice) with their replay-script syntax. The
+// schedule sampler (internal/explore/sample) is a choice policy on that
+// core, not a second engine.
 //
 // Keep configurations tiny — the tree grows as (runnable + crashes)^steps.
 package explore
@@ -57,9 +64,8 @@ type Config struct {
 	// shared across the workers of a parallel exploration, so sequential and
 	// parallel explorations of the same tree execute the same number of runs.
 	MaxRuns int
-	// Workers sets the worker-pool size of ExploreParallel (ignored by
-	// Explore). Values <= 0 select sched-friendly default parallelism; see
-	// DefaultWorkers.
+	// Workers sets the worker-pool size: 1 selects the sequential walker,
+	// values <= 0 sched-friendly default parallelism (see DefaultWorkers).
 	Workers int
 	// Prune enables partial-order reduction: schedules that differ from an
 	// already-explored schedule only in the order of adjacent commuting
@@ -78,8 +84,8 @@ type Config struct {
 	// visited-state store, and the subtree below an already-visited state is
 	// cut. Requires the explored Session to carry a Fingerprint; explorations
 	// without one fail with ErrNoFingerprint. With Dedup, the visited-run
-	// count of ExploreParallel depends on worker timing (cuts compose across
-	// workers); the sequential explorer stays deterministic.
+	// count of a parallel exploration depends on worker timing (cuts compose
+	// across workers); the sequential explorer stays deterministic.
 	Dedup bool
 	// DedupMem is the visited-state store's memory ceiling in bytes (0 =
 	// DefaultDedupMem). It is not allocated up front: the store starts small
@@ -146,7 +152,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// WorkerStats reports one parallel worker's share of an exploration.
+// WorkerStats reports one pool worker's share of a job: an exploration, or
+// a sampling run (whose runs are its samples).
 type WorkerStats struct {
 	// Worker is the worker index (0-based).
 	Worker int
@@ -155,7 +162,7 @@ type WorkerStats struct {
 	// Pruned is the number of decision alternatives the worker's share of
 	// the tree dropped via reduction.
 	Pruned int
-	// Busy is the wall-clock time the worker spent exploring.
+	// Busy is the wall-clock time the worker spent on the job.
 	Busy time.Duration
 }
 
@@ -200,31 +207,6 @@ func (s Stats) RunsPerSec() float64 {
 	return float64(s.Runs) / s.Elapsed.Seconds()
 }
 
-// choiceKind distinguishes run from crash decisions.
-type choiceKind int
-
-const (
-	choiceRun choiceKind = iota + 1
-	choiceCrash
-)
-
-// choice is one alternative at a decision point. label is the interned step
-// label the process was parked on when the choice was made: for run choices
-// the operation the grant executes, for crash choices the operation the
-// process died in front of.
-type choice struct {
-	kind  choiceKind
-	id    sched.ProcID
-	label sched.Label
-}
-
-func (c choice) String() string {
-	if c.kind == choiceCrash {
-		return fmt.Sprintf("crash(%d@%s)", c.id, c.label)
-	}
-	return fmt.Sprintf("run(%d@%s)", c.id, c.label)
-}
-
 // scripted is the exploring adversary: it follows a prescribed prefix of
 // alternative indices and takes the first alternative beyond it, recording
 // the branching structure for backtracking. One scripted instance is reused
@@ -241,22 +223,21 @@ type scripted struct {
 	taken     []int
 	altCounts []int
 	prunedAt  []int
-	choices   []choice
+	choices   []Choice
 
-	// State-dedup fields (nil store = dedup off). Decisions at depths below
-	// len(prefix) re-traverse nodes fingerprinted by an earlier replay and
-	// skip the store; only NEW nodes (the suffix) are looked up and inserted
-	// (that structural ownership rule is what makes cuts sound; see
-	// dedup.go). cutAt is the depth of this replay's dedup cut (-1 = none):
-	// from there on the run collapses to its leftmost remaining alternatives
-	// and the store is neither consulted nor extended.
-	// lookups counts this replay's store probes; the walker publishes it to
-	// the store at the run boundary (see dedupStore.addLookups).
-	store   *dedupStore
+	// State-dedup fields (dedup false = off; the store is the lane's).
+	// Decisions at depths below len(prefix) re-traverse nodes fingerprinted
+	// by an earlier replay and skip the store; only NEW nodes (the suffix)
+	// are looked up and inserted (that structural ownership rule is what
+	// makes cuts sound; see dedup.go). cutAt is the depth of this replay's
+	// dedup cut (-1 = none): from there on the run collapses to its leftmost
+	// remaining alternatives and the store is neither consulted nor
+	// extended.
+	lane    *Lane
+	dedup   bool
 	fpFn    func(h *sched.FP)
 	cutAt   int
 	cutAlts int
-	lookups int64
 	// fp is the reusable plain accumulator: a local would escape through
 	// the indirect fpFn call and be heap-allocated at every fingerprint.
 	fp sched.FP
@@ -280,23 +261,36 @@ type scripted struct {
 	// probes left to make, every remaining node is a singleton and the run
 	// tail is granted as one sprint (SprintStep records each entry).
 	batch       bool
-	altsBuf     []choice      // scratch: backs the unfiltered enumeration
-	altsAt      [][]choice    // per-depth final alternatives, kept across replays
+	altsBuf     []Choice      // scratch: backs the unfiltered enumeration
+	altsAt      [][]Choice    // per-depth final alternatives, kept across replays
 	planBuf     []sched.Grant // backs the pre-committed prefix plan
 	pendingPlan bool          // emit choices[0] + planBuf on the next Next
 }
 
-var _ sched.Adversary = (*scripted)(nil)
+var _ Adversary = (*scripted)(nil)
 
-func newScripted(cfg Config) *scripted {
+// newScripted builds the adversary of lane l. Under a lane with a visited
+// store it deduplicates; only the replay's new tree nodes — depths >=
+// len(prefix) — are fingerprinted, in orbit-canonical mode under
+// Config.Symmetry.
+func newScripted(cfg Config, l *Lane) *scripted {
+	s := l.Session()
 	return &scripted{
 		maxCrashes: cfg.MaxCrashes,
 		prune:      cfg.Prune,
 		indep:      cfg.Independent,
 		batch:      !cfg.NoBatch,
 		cutAt:      -1,
+		lane:       l,
+		dedup:      l.store != nil,
+		fpFn:       s.Fingerprint,
+		symmetric:  cfg.Symmetry,
+		canon:      s.Canon,
 	}
 }
+
+// Choices implements Adversary.
+func (s *scripted) Choices() []Choice { return s.choices }
 
 // reset rewinds the adversary for the next replay, keeping its buffers.
 //
@@ -326,7 +320,7 @@ func (s *scripted) reset(prefix []int, cached bool) {
 		s.crashes = 0
 		if s.maxCrashes > 0 {
 			for _, c := range s.choices {
-				if c.kind == choiceCrash {
+				if c.Crash {
 					s.crashes++
 				}
 			}
@@ -335,7 +329,7 @@ func (s *scripted) reset(prefix []int, cached bool) {
 		// so the new plan is a truncation plus the patched branch grant.
 		s.planBuf = s.planBuf[:p-1]
 		if p >= 2 {
-			s.planBuf[p-2] = sched.Grant{ID: c.id, Crash: c.kind == choiceCrash}
+			s.planBuf[p-2] = sched.Grant{ID: c.Proc, Crash: c.Crash}
 		}
 		s.pendingPlan = true
 		return
@@ -346,17 +340,6 @@ func (s *scripted) reset(prefix []int, cached bool) {
 	s.prunedAt = s.prunedAt[:0]
 	s.choices = s.choices[:0]
 	s.planBuf = s.planBuf[:0]
-}
-
-// setDedup arms (or disarms, store == nil) state deduplication for the next
-// replay. Only the replay's new tree nodes — depths >= len(prefix) — are
-// fingerprinted. With symmetric set, fingerprints are computed in
-// orbit-canonical mode (canon may be nil for identity).
-func (s *scripted) setDedup(store *dedupStore, fpFn func(h *sched.FP), symmetric bool, canon func(any) any) {
-	s.store = store
-	s.fpFn = fpFn
-	s.symmetric = symmetric
-	s.canon = canon
 }
 
 // fingerprint digests the canonical state at the current decision boundary:
@@ -398,9 +381,13 @@ func (s *scripted) foldPrev(h *sched.FP) {
 	}
 	if n := len(s.choices); n > 0 {
 		prev := s.choices[n-1]
-		h.Int(int(prev.kind))
-		h.Int(int(prev.id))
-		h.Label(prev.label)
+		kind := 1 // run 1, crash 2
+		if prev.Crash {
+			kind = 2
+		}
+		h.Int(kind)
+		h.Int(int(prev.Proc))
+		h.Label(prev.Label)
 	} else {
 		h.Int(0)
 	}
@@ -415,35 +402,19 @@ func (s *scripted) foldPrev(h *sched.FP) {
 // and replays (until a replay reaches this depth again), which is what lets
 // reset's cached fast path patch a branch choice without re-walking the
 // prefix.
-func (s *scripted) alternatives(v sched.View) []choice {
+func (s *scripted) alternatives(v *sched.View) []Choice {
 	d := len(s.taken)
 	for d >= len(s.altsAt) {
 		s.altsAt = append(s.altsAt, nil)
 	}
+	crash := s.crashes < s.maxCrashes
 	if !s.prune || len(s.choices) == 0 {
 		// No filtering: enumerate straight into the depth's cached buffer.
-		alts := s.altsAt[d][:0]
-		for _, id := range v.Runnable {
-			alts = append(alts, choice{kind: choiceRun, id: id, label: v.Pending[id]})
-		}
-		if s.crashes < s.maxCrashes {
-			for _, id := range v.Runnable {
-				alts = append(alts, choice{kind: choiceCrash, id: id, label: v.Pending[id]})
-			}
-		}
-		s.altsAt[d] = alts
+		s.altsAt[d] = Alternatives(s.altsAt[d][:0], v, crash)
 		s.prunedAt = append(s.prunedAt, 0)
-		return alts
+		return s.altsAt[d]
 	}
-	alts := s.altsBuf[:0]
-	for _, id := range v.Runnable {
-		alts = append(alts, choice{kind: choiceRun, id: id, label: v.Pending[id]})
-	}
-	if s.crashes < s.maxCrashes {
-		for _, id := range v.Runnable {
-			alts = append(alts, choice{kind: choiceCrash, id: id, label: v.Pending[id]})
-		}
-	}
+	alts := Alternatives(s.altsBuf[:0], v, crash)
 	s.altsBuf = alts
 	prev := s.choices[len(s.choices)-1]
 	kept := s.altsAt[d][:0]
@@ -480,11 +451,10 @@ func (s *scripted) Next(v sched.View) sched.Decision {
 		dec.Plan = s.planBuf
 		return dec
 	}
-	alts := s.alternatives(v)
-	if s.store != nil {
+	alts := s.alternatives(&v)
+	if s.dedup {
 		if d := len(s.taken); s.cutAt < 0 && d >= len(s.prefix) {
-			s.lookups++
-			if s.store.visit(s.fingerprint(&v)) {
+			if s.lane.Visit(s.fingerprint(&v)) {
 				s.cutAt = d
 			}
 		}
@@ -513,16 +483,16 @@ func (s *scripted) Next(v sched.View) sched.Decision {
 	c := alts[idx]
 	s.choices = append(s.choices, c)
 	if s.batch && len(s.choices) > 1 {
-		s.planBuf = append(s.planBuf, sched.Grant{ID: c.id, Crash: c.kind == choiceCrash})
+		s.planBuf = append(s.planBuf, sched.Grant{ID: c.Proc, Crash: c.Crash})
 	}
-	if c.kind == choiceCrash {
+	if c.Crash {
 		s.crashes++
-		return sched.CrashDecision(c.id)
+		return sched.CrashDecision(c.Proc)
 	}
-	dec := sched.RunDecision(c.id)
+	dec := sched.RunDecision(c.Proc)
 	if s.batch && len(s.taken) >= len(s.prefix) &&
 		len(v.Runnable) == 1 && s.crashes >= s.maxCrashes &&
-		(s.store == nil || s.cutAt >= 0) {
+		(!s.dedup || s.cutAt >= 0) {
 		// Every remaining node is a singleton: one runnable process, no crash
 		// budget, and no visited-store probes left to make (no store, or the
 		// run is already below a cut — a dedup cut never un-cuts). The run
@@ -536,11 +506,11 @@ func (s *scripted) Next(v sched.View) sched.Decision {
 
 // decisionFor converts a recorded choice back into the sched decision that
 // produced it.
-func (s *scripted) decisionFor(c choice) sched.Decision {
-	if c.kind == choiceCrash {
-		return sched.CrashDecision(c.id)
+func (s *scripted) decisionFor(c Choice) sched.Decision {
+	if c.Crash {
+		return sched.CrashDecision(c.Proc)
 	}
-	return sched.RunDecision(c.id)
+	return sched.RunDecision(c.Proc)
 }
 
 // SprintStep implements sched.SprintObserver: each sprinted grant is a
@@ -549,7 +519,7 @@ func (s *scripted) SprintStep(id sched.ProcID, label sched.Label) {
 	s.taken = append(s.taken, 0)
 	s.altCounts = append(s.altCounts, 1)
 	s.prunedAt = append(s.prunedAt, 0)
-	s.choices = append(s.choices, choice{kind: choiceRun, id: id, label: label})
+	s.choices = append(s.choices, Choice{Proc: id, Label: label})
 	s.planBuf = append(s.planBuf, sched.Grant{ID: id})
 }
 
@@ -640,84 +610,21 @@ func (b *runBudget) take() bool {
 	return b.taken.Add(1) <= b.max
 }
 
-// subtreeStats accumulates one subtree walk.
-type subtreeStats struct {
-	runs     int
-	maxDepth int
-	pruned   int
-	cutAlts  int  // alternatives dropped inside dedup-cut subtrees
-	aborted  bool // the run budget ran dry mid-subtree
-}
-
-func (a *subtreeStats) fold(b subtreeStats) {
-	a.runs += b.runs
-	a.pruned += b.pruned
-	a.cutAlts += b.cutAlts
-	if b.maxDepth > a.maxDepth {
-		a.maxDepth = b.maxDepth
-	}
-	a.aborted = a.aborted || b.aborted
-}
-
-// walker runs the stateless DFS over one or more disjoint subtrees. Each
-// walker owns one reusable sched.Session (its process coroutines are created
-// once and parked between replays) and one reusable scripted adversary, so a
-// replay's only per-run work is resetting state and re-executing the steps.
+// walker runs the stateless DFS over one or more disjoint subtrees on one
+// lane. The lane's sched runtime keeps its process coroutines parked between
+// replays and the scripted adversary is reused across them, so a replay's
+// only per-run work is resetting state and re-executing the steps.
 type walker struct {
-	cfg     Config
-	session Session
-	budget  *runBudget
-	stop    <-chan struct{} // nil for sequential exploration
-	store   *dedupStore     // shared visited-state store; nil = dedup off
+	lane   *Lane
+	adv    *scripted
+	budget *runBudget
 
-	rt  *sched.Session // lazily sized to the harness's process count
-	adv *scripted
+	cutAlts int  // alternatives dropped inside dedup-cut subtrees
+	aborted bool // the run budget ran dry
 }
 
-func (w *walker) stopped() bool {
-	if w.stop == nil {
-		return false
-	}
-	select {
-	case <-w.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// close releases the walker's runtime — back to the configured
-// RuntimeSource (which may keep the session warm for the next job), or for
-// good.
-func (w *walker) close() {
-	if w.rt == nil {
-		return
-	}
-	if w.cfg.Runtime != nil {
-		w.cfg.Runtime.Release(w.rt)
-	} else {
-		w.rt.Close()
-	}
-	w.rt = nil
-}
-
-// retire ends the walker: it closes the runtime and unhooks the pooled
-// adversary from the visited store, which a runtime kept warm by a
-// RuntimeSource would otherwise hold through its last adversary.
-func (w *walker) retire() {
-	w.close()
-	if w.adv != nil {
-		w.adv.store = nil
-	}
-}
-
-// acquire obtains a runtime for n processes, from the configured
-// RuntimeSource when one is set.
-func (w *walker) acquire(n int) (*sched.Session, error) {
-	if w.cfg.Runtime != nil {
-		return w.cfg.Runtime.Acquire(n)
-	}
-	return sched.NewSession(n)
+func newWalker(cfg Config, l *Lane, budget *runBudget) *walker {
+	return &walker{lane: l, adv: newScripted(cfg, l), budget: budget}
 }
 
 // replay executes one run with the given decision prefix. Under dedup, only
@@ -726,71 +633,42 @@ func (w *walker) acquire(n int) (*sched.Session, error) {
 // fingerprinted. cached asserts that prefix is the backtrack successor of
 // this walker's previous replay (see scripted.reset); pass false for the
 // first replay of a subtree and for frontier probes. The returned Result is
-// owned by the walker's runtime and valid until the next replay.
-func (w *walker) replay(prefix []int, cached bool) (*scripted, *sched.Result, error) {
-	bodies := w.session.Make()
-	if w.adv == nil {
-		w.adv = newScripted(w.cfg)
-		// The dedup wiring is walker-constant, so the pooled adversary is
-		// wired once here rather than per run.
-		w.adv.setDedup(w.store, w.session.Fingerprint, w.cfg.Symmetry, w.session.Canon)
-	}
-	adv := w.adv
-	adv.reset(prefix, cached)
-	var res *sched.Result
-	var err error
-	if w.rt == nil || w.rt.N() != len(bodies) {
-		w.close()
-		w.rt, err = w.acquire(len(bodies))
-	}
-	if err == nil {
-		res, err = w.rt.Run(sched.Config{Adversary: adv, MaxSteps: w.cfg.MaxSteps, Observe: w.store != nil}, bodies)
-	}
-	if w.store != nil {
-		w.store.addLookups(adv.lookups)
-		adv.lookups = 0
-	}
-	if err != nil {
-		return adv, nil, fmt.Errorf("%w: %v (schedule %v)", ErrRunFailed, err, scriptOf(adv))
-	}
-	return adv, res, nil
+// owned by the lane's runtime and valid until the next replay.
+func (w *walker) replay(prefix []int, cached bool) (*sched.Result, error) {
+	w.adv.reset(prefix, cached)
+	return w.lane.Run(w.adv)
 }
 
 // explore exhausts the subtree rooted at the node reached by prefix: the
 // prefix decisions are pinned and backtracking happens only at depths >=
 // len(prefix). Pruned-alternative counts are attributed to the first run
 // entering each node, so every tree node is counted exactly once globally.
-func (w *walker) explore(prefix []int) (subtreeStats, error) {
-	var st subtreeStats
+func (w *walker) explore(prefix []int) error {
+	adv := w.adv
 	cur := append([]int(nil), prefix...)
 	newFrom := len(prefix)
 	cached := false // first replay: the adversary holds another subtree's path
 	for {
-		if w.stopped() {
-			return st, nil
+		if w.lane.stopped() {
+			return nil
 		}
 		if !w.budget.take() {
-			st.aborted = true
-			return st, nil
+			w.aborted = true
+			return nil
 		}
-		adv, res, err := w.replay(cur, cached)
+		res, err := w.replay(cur, cached)
 		if err != nil {
-			return st, err
+			return err
 		}
 		cached = true // from here every cur is the backtrack successor
-		st.runs++
-		st.cutAlts += adv.cutAlts
-		if d := len(adv.taken); d > st.maxDepth {
-			st.maxDepth = d
-		}
+		w.cutAlts += adv.cutAlts
 		pruned := 0
 		for d := newFrom; d < len(adv.prunedAt); d++ {
 			pruned += adv.prunedAt[d]
 		}
-		st.pruned += pruned
-		w.cfg.Progress.add(1, int64(pruned))
-		if cerr := w.session.Check(res); cerr != nil {
-			return st, &PropertyError{Script: scriptOf(adv), Err: cerr}
+		w.lane.Count(pruned, len(adv.taken))
+		if cerr := w.lane.session.Check(res); cerr != nil {
+			return &PropertyError{Script: Script(adv.choices), Err: cerr}
 		}
 
 		// Backtrack: bump the deepest decision with an untried alternative,
@@ -800,7 +678,7 @@ func (w *walker) explore(prefix []int) (subtreeStats, error) {
 			d--
 		}
 		if d < len(prefix) {
-			return st, nil // subtree exhausted
+			return nil // subtree exhausted
 		}
 		cur = append(cur[:0], adv.taken[:d]...)
 		cur = append(cur, adv.taken[d]+1)
@@ -837,61 +715,101 @@ func checkSymmetry(s Session, cfg Config) error {
 	return nil
 }
 
-// ExploreSession enumerates the decision tree of s's processes (fresh
-// shared state per run, from s.Make) and applies s.Check to every complete
-// run. It stops at the first property violation. Config.Dedup needs a
-// Session carrying a Fingerprint.
+// ExploreSession explores s's decision tree with the sequential walker; it
+// is ExploreContext with one worker, under no context.
 func ExploreSession(s Session, cfg Config) (Stats, error) {
-	return ExploreSessionContext(context.Background(), s, cfg)
+	cfg.Workers = 1
+	return ExploreContext(context.Background(), func() Session { return s }, cfg)
 }
 
-// ExploreSessionContext is ExploreSession under a context: cancelling ctx
-// stops the walk at the next run boundary (a single run is bounded by
-// MaxSteps, so cancellation is prompt) and the exploration returns ctx's
-// error with Stats covering the work done so far, Exhausted false.
-func ExploreSessionContext(ctx context.Context, s Session, cfg Config) (Stats, error) {
+// ExploreContext enumerates the decision tree of newSession's harness (fresh
+// shared state per run, from Session.Make) and applies Session.Check to every
+// complete run, stopping at the first property violation. Config.Dedup needs
+// a Session carrying a Fingerprint.
+//
+// With Config.Workers == 1 the sequential walker exhausts the tree from the
+// root and newSession is called once. Otherwise a breadth-first frontier pass
+// splits the tree into disjoint prefix subtrees that a pool of Workers
+// workers exhausts; newSession is called once per worker plus once for the
+// frontier probe, and every returned Session must own INDEPENDENT run
+// state, because workers replay runs concurrently. Without Dedup the visited
+// run count, pruned-branch count and exhaustion verdict do not depend on the
+// worker count; only the wall clock (and, on property violations, which
+// counterexample surfaces first) differs. With Dedup the workers share one
+// visited-state store, so cut-offs compose pool-wide and the parallel run
+// count is timing-dependent (bounded by the tree walk's; the verdict still
+// matches). A checker panic in any worker is re-raised on the caller's
+// goroutine.
+//
+// Cancelling ctx stops the walk at the next run boundary (a single run is
+// bounded by MaxSteps, so cancellation is prompt) and the exploration
+// returns ctx's error with Stats covering the work done so far, Exhausted
+// false.
+func ExploreContext(ctx context.Context, newSession func() Session, cfg Config) (Stats, error) {
+	if newSession == nil {
+		panic("explore: ExploreContext needs a session factory")
+	}
 	cfg = cfg.withDefaults()
 	start := time.Now()
-	if err := checkSymmetry(s, cfg); err != nil {
+	first := newSession()
+	if err := checkSymmetry(first, cfg); err != nil {
 		return Stats{}, err
 	}
+	// The visited-state store is shared by every worker, so a state first
+	// visited in one subtree cuts converged branches pool-wide.
 	var store *dedupStore
 	if cfg.Dedup {
-		if s.Fingerprint == nil {
+		if first.Fingerprint == nil {
 			return Stats{}, ErrNoFingerprint
 		}
 		store = newDedupStore(cfg.DedupMem, cfg.DedupShards)
 		cfg.Progress.attach(store)
 		defer cfg.Progress.detach()
 	}
-	w := &walker{
-		cfg:     cfg,
-		session: s,
-		budget:  newRunBudget(cfg.MaxRuns),
-		stop:    ctx.Done(),
-		store:   store,
+	budget := newRunBudget(cfg.MaxRuns)
+	sessions, subtrees := []Session{first}, [][]int{nil}
+	var base Stats
+	if cfg.Workers > 1 {
+		probe := newLane(cfg, first, nil, ctx.Done())
+		var aborted bool
+		var err error
+		subtrees, aborted, err = buildFrontier(newWalker(cfg, probe, budget), cfg.Workers*frontierPerWorker)
+		probe.retire()
+		base = Stats{Runs: probe.runs, Pruned: probe.pruned, MaxDepth: probe.maxDepth}
+		if err == nil {
+			err = ctx.Err()
+		}
+		if err != nil || aborted || len(subtrees) == 0 {
+			base.Exhausted = err == nil && !aborted
+			base.Elapsed = time.Since(start)
+			return base, err
+		}
+		sessions = make([]Session, min(cfg.Workers, len(subtrees)))
+		for i := range sessions {
+			sessions[i] = newSession()
+		}
 	}
-	defer w.retire()
-	st, err := w.explore(nil)
-	if err == nil {
-		err = ctx.Err()
+	walkers := make([]*walker, len(sessions))
+	st, err := pool(ctx, cfg, sessions, store, len(subtrees), func(k int, l *Lane) func(int) error {
+		w := newWalker(cfg, l, budget)
+		walkers[k] = w
+		return func(i int) error { return w.explore(subtrees[i]) }
+	})
+	if cfg.Workers == 1 {
+		st.Workers = nil
 	}
-	stats := Stats{
-		Runs:      st.runs,
-		MaxDepth:  st.maxDepth,
-		Pruned:    st.pruned,
-		Exhausted: err == nil && !st.aborted,
-		Elapsed:   time.Since(start),
-		Dedup:     store.snapshot(),
+	st.Runs += base.Runs
+	st.Pruned += base.Pruned
+	st.MaxDepth = max(st.MaxDepth, base.MaxDepth)
+	st.Dedup = store.snapshot()
+	aborted := false
+	for _, w := range walkers {
+		if w != nil {
+			st.Dedup.CutAlternatives += w.cutAlts
+			aborted = aborted || w.aborted
+		}
 	}
-	stats.Dedup.CutAlternatives = st.cutAlts
-	return stats, err
-}
-
-func scriptOf(adv *scripted) []string {
-	out := make([]string, len(adv.choices))
-	for i, c := range adv.choices {
-		out[i] = c.String()
-	}
-	return out
+	st.Exhausted = err == nil && !aborted
+	st.Elapsed = time.Since(start)
+	return st, err
 }

@@ -3,7 +3,6 @@ package explore
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"mpcn/internal/agreement"
@@ -161,34 +160,6 @@ func TestParallelMaxRunsAbortsMidFrontier(t *testing.T) {
 	if seq.Runs != maxRuns || par.Runs != maxRuns {
 		t.Fatalf("runs: seq=%d par=%d, want %d each", seq.Runs, par.Runs, maxRuns)
 	}
-}
-
-// TestParallelCheckerPanicPropagates: a panic inside one worker's checker is
-// re-raised on the caller's goroutine instead of deadlocking the pool.
-func TestParallelCheckerPanicPropagates(t *testing.T) {
-	session := func() Session {
-		s := tasSession()
-		runs := 0
-		inner := s.Check
-		s.Check = func(res *sched.Result) error {
-			runs++
-			if runs == 3 {
-				panic("checker exploded")
-			}
-			return inner(res)
-		}
-		return s
-	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("panic did not propagate")
-		}
-		if !strings.Contains(fmt.Sprint(r), "checker exploded") {
-			t.Fatalf("unexpected panic value: %v", r)
-		}
-	}()
-	_, _ = ExploreParallel(session, Config{Workers: 4})
 }
 
 // TestParallelPropertyViolationStops: a violation found by any worker stops

@@ -1,10 +1,11 @@
-// Progress: the live counter surface of a running exploration. The walkers
-// publish into atomic counters (one add per completed run — negligible next
-// to the replay itself; the run's store probes are published to the store
-// at the same boundary) and the visited-state store's own atomic counters
+// Progress: the live counter surface of a running job of either engine. The
+// lanes publish into atomic counters (one add per completed run — a sampled
+// run counts as one — negligible next to the replay itself; the run's store
+// probes are published to the store at the same boundary) and the
+// visited-state store's (or the sampler's coverage store's) own atomic counters
 // are snapshotted on demand, so a concurrent observer (the exploredd
 // daemon's NDJSON progress stream) can poll a running job without locks and
-// without perturbing the hot path. When the exploration returns, the store's
+// without perturbing the hot path. When the job returns, the store's
 // final counters are saved and the store itself is let go, so a finished
 // job's Progress does not keep its store alive.
 
@@ -12,9 +13,9 @@ package explore
 
 import "sync/atomic"
 
-// Progress receives live counters from a running exploration via
-// Config.Progress. The zero value is ready to use; one Progress must not be
-// shared by concurrent explorations (their counters would blend).
+// Progress receives live counters from a running job via Config.Progress
+// (explore's or sample's). The zero value is ready to use; one Progress must
+// not be shared by concurrent jobs (their counters would blend).
 type Progress struct {
 	runs   atomic.Int64
 	pruned atomic.Int64
@@ -24,18 +25,20 @@ type Progress struct {
 
 // ProgressSnapshot is one observation of a running exploration.
 type ProgressSnapshot struct {
-	// Runs is the number of complete runs executed so far.
+	// Runs is the number of complete runs executed (or samples drawn) so
+	// far.
 	Runs int64 `json:"runs"`
 	// Pruned is the number of decision alternatives dropped by reduction so
 	// far.
 	Pruned int64 `json:"pruned"`
 	// Dedup snapshots the visited-state store counters (zero unless the
-	// exploration runs with Config.Dedup).
+	// exploration runs with Config.Dedup, or the sampling run with
+	// Coverage).
 	Dedup DedupStats `json:"dedup"`
 }
 
 // add publishes completed runs and pruned alternatives; nil-safe so the
-// walkers call it unconditionally.
+// lanes call it unconditionally.
 func (p *Progress) add(runs, pruned int64) {
 	if p == nil {
 		return

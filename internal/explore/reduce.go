@@ -50,7 +50,7 @@ import (
 	"mpcn/internal/sched"
 )
 
-// DefaultWorkers is the worker-pool size ExploreParallel uses when
+// DefaultWorkers is the worker-pool size both engines use when
 // Config.Workers is unset: every CPU, but at least 2 so the parallel path is
 // always exercised.
 func DefaultWorkers() int {
@@ -64,16 +64,14 @@ func DefaultWorkers() int {
 // schedule. A choice that commutes with prev and has a smaller process ID is
 // redundant: the swapped schedule is explored (or was pruned for a deeper
 // reason) in an earlier sibling branch.
-func (s *scripted) canonicallyLater(prev, c choice) bool {
-	if c.id >= prev.id || c.kind != prev.kind {
+func (s *scripted) canonicallyLater(prev, c Choice) bool {
+	if c.Proc >= prev.Proc || c.Crash != prev.Crash {
 		return true
 	}
-	switch c.kind {
-	case choiceCrash:
+	if c.Crash {
 		return false // adjacent crashes always commute
-	default:
-		return !s.indep(c.label, prev.label)
 	}
+	return !s.indep(c.Label, prev.Label)
 }
 
 // labelMeta is the cached independence-relevant structure of one label.

@@ -31,7 +31,7 @@ func TestSampleAllocs(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := sample.Run(sess, sample.StrategySwarm, cfg); err != nil {
+		if _, err := runSeq(sess, sample.StrategySwarm, cfg); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

@@ -56,7 +56,7 @@ func TestSamplingGolden(t *testing.T) {
 		t.Run(g.name, func(t *testing.T) {
 			s, p, sess := session(t, g.spec, g.params)
 			scripts := make([]string, g.samples)
-			st, err := sample.Run(sess, g.strategy, sample.Config{
+			st, err := runSeq(sess, g.strategy, sample.Config{
 				Samples: g.samples, Seed: g.seed, Coverage: true,
 				MaxSteps: p[spec.ParamSteps], MaxCrashes: p[spec.ParamCrashes], Depth: s.Sampling().Depth,
 				OnSample: func(i int, script []string) { scripts[i] = fmt.Sprint(script) },
@@ -141,8 +141,8 @@ func TestStoreAccountingBalances(t *testing.T) {
 
 	t.Run("coverage", func(t *testing.T) {
 		s, p, _ := session(t, "commitadopt", spec.Params{"n": 3, spec.ParamCrashes: 1})
-		var prog sample.Progress
-		stop := poll(t, func() explore.DedupStats { return prog.Snapshot().Coverage })
+		var prog explore.Progress
+		stop := poll(t, func() explore.DedupStats { return prog.Snapshot().Dedup })
 		st, err := sample.RunParallel(func() explore.Session { return s.New(p) }, sample.StrategySwarm, sample.Config{
 			Samples: 3000, Seed: 1, Workers: 2, Coverage: true, Progress: &prog,
 			MaxSteps: p[spec.ParamSteps], MaxCrashes: p[spec.ParamCrashes],
@@ -155,7 +155,7 @@ func TestStoreAccountingBalances(t *testing.T) {
 			t.Fatalf("pass made no store hits: %+v", st.Coverage)
 		}
 		check(t, "final", st.Coverage)
-		check(t, "detached", prog.Snapshot().Coverage)
+		check(t, "detached", prog.Snapshot().Dedup)
 		t.Logf("%d mid-run snapshots; final %+v", polls, st.Coverage)
 	})
 }

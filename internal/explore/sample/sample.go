@@ -5,14 +5,16 @@
 // proves, sampling searches — it is the entry point into state spaces the
 // walker cannot enumerate (the BG simulation, large ASM(n, t, x) cells).
 //
-// The engine runs on the same substrate as internal/explore: an
-// explore.Session harness (Make/Check/Fingerprint) replayed on a reusable
-// sched.Session runtime. Per sampled run, a Sampler strategy picks one
-// alternative at every decision node; the alternative sets are exactly the
-// exhaustive explorer's (every runnable process may run or — while the crash
-// budget lasts — crash), so every sampled run is one path of the exhaustive
-// tree and sampled outcomes are always a subset of the exhaustive outcome
-// set (the soundness obligation spectest enforces).
+// The sampler is a choice policy on internal/explore's engine core, not an
+// engine of its own: RunContext hands an explore.Session harness
+// (Make/Check/Fingerprint) to explore.Pool, whose lanes lease and replay the
+// sched runtimes, count progress and re-raise panics. Per sampled run, a
+// Sampler strategy picks one alternative at every decision node; the
+// alternatives come from explore.Alternatives, exactly the exhaustive
+// explorer's (every runnable process may run or — while the crash budget
+// lasts — crash), so every sampled run is one path of the exhaustive tree
+// and sampled outcomes are always a subset of the exhaustive outcome set
+// (the soundness obligation spectest enforces).
 //
 // Three strategies ship behind the Sampler interface (strategy.go):
 //
@@ -70,8 +72,8 @@ type Config struct {
 	// Depth is the PCT depth d — d-1 priority-change points per run (0 =
 	// DefaultDepth). The walk strategy ignores it; swarm mixes up to it.
 	Depth int
-	// Workers sets the worker-pool size of RunParallel (ignored by Run;
-	// <= 0 selects explore.DefaultWorkers).
+	// Workers sets the worker-pool size: 1 samples on one lane, the
+	// sequential engine; <= 0 selects explore.DefaultWorkers.
 	Workers int
 	// Coverage enables the distinct-state estimator: every decision boundary
 	// is fingerprinted into a bounded VisitedStore (Stats.Distinct,
@@ -91,17 +93,18 @@ type Config struct {
 	// sample budget (0 = 8; < 0 disables the series).
 	Checkpoints int
 	// OnSample, when non-nil, receives every completed passing sample's
-	// index and decision script. Under RunParallel it is called concurrently
-	// from the worker goroutines; callers synchronize. Rendering scripts
-	// allocates, so leave it nil on throughput-sensitive runs.
+	// index and decision script. With more than one worker it is called
+	// concurrently from the worker goroutines; callers synchronize.
+	// Rendering scripts allocates, so leave it nil on throughput-sensitive
+	// runs.
 	OnSample func(sample int, script []string)
 	// Progress, when non-nil, is updated live while the job runs: workers
-	// add every completed sample and the coverage store (under Coverage) is
-	// attached for counter snapshots — the surface the exploredd daemon's
-	// progress stream polls.
-	Progress *Progress
+	// count every completed sample as a run and the coverage store (under
+	// Coverage) is attached for counter snapshots — the surface the
+	// exploredd daemon's progress stream polls.
+	Progress *explore.Progress
 	// Runtime, when non-nil, supplies and reclaims the workers' sched
-	// runtimes instead of NewSessionWith/Close, letting long-running drivers
+	// runtimes instead of NewSession/Close, letting long-running drivers
 	// lease warm sessions across jobs.
 	Runtime explore.RuntimeSource
 }
@@ -125,13 +128,6 @@ type CoveragePoint struct {
 	Samples int `json:"samples"`
 	// States is the estimator's distinct-state count at the checkpoint.
 	States int64 `json:"states"`
-}
-
-// WorkerStats reports one parallel worker's share of a sampling run.
-type WorkerStats struct {
-	Worker  int
-	Samples int
-	Busy    time.Duration
 }
 
 // Stats summarizes a sampling run.
@@ -163,8 +159,9 @@ type Stats struct {
 	// scenario's real depth sharpens both the placement and the bound. Zero
 	// for strategies without the bound (walk, swarm).
 	PCTBound float64
-	// Workers holds the per-worker breakdown of RunParallel (nil for Run).
-	Workers []WorkerStats
+	// Workers holds the per-worker breakdown; a worker's Runs are its
+	// samples.
+	Workers []explore.WorkerStats
 }
 
 // SamplesPerSec is the sampling throughput.
@@ -202,37 +199,42 @@ func runSeed(seed int64, i int) uint64 {
 	return sched.Mix(uint64(seed) ^ sched.Mix(uint64(i)+rngGolden))
 }
 
-// adversary is the sampling sched.Adversary: it enumerates the exhaustive
-// explorer's alternative set at every decision node, asks the strategy to
-// pick one, and records the choice sequence as the run's script. One
-// instance is reused across a worker's samples.
+// adversary is the sampling policy on one lane of the engine core: at every
+// decision node it enumerates the exhaustive explorer's alternative set,
+// asks the strategy to pick one, and records the choice sequence as the
+// run's script. One instance serves all of a lane's samples.
 type adversary struct {
-	strategy   Sampler
-	maxCrashes int
-	crashes    int
-	choices    []Choice
-	altsBuf    []Choice
+	cfg      *Config
+	lane     *explore.Lane
+	strategy Sampler
+	coverage bool // fingerprint every decision boundary into the lane's store
+
+	seed    uint64 // the current sample's private seed
+	fresh   bool   // the strategy is reset at the sample's first consultation
+	n       int    // process count, learned at the first consultation
+	crashes int
+	choices []Choice
+	altsBuf []Choice
 	// victim backs the crash list of a crash decision: the runtime reads
 	// it before it consults the adversary again, so one array serves every
 	// crash, where sched.CrashDecision would allocate one per crash.
 	victim [1]sched.ProcID
-
-	// Coverage fields (nil store = estimator off). fp is the reusable
-	// accumulator: a local would escape through the indirect fpFn call and
-	// be heap-allocated at every decision boundary. lookups counts the run's
-	// store visits, published to the store at the run boundary.
-	store   *explore.VisitedStore
-	fpFn    func(*sched.FP)
+	// fp is the reusable coverage accumulator: a local would escape through
+	// the indirect Fingerprint call and be heap-allocated at every decision
+	// boundary.
 	fp      sched.FP
-	lookups int64
+	lastRes *sched.Result
 }
 
-var _ sched.Adversary = (*adversary)(nil)
+var _ explore.Adversary = (*adversary)(nil)
 
-func (a *adversary) reset() {
-	a.crashes = 0
-	a.choices = a.choices[:0]
+func newAdversary(cfg *Config, strategy string, l *explore.Lane) *adversary {
+	s, _ := New(strategy, cfg.Depth) // the name was validated by the entry point
+	return &adversary{cfg: cfg, lane: l, strategy: s, coverage: cfg.Coverage}
 }
+
+// Choices implements explore.Adversary.
+func (a *adversary) Choices() []Choice { return a.choices }
 
 // fingerprint digests the canonical state at the current decision boundary:
 // per-process control points and observation digests (as the exhaustive
@@ -242,27 +244,24 @@ func (a *adversary) fingerprint(v *sched.View) sched.Fingerprint {
 	h := &a.fp
 	h.Reset()
 	h.ControlPoints(v)
-	if a.fpFn != nil {
-		a.fpFn(h)
+	if fp := a.lane.Session().Fingerprint; fp != nil {
+		fp(h)
 	}
 	return h.Sum()
 }
 
 // Next implements sched.Adversary.
 func (a *adversary) Next(v sched.View) sched.Decision {
-	if a.store != nil {
-		a.lookups++
-		a.store.Visit(a.fingerprint(&v))
+	if a.fresh {
+		// The view is the first that shows the run's process count.
+		a.fresh = false
+		a.n = len(v.Pending)
+		a.strategy.Reset(a.seed, a.n, a.cfg.MaxSteps, a.cfg.MaxCrashes)
 	}
-	alts := a.altsBuf[:0]
-	for _, id := range v.Runnable {
-		alts = append(alts, Choice{Proc: id, Label: v.Pending[id]})
+	if a.coverage {
+		a.lane.Visit(a.fingerprint(&v))
 	}
-	if a.crashes < a.maxCrashes {
-		for _, id := range v.Runnable {
-			alts = append(alts, Choice{Crash: true, Proc: id, Label: v.Pending[id]})
-		}
-	}
+	alts := explore.Alternatives(a.altsBuf[:0], &v, a.crashes < a.cfg.MaxCrashes)
 	a.altsBuf = alts
 	idx := a.strategy.Pick(v, alts)
 	if idx < 0 || idx >= len(alts) {
@@ -278,111 +277,28 @@ func (a *adversary) Next(v sched.View) sched.Decision {
 	return sched.RunDecision(c.Proc)
 }
 
-// script renders the recorded choice sequence in the exhaustive engine's
-// replay-script syntax.
-func (a *adversary) script() []string {
-	out := make([]string, len(a.choices))
-	for i, c := range a.choices {
-		out[i] = c.String()
-	}
-	return out
-}
-
-// worker owns one sampling lane: a reusable runtime, a reusable adversary, a
-// private strategy instance, and the lane's counters.
-type worker struct {
-	cfg      Config
-	session  explore.Session
-	strategy Sampler
-	store    *explore.VisitedStore
-
-	rt  *sched.Session
-	adv *adversary
-
-	samples  int
-	maxDepth int
-	n        int // process count, learned from the first Make
-	lastRes  *sched.Result
-}
-
-func (w *worker) close() {
-	if w.rt == nil {
-		return
-	}
-	if w.cfg.Runtime != nil {
-		w.cfg.Runtime.Release(w.rt)
-	} else {
-		w.rt.Close()
-	}
-	w.rt = nil
-}
-
-// retire ends the worker: it closes the runtime and unhooks the pooled
-// adversary from the coverage store, which a runtime kept warm by a
-// RuntimeSource would otherwise hold through its last adversary.
-func (w *worker) retire() {
-	w.close()
-	if w.adv != nil {
-		w.adv.store = nil
-	}
-}
-
-// acquire obtains a runtime for n processes, from the configured
-// RuntimeSource when one is set. Sampling strategies decide step by step (no
-// batched grants), but the direct protocol consults them in place when a
-// process parks, so a pick that re-grants the running process costs no
-// token handoff at all.
-func (w *worker) acquire(n int) (*sched.Session, error) {
-	if w.cfg.Runtime != nil {
-		return w.cfg.Runtime.Acquire(n)
-	}
-	return sched.NewSession(n)
-}
-
-// sampleOne draws, executes and checks sample index i. The run's pooled
-// Result is left in w.lastRes (valid until the next sample or close).
-func (w *worker) sampleOne(i int) error {
-	bodies := w.session.Make()
-	w.n = len(bodies)
-	if w.adv == nil {
-		w.adv = &adversary{strategy: w.strategy, maxCrashes: w.cfg.MaxCrashes, store: w.store, fpFn: w.session.Fingerprint}
-	}
-	w.adv.reset()
-	var err error
-	if w.rt == nil || w.rt.N() != len(bodies) {
-		w.close()
-		w.rt, err = w.acquire(len(bodies))
-		if err != nil {
-			return fmt.Errorf("%w: %v", explore.ErrRunFailed, err)
-		}
-	}
-	w.strategy.Reset(runSeed(w.cfg.Seed, i), len(bodies), w.cfg.MaxSteps, w.cfg.MaxCrashes)
-	res, err := w.rt.Run(sched.Config{
-		Adversary: w.adv,
-		MaxSteps:  w.cfg.MaxSteps,
-		Observe:   w.store != nil,
-	}, bodies)
-	if w.store != nil {
-		w.store.AddLookups(w.adv.lookups)
-		w.adv.lookups = 0
-	}
+// sample draws, executes and checks sample index i on the adversary's lane.
+// The run's pooled Result is left in lastRes (valid until the lane's next
+// run or its retirement).
+func (a *adversary) sample(i int) error {
+	a.seed = runSeed(a.cfg.Seed, i)
+	a.fresh = true
+	a.crashes = 0
+	a.choices = a.choices[:0]
+	res, err := a.lane.Run(a)
 	if err != nil {
-		return fmt.Errorf("%w: %v (sample %d, schedule %v)", explore.ErrRunFailed, err, i, w.adv.script())
+		return fmt.Errorf("sample %d: %w", i, err)
 	}
-	w.samples++
-	w.cfg.Progress.add(1)
-	w.lastRes = res
-	if d := len(w.adv.choices); d > w.maxDepth {
-		w.maxDepth = d
-	}
-	if cerr := w.session.Check(res); cerr != nil {
+	a.lastRes = res
+	a.lane.Count(0, len(a.choices))
+	if cerr := a.lane.Session().Check(res); cerr != nil {
 		return &explore.PropertyError{
-			Script: w.adv.script(),
-			Err:    &SampleError{Sample: i, Seed: w.cfg.Seed, Strategy: w.strategy.Name(), Err: cerr},
+			Script: explore.Script(a.choices),
+			Err:    &SampleError{Sample: i, Seed: a.cfg.Seed, Strategy: a.strategy.Name(), Err: cerr},
 		}
 	}
-	if w.cfg.OnSample != nil {
-		w.cfg.OnSample(i, w.adv.script())
+	if a.cfg.OnSample != nil {
+		a.cfg.OnSample(i, explore.Script(a.choices))
 	}
 	return nil
 }
@@ -443,30 +359,69 @@ func (c *checkpoints) completed() {
 	c.mu.Unlock()
 }
 
-// validate rejects unusable configs before any goroutine or store spins up.
-func validate(cfg Config) error {
+// RunContext draws cfg.Samples runs of newSession's harness, driving
+// decisions with the built-in strategy named strategy ("walk", "pct",
+// "swarm"), on cfg.Workers lanes of the engine core's worker pool (one lane
+// — the sequential engine — when Workers == 1). Workers claim sample
+// indices from a shared counter, so the drawn sample set does not depend on
+// the worker count: sample i's decisions depend only on (Config.Seed, i).
+// newSession is called once per worker; every returned Session must own
+// independent run state.
+//
+// Sampling stops at the first property violation (returned as an
+// explore.PropertyError wrapping a SampleError) or runtime failure; when
+// several workers find one concurrently the smallest sample index wins (the
+// one the sequential engine reports; which violations a pool meets before
+// it halts remains timing-dependent). A checker panic in any worker is
+// re-raised on the caller's goroutine. A clean return means every drawn run
+// passed the checker. Cancelling ctx stops every worker at its next sample
+// boundary and returns ctx's error (a violation found before the halt
+// outranks it) with the Stats accumulated so far.
+func RunContext(ctx context.Context, newSession func() explore.Session, strategy string, cfg Config) (Stats, error) {
+	if _, err := New(strategy, cfg.Depth); err != nil {
+		return Stats{}, err
+	}
+	if newSession == nil {
+		panic("sample: RunContext needs a session factory")
+	}
+	cfg = cfg.withDefaults()
 	if cfg.Samples <= 0 {
-		return errors.New("sample: Config.Samples must be positive")
+		return Stats{}, errors.New("sample: Config.Samples must be positive")
 	}
-	return nil
-}
-
-// newStore builds the coverage estimator store (nil when Coverage is off).
-func newStore(cfg Config) *explore.VisitedStore {
-	if !cfg.Coverage {
-		return nil
+	start := time.Now()
+	var store *explore.VisitedStore
+	if cfg.Coverage {
+		store = explore.NewVisitedStore(cfg.CoverageMem, cfg.CoverageShards)
 	}
-	return explore.NewVisitedStore(cfg.CoverageMem, cfg.CoverageShards)
-}
-
-// finish assembles the Stats shared by Run and RunParallel.
-func finish(cfg Config, name string, samples, maxDepth, n int, start time.Time, store *explore.VisitedStore, cps *checkpoints) Stats {
+	cps := newCheckpoints(cfg, store)
+	sessions := make([]explore.Session, min(cfg.Workers, cfg.Samples))
+	for i := range sessions {
+		sessions[i] = newSession()
+	}
+	advs := make([]*adversary, len(sessions))
+	core := explore.Config{MaxSteps: cfg.MaxSteps, Runtime: cfg.Runtime, Progress: cfg.Progress}
+	ps, err := explore.Pool(ctx, core, sessions, store, cfg.Samples, func(k int, l *explore.Lane) func(int) error {
+		a := newAdversary(&cfg, strategy, l)
+		advs[k] = a
+		return func(i int) error {
+			if err := a.sample(i); err != nil {
+				return err
+			}
+			cps.completed()
+			return nil
+		}
+	})
 	st := Stats{
-		Strategy: name,
-		Samples:  samples,
-		MaxDepth: maxDepth,
-		Procs:    n,
+		Strategy: strategy,
+		Samples:  ps.Runs,
+		MaxDepth: ps.MaxDepth,
 		Elapsed:  time.Since(start),
+		Workers:  ps.Workers,
+	}
+	for _, a := range advs {
+		if a != nil {
+			st.Procs = max(st.Procs, a.n)
+		}
 	}
 	if store != nil {
 		st.Coverage = store.Stats()
@@ -477,210 +432,19 @@ func finish(cfg Config, name string, samples, maxDepth, n int, start time.Time, 
 		st.Series = append([]CoveragePoint(nil), cps.series...)
 		cps.mu.Unlock()
 	}
-	if name == StrategyPCT {
+	if strategy == StrategyPCT {
 		d := cfg.Depth
 		if d <= 0 {
 			d = DefaultDepth
 		}
-		st.PCTBound = pctBound(n, cfg.MaxSteps, d)
+		st.PCTBound = pctBound(st.Procs, cfg.MaxSteps, d)
 	}
-	return st
+	return st, err
 }
 
-// Run draws cfg.Samples runs of s sequentially, driving decisions with the
-// built-in strategy named strategy ("walk", "pct", "swarm"). Sampling stops
-// at the first property violation (returned as an explore.PropertyError
-// wrapping a SampleError) or runtime failure; a clean return means every
-// drawn run passed the checker.
-func Run(s explore.Session, strategy string, cfg Config) (Stats, error) {
-	return RunContext(context.Background(), s, strategy, cfg)
-}
-
-// RunContext is Run under a context: cancelling ctx stops the draw at the
-// next sample boundary and returns ctx's error with the Stats accumulated
-// so far.
-func RunContext(ctx context.Context, s explore.Session, strategy string, cfg Config) (Stats, error) {
-	mk, err := factory(strategy, cfg.Depth)
-	if err != nil {
-		return Stats{}, err
-	}
-	cfg = cfg.withDefaults()
-	if err := validate(cfg); err != nil {
-		return Stats{}, err
-	}
-	start := time.Now()
-	store := newStore(cfg)
-	cfg.Progress.attach(store)
-	defer cfg.Progress.detach()
-	cps := newCheckpoints(cfg, store)
-	w := &worker{cfg: cfg, session: s, strategy: mk(), store: store}
-	defer w.retire()
-	for i := 0; i < cfg.Samples; i++ {
-		if err = ctx.Err(); err != nil {
-			break
-		}
-		if err = w.sampleOne(i); err != nil {
-			break
-		}
-		cps.completed()
-	}
-	return finish(cfg, w.strategy.Name(), w.samples, w.maxDepth, w.n, start, store, cps), err
-}
-
-// factory validates the strategy name once and returns a per-worker
-// constructor.
-func factory(strategy string, depth int) (func() Sampler, error) {
-	if _, err := New(strategy, depth); err != nil {
-		return nil, err
-	}
-	return func() Sampler {
-		s, _ := New(strategy, depth)
-		return s
-	}, nil
-}
-
-// RunParallel is Run sharded across cfg.Workers workers. Workers claim
-// sample indices from a shared counter, so the drawn sample set is the same
-// one the sequential engine draws — sample i's decisions depend only on
-// (Config.Seed, i) — while the violation sink and the coverage store are
-// shared: the first violation stops the pool, and when several workers find
-// one concurrently the smallest sample index wins (the closest the pool can
-// get to the sequential engine's first-violation report; which violation
-// surfaces on a given wall clock remains timing-dependent, exactly like the
-// parallel exhaustive explorer's counterexample choice). newSession is
-// called once per worker; every returned Session must own independent run
-// state. A checker panic in any worker is re-raised on the caller's
-// goroutine.
+// RunParallel is RunContext under no context.
 func RunParallel(newSession func() explore.Session, strategy string, cfg Config) (Stats, error) {
-	return RunParallelContext(context.Background(), newSession, strategy, cfg)
-}
-
-// RunParallelContext is RunParallel under a context: cancelling ctx halts
-// every worker at its next sample boundary and the run returns ctx's error
-// (a violation a worker found before the halt outranks it) with the Stats
-// accumulated so far.
-func RunParallelContext(ctx context.Context, newSession func() explore.Session, strategy string, cfg Config) (Stats, error) {
-	mk, err := factory(strategy, cfg.Depth)
-	if err != nil {
-		return Stats{}, err
-	}
-	if newSession == nil {
-		panic("sample: RunParallel needs a session factory")
-	}
-	cfg = cfg.withDefaults()
-	if err := validate(cfg); err != nil {
-		return Stats{}, err
-	}
-	start := time.Now()
-	store := newStore(cfg)
-	cfg.Progress.attach(store)
-	defer cfg.Progress.detach()
-	cps := newCheckpoints(cfg, store)
-
-	nw := cfg.Workers
-	if nw > cfg.Samples {
-		nw = cfg.Samples
-	}
-	var next atomic.Int64
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-
-	// Relay ctx cancellation into the pool's halt signal; the relay exits
-	// when the workers drain (watchDone) so it never leaks.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				halt()
-			case <-watchDone:
-			}
-		}()
-	}
-
-	type workerOut struct {
-		ws       WorkerStats
-		maxDepth int
-		n        int
-		errAt    int // sample index of err; -1 = none
-		err      error
-		panicked any
-	}
-	outs := make([]workerOut, nw)
-	var wg sync.WaitGroup
-	for k := 0; k < nw; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			t0 := time.Now()
-			out := &outs[k]
-			out.ws.Worker = k
-			out.errAt = -1
-			w := &worker{cfg: cfg, session: newSession(), strategy: mk(), store: store}
-			defer func() {
-				out.ws.Busy = time.Since(t0)
-				out.ws.Samples = w.samples
-				out.maxDepth = w.maxDepth
-				out.n = w.n
-				w.retire()
-				if r := recover(); r != nil {
-					out.panicked = r
-					halt()
-				}
-			}()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				i := int(next.Add(1)) - 1
-				if i >= cfg.Samples {
-					return
-				}
-				if err := w.sampleOne(i); err != nil {
-					out.err = err
-					out.errAt = i
-					halt()
-					return
-				}
-				cps.completed()
-			}
-		}(k)
-	}
-	wg.Wait()
-
-	samples, maxDepth, n := 0, 0, 0
-	var firstErr error
-	firstAt := -1
-	workers := make([]WorkerStats, 0, nw)
-	for k := range outs {
-		o := &outs[k]
-		if o.panicked != nil {
-			panic(fmt.Sprintf("sample: checker panicked in worker %d: %v", k, o.panicked))
-		}
-		samples += o.ws.Samples
-		if o.maxDepth > maxDepth {
-			maxDepth = o.maxDepth
-		}
-		if o.n > n {
-			n = o.n
-		}
-		workers = append(workers, o.ws)
-		if o.err != nil && (firstAt < 0 || o.errAt < firstAt) {
-			firstErr, firstAt = o.err, o.errAt
-		}
-	}
-	if firstErr == nil {
-		// A worker's violation outranks the cancellation that may have raced
-		// with it; a clean halt with a cancelled ctx reports the cancellation.
-		firstErr = ctx.Err()
-	}
-	st := finish(cfg, mk().Name(), samples, maxDepth, n, start, store, cps)
-	st.Workers = workers
-	return st, firstErr
+	return RunContext(context.Background(), newSession, strategy, cfg)
 }
 
 // Replay re-executes sample index of the (strategy, cfg) stream and returns
@@ -690,25 +454,27 @@ func RunParallelContext(ctx context.Context, newSession func() explore.Session, 
 // e, Replay(s, e.Strategy, cfg-with-e.Seed, e.Sample) re-emits the
 // byte-identical script.
 func Replay(s explore.Session, strategy string, cfg Config, index int) ([]string, *sched.Result, error) {
-	cfg = cfg.withDefaults()
-	cfg.Coverage = false
-	cfg.OnSample = nil
-	cfg.Progress = nil
 	if index < 0 {
 		return nil, nil, fmt.Errorf("sample: negative replay index %d", index)
 	}
-	mk, err := factory(strategy, cfg.Depth)
-	if err != nil {
+	if _, err := New(strategy, cfg.Depth); err != nil {
 		return nil, nil, err
 	}
-	w := &worker{cfg: cfg, session: s, strategy: mk()}
-	defer w.close()
-	err = w.sampleOne(index)
+	cfg = cfg.withDefaults()
+	cfg.Coverage = false
+	cfg.OnSample = nil
 	var script []string
-	if w.adv != nil {
-		script = w.adv.script()
-	}
-	return script, copyResult(w.lastRes), err
+	var res *sched.Result
+	core := explore.Config{MaxSteps: cfg.MaxSteps, Runtime: cfg.Runtime}
+	_, err := explore.Pool(context.Background(), core, []explore.Session{s}, nil, 1, func(_ int, l *explore.Lane) func(int) error {
+		a := newAdversary(&cfg, strategy, l)
+		return func(int) error {
+			err := a.sample(index)
+			script, res = explore.Script(a.choices), copyResult(a.lastRes)
+			return err
+		}
+	})
+	return script, res, err
 }
 
 // copyResult deep-copies a pooled Result so it survives the session.

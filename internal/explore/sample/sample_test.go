@@ -1,6 +1,7 @@
 package sample_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -38,6 +39,12 @@ func session(t *testing.T, name string, p spec.Params) (spec.Spec, spec.Params, 
 	return s, resolved, s.New(resolved)
 }
 
+// runSeq samples one harness with the sequential engine.
+func runSeq(sess explore.Session, strategy string, cfg sample.Config) (sample.Stats, error) {
+	cfg.Workers = 1
+	return sample.RunContext(context.Background(), func() explore.Session { return sess }, strategy, cfg)
+}
+
 // collectScripts runs one sequential sampling pass and returns every drawn
 // script, indexed by sample.
 func collectScripts(t *testing.T, sess explore.Session, strategy string, cfg sample.Config) []string {
@@ -46,7 +53,7 @@ func collectScripts(t *testing.T, sess explore.Session, strategy string, cfg sam
 	cfg.OnSample = func(i int, script []string) {
 		scripts[i] = strings.Join(script, " ")
 	}
-	st, err := sample.Run(sess, strategy, cfg)
+	st, err := runSeq(sess, strategy, cfg)
 	if err != nil {
 		t.Fatalf("strategy %s: %v", strategy, err)
 	}
@@ -204,7 +211,7 @@ func TestSampledOutcomesWithinExhaustiveSet(t *testing.T) {
 				}
 				return nil
 			}
-			st, err := sample.Run(sess, strategy, sample.Config{
+			st, err := runSeq(sess, strategy, sample.Config{
 				Samples:    samples,
 				Seed:       11,
 				MaxCrashes: p[spec.ParamCrashes],
@@ -239,7 +246,7 @@ func TestViolationCarriesScriptAndIndex(t *testing.T) {
 		return sess
 	}
 	cfg := sample.Config{Samples: 5000, Seed: 3, MaxCrashes: 1}
-	_, err := sample.Run(mk(), sample.StrategyWalk, cfg)
+	_, err := runSeq(mk(), sample.StrategyWalk, cfg)
 	if err == nil {
 		t.Fatal("no violation found in 5000 crash-biased walks")
 	}
@@ -352,7 +359,7 @@ func TestParallelMatchesSequentialSampleSet(t *testing.T) {
 func TestCoverageEstimator(t *testing.T) {
 	run := func() sample.Stats {
 		_, p, sess := session(t, "registers", nil)
-		st, err := sample.Run(sess, sample.StrategyWalk, sample.Config{
+		st, err := runSeq(sess, sample.StrategyWalk, sample.Config{
 			Samples:     400,
 			Seed:        5,
 			MaxCrashes:  p[spec.ParamCrashes],
@@ -397,7 +404,7 @@ func TestCoverageWithoutFingerprint(t *testing.T) {
 	if sess.Fingerprint != nil {
 		t.Fatal("test premise broken: bg now has a fingerprint")
 	}
-	st, err := sample.Run(sess, sample.StrategyPCT, sample.Config{
+	st, err := runSeq(sess, sample.StrategyPCT, sample.Config{
 		Samples:     60,
 		Seed:        1,
 		MaxSteps:    300,
@@ -422,7 +429,7 @@ func TestCoverageWithoutFingerprint(t *testing.T) {
 func TestPCTBoundSurfaced(t *testing.T) {
 	_, p, sess := session(t, "commitadopt", nil)
 	const steps = 64
-	st, err := sample.Run(sess, sample.StrategyPCT, sample.Config{
+	st, err := runSeq(sess, sample.StrategyPCT, sample.Config{
 		Samples:    100,
 		Seed:       2,
 		MaxCrashes: p[spec.ParamCrashes],
@@ -442,7 +449,7 @@ func TestPCTBoundSurfaced(t *testing.T) {
 	if st.PCTBound != want {
 		t.Fatalf("PCTBound = %v, want 1/(n*k^2) = %v (k=%d)", st.PCTBound, want, steps)
 	}
-	if _, err := sample.Run(sess, sample.StrategyWalk, sample.Config{Samples: 10}); err != nil {
+	if _, err := runSeq(sess, sample.StrategyWalk, sample.Config{Samples: 10}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -451,10 +458,10 @@ func TestPCTBoundSurfaced(t *testing.T) {
 // fail before sampling starts.
 func TestConfigAndStrategyValidation(t *testing.T) {
 	_, _, sess := session(t, "safe", nil)
-	if _, err := sample.Run(sess, sample.StrategyWalk, sample.Config{}); err == nil {
+	if _, err := runSeq(sess, sample.StrategyWalk, sample.Config{}); err == nil {
 		t.Fatal("zero sample budget accepted")
 	}
-	if _, err := sample.Run(sess, "annealing", sample.Config{Samples: 1}); err == nil ||
+	if _, err := runSeq(sess, "annealing", sample.Config{Samples: 1}); err == nil ||
 		!strings.Contains(err.Error(), "unknown strategy") {
 		t.Fatalf("unknown strategy: %v", err)
 	}

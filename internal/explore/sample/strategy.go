@@ -11,30 +11,16 @@ import (
 	"fmt"
 	"sort"
 
+	"mpcn/internal/explore"
 	"mpcn/internal/sched"
 )
 
-// Choice is one decision alternative at a sampling node: grant one step to
-// Proc (Crash false) or crash Proc in front of its pending operation (Crash
-// true). The alternative set at every node is exactly the exhaustive
-// explorer's — every runnable process may run, and, while the crash budget
-// lasts, every runnable process may crash — so any sampled run corresponds
-// to one root-to-leaf path of the exhaustive decision tree.
-type Choice struct {
-	Crash bool
-	Proc  sched.ProcID
-	Label sched.Label
-}
-
-// String renders the choice in the exhaustive engine's script syntax, so a
-// sampled counterexample script is directly comparable (and replayable)
-// against exhaustive output.
-func (c Choice) String() string {
-	if c.Crash {
-		return fmt.Sprintf("crash(%d@%s)", c.Proc, c.Label)
-	}
-	return fmt.Sprintf("run(%d@%s)", c.Proc, c.Label)
-}
+// Choice is one decision alternative at a sampling node: the engine core's
+// explore.Choice. The alternative set at every node is exactly the
+// exhaustive explorer's (explore.Alternatives), so any sampled run
+// corresponds to one root-to-leaf path of the exhaustive decision tree, and
+// its script renders in the same syntax.
+type Choice = explore.Choice
 
 // Sampler picks the decisions of one sampled run. Implementations must be
 // deterministic functions of the Reset seed and the views they observe —

@@ -21,8 +21,8 @@
 //
 // Consumers look scenarios up by name (Lookup) or enumerate them (All),
 // expand user-supplied value grids against the declared domains (Grid),
-// and run them (Factory + Config feed explore.ExploreSession /
-// explore.ExploreParallel). The spectest package holds the conformance suite
+// and run them (Factory + Config feed explore.ExploreContext, and Factory
+// sample.RunContext). The spectest package holds the conformance suite
 // every registered spec must pass.
 package spec
 

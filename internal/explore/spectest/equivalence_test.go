@@ -9,6 +9,7 @@ package spectest_test
 // stay identical.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -134,7 +135,8 @@ func foldCounts(t *testing.T, s spec.Spec, crashes int) map[string]int64 {
 	if b := s.Sampling().Budget; b > 0 && b < samples {
 		samples = b
 	}
-	st, err := sample.Run(s.New(p), sample.StrategyPCT, sample.Config{
+	st, err := sample.RunContext(context.Background(), spec.Factory(s, p), sample.StrategyPCT, sample.Config{
+		Workers:    1,
 		Samples:    samples,
 		Seed:       1,
 		MaxSteps:   p[spec.ParamSteps],

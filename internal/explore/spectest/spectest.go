@@ -43,6 +43,7 @@
 package spectest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -367,7 +368,8 @@ func leafSignature(res *sched.Result, leafFP func(*sched.FP)) string {
 
 // sampleConfig derives the cell's sampling configuration: the engine params
 // of the resolved assignment plus the spec's declared PCT depth, so the
-// sampled and exhaustive runs see identical crash and step budgets.
+// sampled and exhaustive runs see identical crash and step budgets, drawn
+// by the sequential engine.
 func sampleConfig(s spec.Spec, p spec.Params, opt Options) sample.Config {
 	return sample.Config{
 		Samples:    opt.Samples,
@@ -375,19 +377,27 @@ func sampleConfig(s spec.Spec, p spec.Params, opt Options) sample.Config {
 		MaxCrashes: p[spec.ParamCrashes],
 		MaxSteps:   p[spec.ParamSteps],
 		Depth:      s.Sampling().Depth,
+		Workers:    1,
 	}
+}
+
+// sampleSession samples one harness with the sequential engine.
+func sampleSession(sess explore.Session, strategy string, cfg sample.Config) (sample.Stats, error) {
+	cfg.Workers = 1
+	return sample.RunContext(context.Background(), func() explore.Session { return sess }, strategy, cfg)
 }
 
 // samplerDeterminism checks the seeded-reproducibility contract per
 // strategy: two sampling passes under one seed draw byte-identical scripts,
-// sample for sample.
+// sample for sample — the second on a 16-slot coverage store that evicts,
+// since coverage is a diagnostic that must never steer a sample.
 func samplerDeterminism(t *testing.T, s spec.Spec, p spec.Params, opt Options) {
 	t.Helper()
 	for _, strategy := range sample.Strategies() {
 		cfg := sampleConfig(s, p, opt)
 		first := make([]string, cfg.Samples)
 		cfg.OnSample = func(i int, script []string) { first[i] = strings.Join(script, "\n") }
-		if st, err := sample.Run(s.New(p), strategy, cfg); err != nil {
+		if st, err := sampleSession(s.New(p), strategy, cfg); err != nil {
 			t.Fatalf("sampling %q/%s: %v", s.Name(), strategy, err)
 		} else if st.Samples != cfg.Samples {
 			t.Fatalf("sampling %q/%s: %d samples, want %d", s.Name(), strategy, st.Samples, cfg.Samples)
@@ -400,8 +410,14 @@ func samplerDeterminism(t *testing.T, s spec.Spec, p spec.Params, opt Options) {
 					s.Name(), strategy, i, cfg.Seed, got, first[i])
 			}
 		}
-		if _, err := sample.Run(s.New(p), strategy, cfg); err != nil {
-			t.Fatalf("sampling %q/%s (replay pass): %v", s.Name(), strategy, err)
+		cfg.Coverage, cfg.CoverageMem, cfg.CoverageShards = true, 1, 1
+		st, err := sampleSession(s.New(p), strategy, cfg)
+		if err != nil {
+			t.Fatalf("sampling %q/%s (replay pass under eviction): %v", s.Name(), strategy, err)
+		}
+		if st.Distinct > 16 && st.Coverage.Evictions == 0 {
+			t.Errorf("sampling %q/%s: a 16-slot coverage store held %d states without evicting: %+v",
+				s.Name(), strategy, st.Distinct, st.Coverage)
 		}
 	}
 }
@@ -423,7 +439,7 @@ func samplerSoundness(t *testing.T, s spec.Spec, p spec.Params, opt Options, wan
 			}
 			return nil
 		}
-		if _, err := sample.Run(sess, strategy, sampleConfig(s, p, opt)); err != nil {
+		if _, err := sampleSession(sess, strategy, sampleConfig(s, p, opt)); err != nil {
 			t.Errorf("sampling soundness %q/%s: %v", s.Name(), strategy, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package spectest_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -76,7 +77,8 @@ func TestSymmetryVerdictPermutationInvariance(t *testing.T) {
 					scripts = append(scripts, append([]string(nil), script...))
 				},
 			}
-			if _, err := sample.Run(s.New(p), sample.StrategyWalk, cfg); err != nil {
+			cfg.Workers = 1
+			if _, err := sample.RunContext(context.Background(), spec.Factory(s, p), sample.StrategyWalk, cfg); err != nil {
 				t.Fatalf("sampling: %v", err)
 			}
 			sess := s.New(p)

@@ -205,7 +205,7 @@ func permutationBattery(t *testing.T, s spec.Spec, p spec.Params, opt Options) {
 	cfg.OnSample = func(i int, script []string) {
 		scripts = append(scripts, append([]string(nil), script...))
 	}
-	if _, err := sample.Run(s.New(p), sample.StrategyWalk, cfg); err != nil {
+	if _, err := sampleSession(s.New(p), sample.StrategyWalk, cfg); err != nil {
 		t.Fatalf("permutation battery sampling %q: %v", s.Name(), err)
 	}
 	sess := s.New(p)

@@ -1,8 +1,8 @@
-// SessionPool: the daemon's explore.RuntimeSource. Engine walkers lease
+// SessionPool: the daemon's explore.RuntimeSource. The engines' lanes lease
 // warm sched.Sessions here instead of respawning process coroutines per job,
 // so consecutive jobs over same-sized harnesses reuse parked runtimes.
-// Sessions that report !Healthy() (a run error broke the protocol) are
-// discarded, never recycled.
+// Sessions that report !Healthy() (closed by a lane after a failed run, or
+// broken by a runtime invariant violation) are discarded, never recycled.
 
 package service
 

@@ -35,8 +35,7 @@ type jobState struct {
 	state atomic.Value // string; one of the State* constants
 
 	// Live engine counters, polled by the events stream.
-	eprog *explore.Progress
-	sprog *sample.Progress
+	prog *explore.Progress
 
 	mu       sync.Mutex
 	result   *Result
@@ -59,13 +58,9 @@ func newJobState(id, client string, j *Job) *jobState {
 		cancel:  cancel,
 		created: time.Now(),
 		done:    make(chan struct{}),
+		prog:    &explore.Progress{},
 	}
 	js.state.Store(StateQueued)
-	if j.Engine.Mode == ModeSample {
-		js.sprog = &sample.Progress{}
-	} else {
-		js.eprog = &explore.Progress{}
-	}
 	return js
 }
 
@@ -108,13 +103,11 @@ func (js *jobState) snapshot() JobStatus {
 		st.Result = js.result
 		st.Cached = js.cached
 	}
-	switch {
-	case js.eprog != nil:
-		p := js.eprog.Snapshot()
+	p := js.prog.Snapshot()
+	if js.job.Engine.Mode == ModeSample {
+		st.Progress = &ProgressStatus{Samples: p.Runs, Distinct: p.Dedup.States}
+	} else {
 		st.Progress = &ProgressStatus{Runs: p.Runs, Pruned: p.Pruned, Distinct: p.Dedup.States}
-	case js.sprog != nil:
-		p := js.sprog.Snapshot()
-		st.Progress = &ProgressStatus{Samples: p.Samples, Distinct: p.Distinct}
 	}
 	return st
 }
@@ -155,7 +148,7 @@ func runJob(js *jobState, cache *Cache, pool *SessionPool) {
 			js.started = time.Now()
 			js.mu.Unlock()
 			js.state.Store(StateRunning)
-			r := execute(js.ctx, js.job, js.eprog, js.sprog, pool)
+			r := execute(js.ctx, js.job, js.prog, pool)
 			if r.Verdict == VerdictCanceled {
 				// Free the key so the next identical submission re-runs, but
 				// still deliver the cancellation to any followers.
@@ -194,34 +187,25 @@ func canceledResult(j *Job) Result {
 }
 
 // execute runs the job's engine under its context, wired to the pool and the
-// job's live progress counters.
-func execute(ctx context.Context, j *Job, eprog *explore.Progress, sprog *sample.Progress, pool *SessionPool) Result {
+// job's live progress counters. Engine.Workers carries over to the engine
+// config, where 1 selects the sequential engine.
+func execute(ctx context.Context, j *Job, prog *explore.Progress, pool *SessionPool) Result {
 	if j.Engine.Mode == ModeSample {
 		cfg, err := j.SampleConfig()
 		if err != nil {
 			return NewResult(j, explore.Stats{}, sample.Stats{}, err)
 		}
-		cfg.Progress = sprog
+		cfg.Progress = prog
 		cfg.Runtime = pool
-		var st sample.Stats
-		if j.Engine.Workers == 1 {
-			st, err = sample.RunContext(ctx, j.Spec.New(j.Params), j.Engine.Strategy, cfg)
-		} else {
-			st, err = sample.RunParallelContext(ctx, spec.Factory(j.Spec, j.Params), j.Engine.Strategy, cfg)
-		}
+		st, err := sample.RunContext(ctx, spec.Factory(j.Spec, j.Params), j.Engine.Strategy, cfg)
 		return NewResult(j, explore.Stats{}, st, err)
 	}
 	cfg, err := j.ExploreConfig()
 	if err != nil {
 		return NewResult(j, explore.Stats{}, sample.Stats{}, err)
 	}
-	cfg.Progress = eprog
+	cfg.Progress = prog
 	cfg.Runtime = pool
-	var st explore.Stats
-	if j.Engine.Workers == 1 {
-		st, err = explore.ExploreSessionContext(ctx, j.Spec.New(j.Params), cfg)
-	} else {
-		st, err = explore.ExploreParallelContext(ctx, spec.Factory(j.Spec, j.Params), cfg)
-	}
+	st, err := explore.ExploreContext(ctx, spec.Factory(j.Spec, j.Params), cfg)
 	return NewResult(j, st, sample.Stats{}, err)
 }
