@@ -3,10 +3,58 @@ package explore
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"mpcn/internal/sched"
 )
+
+// TestContextPreCanceledSequential: a canceled context stops the sequential
+// walk before its first run and surfaces the context's error.
+func TestContextPreCanceledSequential(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	st, err := ExploreContext(ctx, func() Session { return tasSession() }, Config{Workers: 1, MaxSteps: 64})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if st.Exhausted {
+		t.Fatal("canceled exploration must not report exhaustion")
+	}
+	if st.Runs != 0 {
+		t.Fatalf("canceled-before-start exploration ran %d runs", st.Runs)
+	}
+}
+
+// TestContextCancelParallel: cancellation halts every worker of a parallel
+// exploration; the error is the context's.
+func TestContextCancelParallel(t *testing.T) {
+	full, err := ExploreParallel(registersSession(3, 3), Config{Workers: 4, MaxSteps: 256})
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var runs atomic.Int64
+	mk := func() Session {
+		s := registersSession(3, 3)()
+		base := s.Check
+		s.Check = func(res *sched.Result) error {
+			if runs.Add(1) == 20 {
+				cancel()
+			}
+			return base(res)
+		}
+		return s
+	}
+	st, err := ExploreContext(ctx, mk, Config{Workers: 4, MaxSteps: 256})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if st.Exhausted || st.Runs >= full.Runs {
+		t.Fatalf("partial stats wrong: runs=%d (full %d), exhausted=%v", st.Runs, full.Runs, st.Exhausted)
+	}
+}
 
 // TestContextViolationOutranksCancel: a property violation found before the
 // cancellation still surfaces as the PropertyError, not the context error.

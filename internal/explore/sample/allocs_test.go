@@ -20,10 +20,13 @@ const swarmSampleAllocs = 0.05
 // TestSampleAllocs: a sequential commitadopt/swarm pass with coverage makes
 // at most swarmSampleAllocs allocations per sample. The count is the
 // difference between a pass of 2k samples and one of k, so the pass's fixed
-// setup (runtime, adversary, visited store) cancels out.
+// setup (runtime, adversary, visited store) cancels out. Each pass size is
+// measured three times and its fewest mallocs kept: what the runtime
+// allocates on its own lands in one pass or another, and when it landed in
+// a k pass alone the difference went negative.
 func TestSampleAllocs(t *testing.T) {
 	const k = 1000
-	pass := func(samples int) uint64 {
+	pass := func(samples int) int64 {
 		s, p, sess := session(t, "commitadopt", spec.Params{"n": 3, spec.ParamCrashes: 1})
 		cfg := sample.Config{
 			Samples: samples, Seed: 1, Workers: 1, Coverage: true,
@@ -35,10 +38,13 @@ func TestSampleAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
+		return int64(after.Mallocs - before.Mallocs)
+	}
+	fewest := func(samples int) int64 {
+		return min(pass(samples), pass(samples), pass(samples))
 	}
 	pass(k) // warm the label and spec caches
-	per := float64(pass(2*k)-pass(k)) / k
+	per := float64(fewest(2*k)-fewest(k)) / k
 	t.Logf("%.2f allocs per sample", per)
 	if per > swarmSampleAllocs {
 		t.Errorf("commitadopt/swarm: %.2f allocs per sample, bound %v", per, swarmSampleAllocs)

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"weak"
 
 	"mpcn/internal/explore"
 	"mpcn/internal/explore/spec"
@@ -28,38 +27,41 @@ func TestProgressReleasesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, parallel := range []bool{false, true} {
-		var prog Progress
-		var once sync.Once
-		var store weak.Pointer[explore.VisitedStore]
+	var alive func() bool // reports whether the run's store is still reachable
+	t.Cleanup(func() { newCoverageStore = explore.NewVisitedStore })
+	newCoverageStore = func(memBytes, shards int) *explore.VisitedStore {
+		st := explore.NewVisitedStore(memBytes, shards)
+		alive = st.Reachable()
+		return st
+	}
+	for _, workers := range []int{1, 2} {
+		alive = nil
+		var prog explore.Progress
+		var attached bool
 		rt := &keepingRuntime{}
 		t.Cleanup(rt.close)
-		cfg := Config{Samples: 200, Seed: 1, Workers: 2, Coverage: true, Progress: &prog, Runtime: rt}
+		cfg := Config{Samples: 200, Seed: 1, Workers: workers, Coverage: true, Progress: &prog, Runtime: rt}
+		var once sync.Once
 		cfg.OnSample = func(int, []string) {
-			once.Do(func() { store = weak.Make(prog.store.Load()) })
+			once.Do(func() { attached = prog.Snapshot().Dedup.States > 0 })
 		}
-		var st Stats
-		if parallel {
-			st, err = RunParallel(spec.Factory(s, p), StrategyWalk, cfg)
-		} else {
-			st, err = Run(s.New(p), StrategyWalk, cfg)
-		}
+		st, err := RunParallel(spec.Factory(s, p), StrategyWalk, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		live := prog.Snapshot()
-		if live.Coverage != st.Coverage || live.Distinct != st.Distinct || live.Samples != int64(st.Samples) {
-			t.Fatalf("parallel=%v: snapshot %+v after return, stats %+v", parallel, live, st)
+		if live.Dedup != st.Coverage || live.Dedup.States != st.Distinct || live.Runs != int64(st.Samples) {
+			t.Fatalf("workers=%d: snapshot %+v after return, stats %+v", workers, live, st)
 		}
-		if store == (weak.Pointer[explore.VisitedStore]{}) {
-			t.Fatalf("parallel=%v: the store was never attached", parallel)
+		if alive == nil || !attached {
+			t.Fatalf("workers=%d: the store was never attached", workers)
 		}
 		runtime.GC()
-		if store.Value() != nil {
-			t.Errorf("parallel=%v: the store is still reachable after the run returned", parallel)
+		if alive() {
+			t.Errorf("workers=%d: the store is still reachable after the run returned", workers)
 		}
 		if again := prog.Snapshot(); again != live {
-			t.Errorf("parallel=%v: snapshot changed after the store was collected: %+v vs %+v", parallel, again, live)
+			t.Errorf("workers=%d: snapshot changed after the store was collected: %+v vs %+v", workers, again, live)
 		}
 	}
 }

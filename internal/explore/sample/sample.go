@@ -391,7 +391,7 @@ func RunContext(ctx context.Context, newSession func() explore.Session, strategy
 	start := time.Now()
 	var store *explore.VisitedStore
 	if cfg.Coverage {
-		store = explore.NewVisitedStore(cfg.CoverageMem, cfg.CoverageShards)
+		store = newCoverageStore(cfg.CoverageMem, cfg.CoverageShards)
 	}
 	cps := newCheckpoints(cfg, store)
 	sessions := make([]explore.Session, min(cfg.Workers, cfg.Samples))
@@ -441,6 +441,10 @@ func RunContext(ctx context.Context, newSession func() explore.Session, strategy
 	}
 	return st, err
 }
+
+// newCoverageStore builds a run's coverage store; a variable so the
+// package's tests can watch the store a run creates.
+var newCoverageStore = explore.NewVisitedStore
 
 // RunParallel is RunContext under no context.
 func RunParallel(newSession func() explore.Session, strategy string, cfg Config) (Stats, error) {

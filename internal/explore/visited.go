@@ -8,7 +8,11 @@
 
 package explore
 
-import "mpcn/internal/sched"
+import (
+	"weak"
+
+	"mpcn/internal/sched"
+)
 
 // VisitedStore is a bounded-memory, lock-striped set of state fingerprints —
 // the same store Config.Dedup builds internally, usable standalone. It is
@@ -30,6 +34,15 @@ type VisitedStore struct {
 // once a shard reaches its share of the ceiling.
 func NewVisitedStore(memBytes, shards int) *VisitedStore {
 	return &VisitedStore{st: newDedupStore(memBytes, shards)}
+}
+
+// Reachable returns a function reporting whether v's backing store is
+// still reachable from anywhere — a Progress, a lane, a runtime handed back
+// warm. It holds no strong reference itself, so a leak check can ask after
+// a job returned and the garbage collector ran.
+func (v *VisitedStore) Reachable() func() bool {
+	w := weak.Make(v.st)
+	return func() bool { return w.Value() != nil }
 }
 
 // Visit reports whether fp was already resident, inserting it if not.
