@@ -48,11 +48,14 @@ fp-quality: build
 fuzz-fp:
 	$(GO) test -run '^$$' -fuzz FuzzFP -fuzztime 30s ./internal/sched
 
-# Fuzz the replay-script syntax for 30 s: parsing never panics, and every
-# run(p@label)/crash(p@label) entry the engines render parses back to the
-# same process, kind and label (internal/explore/spectest/script_fuzz_test.go).
+# Fuzz the replay scripts for 30 s each (internal/explore/replay_test.go):
+# parsing never panics, accepts only entries that render back to themselves,
+# and every run(p@label)/crash(p@label) entry the engines render parses back
+# to the same choice; strict replay of an arbitrary script on a small cell
+# never panics and either errors or reproduces the script.
 fuzz-script:
-	$(GO) test -run '^$$' -fuzz FuzzParseChoice -fuzztime 30s ./internal/explore/spectest
+	$(GO) test -run '^$$' -fuzz '^FuzzParseChoice$$' -fuzztime 30s ./internal/explore
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayScript$$' -fuzztime 30s ./internal/explore
 
 # Race shake of the concurrent paths: the visited store's lock-free probes
 # (hits write no shared memory), the scheduler's in-place adversary
@@ -88,7 +91,7 @@ throughput-gate: build
 # CPU+heap profile of the tracked throughput cell (the profile-first loop of
 # docs/PERFORMANCE.md): writes cpu.prof / mem.prof for `go tool pprof`.
 profile: build
-	$(GO) run ./cmd/explore -object commitadopt -n 3 -seq -cpuprofile cpu.prof -memprofile mem.prof
+	$(GO) run ./cmd/explore -object commitadopt -n 3 -workers 1 -cpuprofile cpu.prof -memprofile mem.prof
 	@echo "wrote cpu.prof and mem.prof; inspect with: go tool pprof cpu.prof"
 
 # Spec-registry conformance (CI's test job): the spectest suite — checker

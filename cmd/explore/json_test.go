@@ -92,8 +92,8 @@ func TestServiceSmokeJSONParity(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// The violating regular-register litmus: CLI -seq ↔ daemon workers 1.
-	cli := cliResult(t, "-object registers -n 2 -set writes=1 -set readers=1 -set backend=regular -seq -json", 1)
+	// The violating regular-register litmus: CLI -workers 1 ↔ daemon workers 1.
+	cli := cliResult(t, "-object registers -n 2 -set writes=1 -set readers=1 -set backend=regular -workers 1 -json", 1)
 	daemon := daemonResult(t, ts.URL,
 		`{"spec": "registers", "params": {"n": "2", "writes": "1", "readers": "1", "backend": "regular"}, "engine": {"workers": 1}}`)
 	if cli.Verdict != service.VerdictViolation || daemon.Verdict != service.VerdictViolation {
@@ -108,7 +108,7 @@ func TestServiceSmokeJSONParity(t *testing.T) {
 	}
 
 	// A seeded sampling cell: same stream, same counters, same record.
-	scli := cliResult(t, "-object bg -sample pct -samples 200 -seed 7 -seq -json", 0)
+	scli := cliResult(t, "-object bg -sample pct -samples 200 -seed 7 -workers 1 -json", 0)
 	sdaemon := daemonResult(t, ts.URL,
 		`{"spec": "bg", "engine": {"mode": "sample", "strategy": "pct", "samples": 200, "workers": 1}, "seed": 7}`)
 	if scli.Verdict != service.VerdictSampled {

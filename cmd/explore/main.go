@@ -111,7 +111,6 @@ type options struct {
 	dedupMem int
 	symmetry bool
 	compare  bool
-	seq      bool
 	sample   string
 	samples  int
 	depth    int
@@ -189,7 +188,6 @@ func run(args []string, out io.Writer) int {
 	fs.IntVar(&o.dedupMem, "dedupmem", 0, "visited-state store memory ceiling in MiB, grown into on demand (0 = default 64)")
 	fs.BoolVar(&o.symmetry, "symmetry", false, "enable symmetry reduction (orbit-canonical fingerprints; needs -dedup)")
 	fs.BoolVar(&o.compare, "compare", false, "verify the parallel run count against the sequential explorer")
-	fs.BoolVar(&o.seq, "seq", false, "use the sequential explorer only")
 	fs.StringVar(&o.sample, "sample", "", "sampling strategy: pct|walk|swarm (empty = exhaustive exploration)")
 	fs.IntVar(&o.samples, "samples", 10000, "sampled runs per grid cell (with -sample)")
 	fs.IntVar(&o.depth, "depth", 0, "PCT depth d: d-1 priority-change points per run (0 = spec/engine default)")
@@ -200,9 +198,6 @@ func run(args []string, out io.Writer) int {
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile (after a final GC) to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if o.seq {
-		o.workers = 1 // the engines' sequential mode
 	}
 	stopProfiles, profErr := startProfiles(o)
 	if profErr != nil {

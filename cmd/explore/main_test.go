@@ -261,7 +261,7 @@ func TestSampleSweep(t *testing.T) {
 	}{
 		{"pct", "-object commitadopt -n 2 -crashes 1 -sample pct -samples 200 -seed 7 -workers 2",
 			[]string{"SAMPLED", "bug bound >=", "       200 "}},
-		{"walk seq", "-object safe -n 2 -sample walk -samples 100 -seq",
+		{"walk seq", "-object safe -n 2 -sample walk -samples 100 -workers 1",
 			[]string{"SAMPLED"}},
 		{"swarm on bg", "-object bg -n 2 -t 1 -steps 300 -sample swarm -samples 50 -workers 2",
 			[]string{"SAMPLED", "        50 "}},

@@ -70,7 +70,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	min, err := spectest.MinimizeScript(regs.New(p), witness, 0,
+	min, err := explore.MinimizeScript(regs.New(p), witness, 0,
 		func(err error) bool { return errors.Is(err, sessions.ErrNonMonotonicRead) })
 	if err != nil {
 		return err

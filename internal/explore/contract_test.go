@@ -3,8 +3,8 @@ package explore_test
 // The engine contract: both engines run on the one engine core (its lanes
 // and worker pool), so every contract of the core is checked as one table
 // over {explore, sample} × {1 worker, 2 workers} — cancellation, progress,
-// runtime leasing, panic re-raise, and no goroutine or poisoned session left
-// behind by a job that ends badly.
+// runtime leasing, panic re-raise, no goroutine or poisoned session left
+// behind by a job that ends badly, and violation scripts that replay.
 
 import (
 	"context"
@@ -231,6 +231,35 @@ func checkerPanic(t *testing.T, e engine) (r any) {
 	})
 	_, _ = e.run(context.Background(), mk, job{})
 	return nil
+}
+
+// TestViolationScriptReplays: the PropertyError.Script a violating cell
+// hands back replays strictly on a fresh harness and gives the same checker
+// error.
+func TestViolationScriptReplays(t *testing.T) {
+	mk := sessions.Registers(2, 1, 1, reg.Regular)
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			_, err := e.run(context.Background(), mk, job{})
+			var pe *explore.PropertyError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %v, want a PropertyError", err)
+			}
+			want := pe.Err
+			var se *sample.SampleError
+			if errors.As(want, &se) {
+				want = se.Err
+			}
+			sess := mk()
+			res, err := explore.ReplayScript(sess, pe.Script, 256)
+			if err != nil {
+				t.Fatalf("strict replay: %v\nscript: %v", err, pe.Script)
+			}
+			if got := sess.Check(res); got == nil || got.Error() != want.Error() {
+				t.Fatalf("replayed verdict %v, want %v", got, want)
+			}
+		})
+	}
 }
 
 // TestJobsLeakNoGoroutines: a job that ends badly — cancelled, its checker

@@ -3,7 +3,9 @@
 // a decision node; everything else is shared here:
 //
 //   - Choice, Alternatives and Script: the decision alternatives of a node
-//     and the replay-script syntax ("run(p@label)", "crash(p@label)");
+//     and the replay-script syntax ("run(p@label)", "crash(p@label)"),
+//     rendered by Choice.String and parsed by ParseChoice (replay.go plays
+//     scripts back);
 //   - Lane: one worker's replay slot — its harness, the sched runtime it
 //     leases, the run's visited-store probes, and its share of the counters;
 //   - the worker pool: one lane per worker, items claimed from a shared
@@ -14,6 +16,8 @@ package explore
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,6 +42,37 @@ func (c Choice) String() string {
 		return fmt.Sprintf("crash(%d@%s)", c.Proc, c.Label)
 	}
 	return fmt.Sprintf("run(%d@%s)", c.Proc, c.Label)
+}
+
+// ParseChoice parses one replay-script entry, the inverse of String:
+// "run(p@label)" or "crash(p@label)", with p in canonical decimal (no sign,
+// no leading zero). The label is looked up among the labels interned so far,
+// never interned, so parsing untrusted text cannot grow the process-wide
+// table; an entry naming a label no process has parked on is an error.
+// Every accepted entry renders back to itself.
+func ParseChoice(s string) (Choice, error) {
+	var c Choice
+	body, ok := strings.CutPrefix(s, "run(")
+	if !ok {
+		body, c.Crash = strings.CutPrefix(s, "crash(")
+	}
+	body, closed := strings.CutSuffix(body, ")")
+	if !(ok || c.Crash) || !closed {
+		return Choice{}, fmt.Errorf("explore: unparseable script entry %q", s)
+	}
+	id, name, ok := strings.Cut(body, "@")
+	if !ok {
+		return Choice{}, fmt.Errorf("explore: script entry %q lacks the proc@label form", s)
+	}
+	p, err := strconv.Atoi(id)
+	if err != nil || p < 0 || strconv.Itoa(p) != id {
+		return Choice{}, fmt.Errorf("explore: script entry %q has no canonical process id", s)
+	}
+	if c.Label, ok = sched.LookupLabel(name); !ok {
+		return Choice{}, fmt.Errorf("explore: script entry %q names an unknown label", s)
+	}
+	c.Proc = sched.ProcID(p)
+	return c, nil
 }
 
 // Script renders a decision sequence as a replay script.

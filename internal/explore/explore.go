@@ -74,11 +74,6 @@ type Config struct {
 	// equivalent interleavings (e.g. must treat harness-side logs as sets,
 	// not sequences). Off by default.
 	Prune bool
-	// Independent overrides the independence predicate used by Prune: it
-	// reports whether the operations behind two interned step labels commute.
-	// nil selects LabelsIndependent. Predicates must be symmetric and
-	// deterministic.
-	Independent func(a, b sched.Label) bool
 	// Dedup enables state-fingerprint deduplication: at every new decision
 	// node the canonical state fingerprint is looked up in a shared
 	// visited-state store, and the subtree below an already-visited state is
@@ -141,16 +136,17 @@ type RuntimeSource interface {
 // withDefaults normalizes the zero-valued fields.
 func (c Config) withDefaults() Config {
 	if c.MaxSteps <= 0 {
-		c.MaxSteps = 4096
+		c.MaxSteps = defaultMaxSteps
 	}
 	if c.Workers <= 0 {
 		c.Workers = DefaultWorkers()
 	}
-	if c.Independent == nil {
-		c.Independent = LabelsIndependent
-	}
 	return c
 }
+
+// defaultMaxSteps bounds each run when Config.MaxSteps (or a replay's
+// maxSteps) is unset.
+const defaultMaxSteps = 4096
 
 // WorkerStats reports one pool worker's share of a job: an exploration, or
 // a sampling run (whose runs are its samples).
@@ -217,7 +213,6 @@ type scripted struct {
 	prefix     []int
 	maxCrashes int
 	prune      bool
-	indep      func(a, b sched.Label) bool
 
 	crashes   int
 	taken     []int
@@ -278,7 +273,6 @@ func newScripted(cfg Config, l *Lane) *scripted {
 	return &scripted{
 		maxCrashes: cfg.MaxCrashes,
 		prune:      cfg.Prune,
-		indep:      cfg.Independent,
 		batch:      !cfg.NoBatch,
 		cutAt:      -1,
 		lane:       l,

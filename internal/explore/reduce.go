@@ -71,7 +71,7 @@ func (s *scripted) canonicallyLater(prev, c Choice) bool {
 	if c.Crash {
 		return false // adjacent crashes always commute
 	}
-	return !s.indep(c.Label, prev.Label)
+	return !LabelsIndependent(c.Label, prev.Label)
 }
 
 // labelMeta is the cached independence-relevant structure of one label.
@@ -131,7 +131,7 @@ func computeMeta(label string) labelMeta {
 	return m
 }
 
-// LabelsIndependent is the default independence predicate of Config.Prune:
+// LabelsIndependent is the independence predicate of Config.Prune:
 // two step labels commute when they address non-conflicting shared objects,
 // or when both are read-only operations on the same object. The object is
 // the label up to its final '.'-separated component, matching the labelling

@@ -164,25 +164,6 @@ func TestPruneStillFindsViolations(t *testing.T) {
 	}
 }
 
-// TestPruneCustomIndependence: a custom predicate overrides the label-based
-// default — declaring everything dependent disables run-run pruning.
-func TestPruneCustomIndependence(t *testing.T) {
-	dependent := func(a, b sched.Label) bool { return false }
-	s := registersSession(3, 2)()
-	plain, err := ExploreSession(s, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s = registersSession(3, 2)()
-	custom, err := ExploreSession(s, Config{Prune: true, Independent: dependent})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if custom.Runs != plain.Runs {
-		t.Fatalf("all-dependent predicate must disable run pruning: %d vs %d", custom.Runs, plain.Runs)
-	}
-}
-
 // TestPrunedSafetyMatchesUnpruned: for a real object (test&set under one
 // crash), pruning must not change the verdict — both modes exhaust, both
 // find no violation, and the pruned tree is no larger.

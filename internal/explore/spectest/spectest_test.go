@@ -83,7 +83,7 @@ func TestSymmetryVerdictPermutationInvariance(t *testing.T) {
 			}
 			sess := s.New(p)
 			for si, script := range scripts {
-				res, err := spectest.ReplayScript(sess, script, p[spec.ParamSteps])
+				res, err := explore.ReplayScript(sess, script, p[spec.ParamSteps])
 				if err != nil {
 					t.Fatalf("raw replay of sample %d: %v", si, err)
 				}
@@ -98,7 +98,7 @@ func TestSymmetryVerdictPermutationInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("permuting sample %d: %v", si, err)
 				}
-				pres, err := spectest.ReplayScript(sess, permuted, p[spec.ParamSteps])
+				pres, err := explore.ReplayScript(sess, permuted, p[spec.ParamSteps])
 				if err != nil {
 					t.Fatalf("permuted replay of sample %d: %v\nraw:      %v\npermuted: %v", si, err, script, permuted)
 				}

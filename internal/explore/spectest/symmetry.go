@@ -212,7 +212,7 @@ func permutationBattery(t *testing.T, s spec.Spec, p spec.Params, opt Options) {
 	sig := canonSigner(sess)
 	maxSteps := p[spec.ParamSteps]
 	for si, script := range scripts {
-		res, err := ReplayScript(sess, script, maxSteps)
+		res, err := explore.ReplayScript(sess, script, maxSteps)
 		if err != nil {
 			t.Fatalf("raw replay of sample %d failed: %v\nscript: %v", si, err, script)
 		}
@@ -223,7 +223,7 @@ func permutationBattery(t *testing.T, s spec.Spec, p spec.Params, opt Options) {
 			if err != nil {
 				t.Fatalf("permuting sample %d under %v: %v", si, perm, err)
 			}
-			pres, err := ReplayScript(sess, permuted, maxSteps)
+			pres, err := explore.ReplayScript(sess, permuted, maxSteps)
 			if err != nil {
 				t.Fatalf("permuted replay of sample %d under %v failed: %v\nraw:      %v\npermuted: %v",
 					si, perm, err, script, permuted)
@@ -265,67 +265,31 @@ func procPerms(n int) [][]sched.ProcID {
 	return [][]sched.ProcID{rot, swap}
 }
 
-// scriptChoice is one parsed decision of a replay script.
-type scriptChoice struct {
-	crash bool
-	id    sched.ProcID
-	label string
-}
-
-func (c scriptChoice) render() string {
-	if c.crash {
-		return fmt.Sprintf("crash(%d@%s)", c.id, c.label)
-	}
-	return fmt.Sprintf("run(%d@%s)", c.id, c.label)
-}
-
-// parseChoice parses one entry of the engines' replay-script syntax,
-// "run(ID@label)" or "crash(ID@label)".
-func parseChoice(line string) (scriptChoice, error) {
-	var c scriptChoice
-	var body string
-	switch {
-	case strings.HasPrefix(line, "run(") && strings.HasSuffix(line, ")"):
-		body = line[len("run(") : len(line)-1]
-	case strings.HasPrefix(line, "crash(") && strings.HasSuffix(line, ")"):
-		c.crash = true
-		body = line[len("crash(") : len(line)-1]
-	default:
-		return c, fmt.Errorf("spectest: unparseable script entry %q", line)
-	}
-	idStr, label, ok := strings.Cut(body, "@")
-	if !ok {
-		return c, fmt.Errorf("spectest: script entry %q lacks the proc@label form", line)
-	}
-	id, err := strconv.Atoi(idStr)
-	if err != nil {
-		return c, fmt.Errorf("spectest: script entry %q has a non-numeric process id", line)
-	}
-	c.id = sched.ProcID(id)
-	c.label = label
-	return c, nil
-}
-
 // PermuteScript applies a process permutation pi (process i becomes
 // pi[i]) to a decision script in the engines' replay syntax: decision
 // targets are renamed, and per-process cell indices inside step labels
 // ("obj[i].op" — the InternIndexed form, where cell i belongs to process i)
 // are mapped through pi likewise. Labels without a cell index pass through
 // unchanged. pi must be a permutation of 0..len(pi)-1 covering every process
-// the script names.
+// the script names. Entries parse and render through explore.ParseChoice and
+// Choice.String, so every label, permuted ones included, must be interned.
 func PermuteScript(script []string, pi []sched.ProcID) ([]string, error) {
 	out := make([]string, len(script))
 	for i, line := range script {
-		c, err := parseChoice(line)
+		c, err := explore.ParseChoice(line)
 		if err != nil {
 			return nil, err
 		}
-		if c.id < 0 || int(c.id) >= len(pi) {
-			return nil, fmt.Errorf("spectest: script names process %d, permutation covers 0..%d", c.id, len(pi)-1)
+		if int(c.Proc) >= len(pi) {
+			return nil, fmt.Errorf("spectest: script names process %d, permutation covers 0..%d", c.Proc, len(pi)-1)
 		}
-		c.id = pi[c.id]
-		c.label = permuteLabel(c.label, pi)
-		out[i] = c.render()
+		label := permuteLabel(c.Label.String(), pi)
+		l, ok := sched.LookupLabel(label)
+		if !ok {
+			return nil, fmt.Errorf("spectest: %q permutes to the unknown label %q", line, label)
+		}
+		c.Proc, c.Label = pi[c.Proc], l
+		out[i] = c.String()
 	}
 	return out, nil
 }
@@ -344,88 +308,4 @@ func permuteLabel(label string, pi []sched.ProcID) string {
 		return label
 	}
 	return label[:o+1] + strconv.Itoa(int(pi[idx])) + label[cl:]
-}
-
-// scriptFollower is the replay adversary of ReplayScript: it follows a
-// parsed decision script verbatim, verifying at every step that the targeted
-// process is runnable and parked on the label the script recorded — a
-// mismatch means the script does not describe a real schedule of this
-// session (e.g. an invalid permutation of an asymmetric harness).
-type scriptFollower struct {
-	choices []scriptChoice
-	pos     int
-	err     error
-}
-
-var _ sched.Adversary = (*scriptFollower)(nil)
-
-func (f *scriptFollower) fail(err error) sched.Decision {
-	if f.err == nil {
-		f.err = err
-	}
-	// The run must still finish for the runtime's sake; fall back to the
-	// lowest runnable process and let the caller surface f.err.
-	return sched.Decision{}
-}
-
-// Next implements sched.Adversary.
-func (f *scriptFollower) Next(v sched.View) sched.Decision {
-	if f.pos >= len(f.choices) {
-		return f.fail(fmt.Errorf("spectest: script exhausted after %d decisions but the run needs more", len(f.choices)))
-	}
-	c := f.choices[f.pos]
-	f.pos++
-	runnable := false
-	for _, id := range v.Runnable {
-		if id == c.id {
-			runnable = true
-			break
-		}
-	}
-	if !runnable {
-		return f.fail(fmt.Errorf("spectest: script step %d targets process %d, which is not runnable", f.pos-1, c.id))
-	}
-	if got := v.Pending[c.id].String(); got != c.label {
-		return f.fail(fmt.Errorf("spectest: script step %d expects process %d at %q, runtime has it at %q",
-			f.pos-1, c.id, c.label, got))
-	}
-	if c.crash {
-		return sched.CrashDecision(c.id)
-	}
-	return sched.RunDecision(c.id)
-}
-
-// ReplayScript re-executes one decision script (the engines' replay syntax,
-// as carried by explore.PropertyError.Script and sample.Config.OnSample)
-// against a fresh run of sess and returns the run's Result. The caller runs
-// sess.Check itself — the checker closures read harness state the replayed
-// Make populated. maxSteps <= 0 selects the sampling engine's default
-// budget. Any divergence between the script and the runtime (wrong label,
-// non-runnable target, leftover or missing decisions) is an error: the
-// script then does not describe a real schedule of this session.
-func ReplayScript(sess explore.Session, script []string, maxSteps int) (*sched.Result, error) {
-	choices := make([]scriptChoice, len(script))
-	for i, line := range script {
-		c, err := parseChoice(line)
-		if err != nil {
-			return nil, err
-		}
-		choices[i] = c
-	}
-	if maxSteps <= 0 {
-		maxSteps = sample.DefaultMaxSteps
-	}
-	bodies := sess.Make()
-	f := &scriptFollower{choices: choices}
-	res, err := sched.Run(sched.Config{Adversary: f, MaxSteps: maxSteps, Observe: true}, bodies)
-	if err != nil {
-		return nil, fmt.Errorf("spectest: script replay failed: %w", err)
-	}
-	if f.err != nil {
-		return nil, f.err
-	}
-	if f.pos != len(choices) {
-		return nil, fmt.Errorf("spectest: run consumed %d of %d script decisions", f.pos, len(choices))
-	}
-	return res, nil
 }

@@ -155,6 +155,12 @@ func TestSymmetryOrbitCollapse(t *testing.T) {
 // decision targets and own-cell label indices map through pi, everything
 // else is untouched.
 func TestPermuteScriptMapsLabels(t *testing.T) {
+	// Scripts name interned labels only; intern the objects' labels as
+	// their constructors would.
+	sched.InternIndexed("%s[%d].write", "r", 3)
+	sched.InternIndexed("%s[%d].update", "ca.ph1", 3)
+	sched.Intern("tas.test-and-set")
+	sched.Intern("x")
 	pi := []sched.ProcID{1, 2, 0}
 	in := []string{"run(0@r[0].write)", "crash(2@ca.ph1[2].update)", "run(1@tas.test-and-set)"}
 	want := []string{"run(1@r[1].write)", "crash(0@ca.ph1[0].update)", "run(2@tas.test-and-set)"}

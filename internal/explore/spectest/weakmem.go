@@ -1,28 +1,14 @@
 package spectest
 
 // Weak-memory battery support: helpers for the differential tests that pin
-// the backend-parameterized specs' semantics — enumerate the backend specs,
-// build cells with a named backend, replay decision scripts leniently, and
-// minimize a violating script to the decisions that matter.
-//
-// Strict replay (ReplayScript) verifies a script IS a schedule of the
-// session: every line must name a runnable process parked on the recorded
-// label. That is the right contract for verbatim reproduction, but it makes
-// script minimization impossible — dropping one decision shifts every later
-// control point, so the remaining labels no longer match. Loose replay
-// (ReplayLoose) keeps only the script's process choices: lines whose target
-// is not runnable are skipped, and when the script runs out the schedule is
-// completed with the engine's default policy (lowest runnable process). A
-// minimized script is then exactly the ordering constraints the violation
-// needs; everything else is defaulted.
+// the backend-parameterized specs' semantics — enumerate the backend specs
+// and build cells with a named backend. The batteries replay and minimize
+// witnesses through explore.ReplayScript, ReplayLoose and MinimizeScript.
 
 import (
 	"fmt"
 
-	"mpcn/internal/explore"
-	"mpcn/internal/explore/sample"
 	"mpcn/internal/explore/spec"
-	"mpcn/internal/sched"
 )
 
 // BackendSpecs returns the registered specs that declare the string-domain
@@ -65,97 +51,4 @@ func BackendParams(s spec.Spec, backend string, overrides spec.Params) (spec.Par
 	}
 	p["backend"] = idx
 	return spec.Resolve(s, p)
-}
-
-// looseFollower is the lenient replay adversary of ReplayLoose: it consumes
-// the script's process choices in order, skipping lines whose target is not
-// currently runnable, and falls back to the engine's default decision (the
-// lowest runnable process) once the script is exhausted.
-type looseFollower struct {
-	choices []scriptChoice
-	pos     int
-}
-
-var _ sched.Adversary = (*looseFollower)(nil)
-
-// Next implements sched.Adversary.
-func (f *looseFollower) Next(v sched.View) sched.Decision {
-	for f.pos < len(f.choices) {
-		c := f.choices[f.pos]
-		f.pos++
-		for _, id := range v.Runnable {
-			if id == c.id {
-				if c.crash {
-					return sched.CrashDecision(c.id)
-				}
-				return sched.RunDecision(c.id)
-			}
-		}
-	}
-	return sched.Decision{} // default policy: lowest runnable process
-}
-
-// ReplayLoose re-executes a decision script against a fresh run of sess
-// under the lenient contract: only the script's process choices are
-// followed (labels are ignored), unrunnable targets are skipped, and the
-// run is completed with the default schedule once the script is exhausted.
-// The caller runs sess.Check itself, as with ReplayScript.
-func ReplayLoose(sess explore.Session, script []string, maxSteps int) (*sched.Result, error) {
-	choices := make([]scriptChoice, len(script))
-	for i, line := range script {
-		c, err := parseChoice(line)
-		if err != nil {
-			return nil, err
-		}
-		choices[i] = c
-	}
-	if maxSteps <= 0 {
-		maxSteps = sample.DefaultMaxSteps
-	}
-	bodies := sess.Make()
-	res, err := sched.Run(sched.Config{Adversary: &looseFollower{choices: choices}, MaxSteps: maxSteps, Observe: true}, bodies)
-	if err != nil {
-		return nil, fmt.Errorf("spectest: loose replay failed: %w", err)
-	}
-	return res, nil
-}
-
-// MinimizeScript greedily shrinks a violating decision script to the
-// ordering constraints the violation needs: it repeatedly tries dropping
-// each line, replaying the shortened script with ReplayLoose, and keeps any
-// removal under which sess.Check still returns an error accepted by
-// matches, iterating to a fixed point (one-line-removal minimality under
-// the loose-replay contract). The input script must itself reproduce a
-// matching verdict under loose replay; the returned script always does.
-func MinimizeScript(sess explore.Session, script []string, maxSteps int, matches func(error) bool) ([]string, error) {
-	reproduces := func(s []string) (bool, error) {
-		res, err := ReplayLoose(sess, s, maxSteps)
-		if err != nil {
-			return false, err
-		}
-		return matches(sess.Check(res)), nil
-	}
-	if ok, err := reproduces(script); err != nil {
-		return nil, err
-	} else if !ok {
-		return nil, fmt.Errorf("spectest: script does not reproduce the verdict under loose replay")
-	}
-	cur := append([]string(nil), script...)
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < len(cur); {
-			cand := append(append([]string(nil), cur[:i]...), cur[i+1:]...)
-			ok, err := reproduces(cand)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				cur = cand
-				changed = true
-				continue // same index now holds the next line
-			}
-			i++
-		}
-	}
-	return cur, nil
 }

@@ -178,7 +178,7 @@ func TestRegularOnlyWitness(t *testing.T) {
 	// Strict replay: the engine's script is a verbatim schedule of a fresh
 	// session and reproduces the exact verdict.
 	strict := s.New(p)
-	res, err := spectest.ReplayScript(strict, pe.Script, 0)
+	res, err := explore.ReplayScript(strict, pe.Script, 0)
 	if err != nil {
 		t.Fatalf("strict replay of the witness: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestRegularOnlyWitness(t *testing.T) {
 	// read (new), flick the old value back, take the second read (old);
 	// the commit and the decides complete by default.
 	matches := func(err error) bool { return errors.Is(err, sessions.ErrNonMonotonicRead) }
-	min, err := spectest.MinimizeScript(s.New(p), pe.Script, 0, matches)
+	min, err := explore.MinimizeScript(s.New(p), pe.Script, 0, matches)
 	if err != nil {
 		t.Fatalf("MinimizeScript: %v", err)
 	}
@@ -202,7 +202,7 @@ func TestRegularOnlyWitness(t *testing.T) {
 		t.Errorf("minimized witness has %d lines, want <= 6:\n%v", len(min), min)
 	}
 	loose := s.New(p)
-	lres, err := spectest.ReplayLoose(loose, min, 0)
+	lres, err := explore.ReplayLoose(loose, min, 0)
 	if err != nil {
 		t.Fatalf("loose replay of the minimum: %v", err)
 	}
@@ -235,7 +235,7 @@ func TestStoreBufferDifferential(t *testing.T) {
 		t.Fatalf("sb backend=tso violated with %v, want ErrStoreLoadReordered", pe.Err)
 	}
 	sess := s.New(p)
-	res, err := spectest.ReplayScript(sess, pe.Script, 0)
+	res, err := explore.ReplayScript(sess, pe.Script, 0)
 	if err != nil {
 		t.Fatalf("strict replay of the sb tso witness: %v", err)
 	}
@@ -243,7 +243,7 @@ func TestStoreBufferDifferential(t *testing.T) {
 		t.Fatalf("sb tso witness replays to %v, want ErrStoreLoadReordered", cerr)
 	}
 	matches := func(err error) bool { return errors.Is(err, sessions.ErrStoreLoadReordered) }
-	min, err := spectest.MinimizeScript(s.New(p), pe.Script, 0, matches)
+	min, err := explore.MinimizeScript(s.New(p), pe.Script, 0, matches)
 	if err != nil {
 		t.Fatalf("MinimizeScript(sb tso): %v", err)
 	}

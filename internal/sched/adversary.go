@@ -317,34 +317,3 @@ func (a *Striped) Next(v View) Decision {
 	}
 	return Decision{Run: v.Runnable[0]}
 }
-
-// Replay re-executes a recorded schedule: at each round it runs the traced
-// process, falling back to the smallest parked process once the trace is
-// exhausted (or when the traced process is not runnable, which indicates
-// the replayed program diverged from the recording). Combined with
-// Config.TraceCapacity this gives record/replay debugging: capture the
-// Trace of a failing run and re-run it step by step.
-type Replay struct {
-	trace []TraceEntry
-	pos   int
-}
-
-var _ Adversary = (*Replay)(nil)
-
-// NewReplay returns a Replay adversary over a recorded trace. The slice is
-// copied.
-func NewReplay(trace []TraceEntry) *Replay {
-	ts := make([]TraceEntry, len(trace))
-	copy(ts, trace)
-	return &Replay{trace: ts}
-}
-
-// Next implements Adversary.
-func (a *Replay) Next(v View) Decision {
-	if a.pos < len(a.trace) {
-		id := a.trace[a.pos].Proc
-		a.pos++
-		return Decision{Run: id}
-	}
-	return Decision{Run: v.Runnable[0]}
-}

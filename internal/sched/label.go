@@ -76,6 +76,17 @@ func Intern(name string) Label {
 	return l
 }
 
+// LookupLabel returns the Label interned for name, if any. Unlike Intern it
+// never grows the table, so parsers of untrusted text resolve through it.
+// It is safe for concurrent use.
+func LookupLabel(name string) (Label, bool) {
+	l, ok := labels.byName.Load(name)
+	if !ok {
+		return 0, false
+	}
+	return l.(Label), true
+}
+
 // InternIndexed returns the interned labels of an n-cell object's per-cell
 // operation: format is a two-verb pattern applied as (name, cell index),
 // e.g. "%s[%d].read". The result is cached per (format, name, n) and shared,

@@ -494,49 +494,3 @@ func TestStripedPeriodClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestReplayReproducesTrace(t *testing.T) {
-	mk := func() []Proc {
-		bodies := make([]Proc, 3)
-		for i := range bodies {
-			bodies[i] = counterBody(6)
-		}
-		return bodies
-	}
-	orig, err := Run(Config{Seed: 77, TraceCapacity: 1 << 10}, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := Run(Config{
-		Adversary:     NewReplay(orig.Trace),
-		TraceCapacity: 1 << 10,
-	}, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(orig.Trace) != len(replayed.Trace) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(orig.Trace), len(replayed.Trace))
-	}
-	for i := range orig.Trace {
-		if orig.Trace[i] != replayed.Trace[i] {
-			t.Fatalf("replay diverged at %d: %v vs %v", i, orig.Trace[i], replayed.Trace[i])
-		}
-	}
-	for i := range orig.Outcomes {
-		if orig.Outcomes[i].Value != replayed.Outcomes[i].Value {
-			t.Fatalf("outcome %d differs", i)
-		}
-	}
-}
-
-func TestReplayExhaustedFallsBack(t *testing.T) {
-	// An empty trace degrades to smallest-parked scheduling; the run still
-	// completes.
-	res, err := Run(Config{Adversary: NewReplay(nil)}, []Proc{counterBody(3), counterBody(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumDecided() != 2 {
-		t.Fatalf("decided %d of 2", res.NumDecided())
-	}
-}

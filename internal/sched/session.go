@@ -529,8 +529,8 @@ func (s *Session) nextDecision(v *View) (dec Decision, err error) {
 
 // grantBookkeeping records the grant of one step to process id: the label it
 // was parked on becomes its last label, counted unless it is the synthetic
-// start grant, and traced always, so a Replay adversary reproduces the
-// schedule round for round.
+// start grant, and traced always, so the trace replays round for round as a
+// run-only script (explore.ReplayScript).
 func (s *Session) grantBookkeeping(id ProcID) {
 	label := s.pending[id]
 	s.lastLabel[id] = label
