@@ -57,7 +57,7 @@ func (c saCell) Fingerprint(h *sched.FP) {
 // simulator may invoke Propose at most once, then Decide/TryDecide.
 type SafeAgreement struct {
 	name     string
-	sm       snapshot.Snapshot[saCell]
+	sm       *snapshot.Primitive[saCell]
 	proposed map[sched.ProcID]bool
 }
 
@@ -70,12 +70,18 @@ func NewSafeAgreement(name string, n int) *SafeAgreement {
 	}
 }
 
+// Reset returns the object to its freshly constructed state — SM cleared
+// and no simulator proposed — without re-interning any step labels, so a
+// harness or a BG engine can reuse one object across runs.
+func (s *SafeAgreement) Reset() {
+	s.sm.Reset()
+	clear(s.proposed)
+}
+
 // Fingerprint implements sched.Fingerprinter: it folds the SM snapshot and
-// the (unordered) set of simulators that already proposed. The backing
-// snapshot must itself be a sched.Fingerprinter (both provided
-// implementations are).
+// the (unordered) set of simulators that already proposed.
 func (s *SafeAgreement) Fingerprint(h *sched.FP) {
-	s.sm.(sched.Fingerprinter).Fingerprint(h)
+	s.sm.Fingerprint(h)
 	h.ProcSet(s.proposed)
 }
 
@@ -92,7 +98,7 @@ func (s *SafeAgreement) Propose(e *sched.Env, v any) {
 	s.proposed[e.ID()] = true
 
 	s.sm.Update(e, i, saCell{value: v, level: saUnstable}) // line 01
-	sm := s.sm.Scan(e)                                     // line 02
+	sm := s.sm.ScanView(e)                                 // line 02: read before the next step
 	stable := false
 	for _, c := range sm {
 		if c.level == saStable {
@@ -112,7 +118,7 @@ func (s *SafeAgreement) Propose(e *sched.Env, v any) {
 // stable, and (nil, false) otherwise. The returned value is the stable value
 // of the smallest simulator index (line 05), so all deciders agree.
 func (s *SafeAgreement) TryDecide(e *sched.Env) (any, bool) {
-	sm := s.sm.Scan(e)
+	sm := s.sm.ScanView(e)
 	for _, c := range sm {
 		if c.level == saUnstable {
 			return nil, false

@@ -29,8 +29,9 @@ func PrimitiveTAS(name string) TAS {
 // one-shot test&set objects. At most x callers win; when at most x processes
 // invoke it, every non-crashed invoker wins.
 type XCompete struct {
-	name string
-	ts   []TAS
+	name     string
+	ts       []TAS
+	provider TASProvider
 }
 
 // NewXCompete returns an x-slot compete object using the given provider
@@ -42,11 +43,28 @@ func NewXCompete(name string, x int, provider TASProvider) *XCompete {
 	if provider == nil {
 		provider = PrimitiveTAS
 	}
-	ts := make([]TAS, x)
-	for i := range ts {
-		ts[i] = provider(fmt.Sprintf("%s.TS[%d]", name, i))
+	c := &XCompete{name: name, ts: make([]TAS, x), provider: provider}
+	for i := range c.ts {
+		c.ts[i] = c.newTAS(i)
 	}
-	return &XCompete{name: name, ts: ts}
+	return c
+}
+
+func (c *XCompete) newTAS(i int) TAS {
+	return c.provider(fmt.Sprintf("%s.TS[%d]", c.name, i))
+}
+
+// Reset returns the cascade to its freshly constructed state: test&set
+// objects with a Reset method (the primitive ones) are reset in place, any
+// other is built again.
+func (c *XCompete) Reset() {
+	for i, t := range c.ts {
+		if r, ok := t.(interface{ Reset() }); ok {
+			r.Reset()
+		} else {
+			c.ts[i] = c.newTAS(i)
+		}
+	}
 }
 
 // Fingerprint implements sched.Fingerprinter: every test&set of the cascade
@@ -124,6 +142,7 @@ func (f *XSafeFactory) New(name string) *XSafeAgreement {
 		f:        f,
 		compete:  NewXCompete(name+".X_T&S", f.x, f.provider),
 		xcons:    make([]*object.XConsensus, len(f.setList)),
+		used:     make([]bool, len(f.setList)),
 		result:   reg.New[xsagResult](name + ".X_SAFE_AG"),
 		proposed: make(map[sched.ProcID]bool),
 	}
@@ -137,8 +156,26 @@ type XSafeAgreement struct {
 	f        *XSafeFactory
 	compete  *XCompete
 	xcons    []*object.XConsensus // lazily created, ports = SET_LIST[l]
+	used     []bool               // xcons[l] used since construction or Reset
 	result   *reg.Register[xsagResult]
 	proposed map[sched.ProcID]bool
+}
+
+// Reset returns the object to its freshly constructed state — the compete
+// cascade and the result register cleared, no consensus object used, no
+// simulator proposed — keeping the objects and their step labels. A
+// consensus object built by an earlier run is reset and counts as unbuilt
+// until its next use, so the fingerprint matches a fresh object's.
+func (xs *XSafeAgreement) Reset() {
+	xs.compete.Reset()
+	for l, c := range xs.xcons {
+		if xs.used[l] {
+			c.Reset()
+			xs.used[l] = false
+		}
+	}
+	xs.result.Reset()
+	clear(xs.proposed)
 }
 
 // consAt returns XCONS[l], creating it on first access with ports
@@ -146,6 +183,7 @@ type XSafeAgreement struct {
 // allocating all C(n, x) objects for instances that only ever see one owner
 // set.
 func (xs *XSafeAgreement) consAt(l int) *object.XConsensus {
+	xs.used[l] = true
 	if xs.xcons[l] == nil {
 		sub := xs.f.setList[l]
 		ids := make([]sched.ProcID, len(sub))
@@ -163,8 +201,8 @@ func (xs *XSafeAgreement) consAt(l int) *object.XConsensus {
 // the proposed set.
 func (xs *XSafeAgreement) Fingerprint(h *sched.FP) {
 	xs.compete.Fingerprint(h)
-	for _, c := range xs.xcons {
-		if c == nil {
+	for l, c := range xs.xcons {
+		if !xs.used[l] {
 			h.Word(0)
 			continue
 		}

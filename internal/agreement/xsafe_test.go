@@ -68,7 +68,9 @@ func TestXCompeteSurvivorsWinDespiteCrashes(t *testing.T) {
 
 func TestXCompeteTASFromXConsensus(t *testing.T) {
 	// Ablation wiring: the cascade built from x-consensus-backed test&set
-	// (the [19] construction) behaves identically.
+	// (the [19] construction) behaves identically, and so it does again
+	// after Reset, which rebuilds these test&set objects (they have no Reset
+	// of their own).
 	provider := func(name string) TAS {
 		return hierarchy.NewTASFromConsensus(
 			hierarchy.NewFromXConsensus(object.NewXConsensus(name+".cons", 8, nil)))
@@ -85,11 +87,17 @@ func TestXCompeteTASFromXConsensus(t *testing.T) {
 			e.Decide(0)
 		}
 	}
-	if _, err := sched.Run(sched.Config{Seed: 17}, bodies); err != nil {
-		t.Fatal(err)
-	}
-	if winners != x {
-		t.Fatalf("winners = %d, want %d", winners, x)
+	for run := 0; run < 2; run++ {
+		if run > 0 {
+			comp.Reset()
+			winners = 0
+		}
+		if _, err := sched.Run(sched.Config{Seed: 17}, bodies); err != nil {
+			t.Fatal(err)
+		}
+		if winners != x {
+			t.Fatalf("run %d: winners = %d, want %d", run, winners, x)
+		}
 	}
 }
 

@@ -41,6 +41,9 @@ import (
 type Agreement interface {
 	Propose(e *sched.Env, v any)
 	TryDecide(e *sched.Env) (any, bool)
+	// Reset returns the object to its freshly constructed state, so an
+	// engine reused across runs keeps its agreement objects.
+	Reset()
 }
 
 // AgreementProvider constructs the shared agreement objects of a run.
@@ -119,27 +122,42 @@ func (r memRow) Fingerprint(h *sched.FP) {
 	}
 }
 
-// agKey addresses the agreement object of the snapsn-th snapshot of
-// simulated process j (the SAFE_AG[j, snapsn] array of Figure 3).
-type agKey struct {
-	j      int
-	snapsn int
+// agSlot is one agreement object of the engine's tables with the run that
+// last used it: an object a run touches for the first time is reset then,
+// so every run meets it freshly constructed.
+type agSlot struct {
+	ag  Agreement
+	run int
 }
 
-// engineRun is the shared state of one simulation run.
-type engineRun struct {
+// Engine is the shared state of a simulation: the MEM snapshot, the
+// agreement objects, the simulators' local state and their threads. New
+// builds it for one run; Reset returns it to its freshly constructed state,
+// so a driver that runs many simulations of one configuration builds it
+// once.
+type Engine struct {
 	cfg   Config
 	n     int // simulated processes
 	ports [][]int
 
-	mem     *snapshot.Primitive[memRow]
-	snapAG  map[agKey]Agreement
-	xconsAG map[int]Agreement
+	mem *snapshot.Primitive[memRow]
+	// snapAG[j][snapsn-1] is SAFE_AG[j, snapsn] (Figure 3) and xconsAG[a]
+	// is XSAFE_AG[a] (Figure 4). Each is built and named on its first use
+	// by any run and reset on its first use by each later one.
+	snapAG  [][]agSlot
+	xconsAG []agSlot
 	tas     []*object.TestAndSet // colored decision claiming (§5.5)
+	run     int                  // the current run: 1 for New's, one more per Reset
 
 	decisions []any
 	claims    []int
 	completed []int
+
+	sims   []*simulator
+	bodies []sched.Proc
+	// keep is set by Reset: the simulator threads' coroutines then park at
+	// the end of a run instead of ending, until Close.
+	keep bool
 
 	// onSnapshot, when non-nil, observes every value returned by a
 	// simulated snapshot: simulator i obtained val for the snapsn-th
@@ -154,8 +172,10 @@ type engineRun struct {
 	onWrite func(i, j, sn int, val any)
 }
 
-// New validates cfg and prepares a run. Call Run to execute it.
-func New(cfg Config) (*engineRun, error) {
+// New validates cfg and builds the engine for one run: Run or RunOn it, or
+// drive its Bodies. One run of a new engine leaves nothing behind; to run it
+// again, see Reset.
+func New(cfg Config) (*Engine, error) {
 	n := len(cfg.Inputs)
 	if n == 0 {
 		return nil, fmt.Errorf("bg: no simulated inputs")
@@ -192,16 +212,19 @@ func New(cfg Config) (*engineRun, error) {
 			n, cfg.Simulators)
 	}
 
-	r := &engineRun{
+	r := &Engine{
 		cfg:       cfg,
 		n:         n,
 		ports:     ports,
 		mem:       snapshot.NewPrimitive[memRow]("MEM", cfg.Simulators),
-		snapAG:    make(map[agKey]Agreement),
-		xconsAG:   make(map[int]Agreement),
+		snapAG:    make([][]agSlot, n),
+		xconsAG:   make([]agSlot, len(ports)),
+		run:       1,
 		decisions: make([]any, cfg.Simulators),
 		claims:    make([]int, cfg.Simulators),
 		completed: make([]int, cfg.Simulators),
+		sims:      make([]*simulator, cfg.Simulators),
+		bodies:    make([]sched.Proc, cfg.Simulators),
 	}
 	for i := range r.claims {
 		r.claims[i] = -1
@@ -212,12 +235,44 @@ func New(cfg Config) (*engineRun, error) {
 			r.tas[j] = object.NewTestAndSet(fmt.Sprintf("T&S[%d]", j))
 		}
 	}
+	for i := range r.sims {
+		s := r.newSimulator(i)
+		r.sims[i] = s
+		r.bodies[i] = func(e *sched.Env) { r.simulate(s, e) }
+	}
 	return r, nil
+}
+
+// Reset returns the engine to its freshly constructed state for another
+// run: MEM cleared, every agreement object as if new, no decisions, claims
+// or completions. The simulator threads keep their coroutines: from the
+// first Reset on, a run parks them at its end instead of ending them, so
+// the engine's owner must call Close once it is done with the engine.
+func (r *Engine) Reset() {
+	r.keep = true
+	r.run++
+	r.mem.Reset()
+	for _, t := range r.tas {
+		t.Reset()
+	}
+	clear(r.decisions)
+	for i := range r.claims {
+		r.claims[i] = -1
+	}
+	clear(r.completed)
+}
+
+// Close ends the simulator threads' coroutines that runs after a Reset keep
+// parked. The engine stays usable: a later run starts new ones.
+func (r *Engine) Close() {
+	for _, s := range r.sims {
+		s.group.Close()
+	}
 }
 
 // Run executes the simulation under the configured scheduler and returns the
 // combined result.
-func (r *engineRun) Run() (*Result, error) {
+func (r *Engine) Run() (*Result, error) {
 	sres, err := sched.Run(r.cfg.Sched, r.Bodies())
 	if err != nil {
 		return nil, err
@@ -227,11 +282,12 @@ func (r *engineRun) Run() (*Result, error) {
 
 // RunOn executes the simulation on a reusable scheduler session (which must
 // have Simulators processes). Sweep drivers that execute many simulations of
-// the same shape reuse one session across engines instead of respawning the
-// runtime per run; the engine itself still carries per-run shared state, so
-// build a fresh engine via New for every run. The returned Result aliases
-// the session's pooled buffers, which the session's next run overwrites.
-func (r *engineRun) RunOn(s *sched.Session) (*Result, error) {
+// the same shape reuse one session across runs instead of respawning the
+// runtime per run, and one engine too: Reset it before each further run and
+// Close it when done. The returned Result aliases the session's pooled
+// buffers, which the session's next run overwrites, and the engine's, which
+// Reset clears.
+func (r *Engine) RunOn(s *sched.Session) (*Result, error) {
 	sres, err := s.Run(r.cfg.Sched, r.Bodies())
 	if err != nil {
 		return nil, err
@@ -241,19 +297,14 @@ func (r *engineRun) RunOn(s *sched.Session) (*Result, error) {
 
 // Bodies returns the simulator process bodies without running them, for
 // callers — such as the exhaustive explorer — that drive sched.Run (or a
-// replaying adversary) themselves. The engine carries per-run shared state,
-// so build a fresh engine via New for every run.
-func (r *engineRun) Bodies() []sched.Proc {
-	bodies := make([]sched.Proc, r.cfg.Simulators)
-	for i := range bodies {
-		bodies[i] = r.simulatorBody(i)
-	}
-	return bodies
-}
+// replaying adversary) themselves. The bodies are built once with the
+// engine: they run the current run, so Reset the engine between runs. The
+// slice is the engine's own and must not be modified.
+func (r *Engine) Bodies() []sched.Proc { return r.bodies }
 
 // Collect assembles the simulation-level Result around an externally
 // obtained scheduler result for this engine's bodies.
-func (r *engineRun) Collect(sres *sched.Result) *Result {
+func (r *Engine) Collect(sres *sched.Result) *Result {
 	out := &Result{
 		Sched:              sres,
 		SimulatorDecisions: r.decisions,
@@ -269,37 +320,51 @@ func (r *engineRun) Collect(sres *sched.Result) *Result {
 	return out
 }
 
-// snapAGAt returns SAFE_AG[j, snapsn], creating it on first access. The
-// serialized runtime makes lazy shared creation race-free. The name is
-// built without fmt: every run creates its agreements afresh.
-func (r *engineRun) snapAGAt(j, snapsn int) Agreement {
-	k := agKey{j: j, snapsn: snapsn}
-	ag, ok := r.snapAG[k]
-	if !ok {
-		ag = r.cfg.NewAgreement("SAFE_AG[" + strconv.Itoa(j) + "," + strconv.Itoa(snapsn) + "]")
-		r.snapAG[k] = ag
+// snapAGAt returns SAFE_AG[j, snapsn], building it on its first use. The
+// serialized runtime makes lazy shared creation race-free. Every simulator
+// counts snapsn up from 1, so a snapsn not in the table is the next one.
+func (r *Engine) snapAGAt(j, snapsn int) Agreement {
+	row := r.snapAG[j]
+	if snapsn > len(row) {
+		row = append(row, agSlot{ag: r.cfg.NewAgreement(
+			"SAFE_AG[" + strconv.Itoa(j) + "," + strconv.Itoa(snapsn) + "]"), run: r.run})
+		r.snapAG[j] = row
 	}
-	return ag
+	return r.current(&row[snapsn-1])
 }
 
-// xconsAGAt returns XSAFE_AG[a], creating it on first access (Figure 4).
-func (r *engineRun) xconsAGAt(a int) Agreement {
-	ag, ok := r.xconsAG[a]
-	if !ok {
-		ag = r.cfg.NewAgreement("XSAFE_AG[" + strconv.Itoa(a) + "]")
-		r.xconsAG[a] = ag
+// xconsAGAt returns XSAFE_AG[a], building it on its first use (Figure 4).
+func (r *Engine) xconsAGAt(a int) Agreement {
+	sl := &r.xconsAG[a]
+	if sl.ag == nil {
+		sl.ag, sl.run = r.cfg.NewAgreement("XSAFE_AG["+strconv.Itoa(a)+"]"), r.run
 	}
-	return ag
+	return r.current(sl)
 }
 
-// simulatorState is the per-simulator local state: its copy of the simulated
+// current returns sl's agreement, reset first if an earlier run used it.
+func (r *Engine) current(sl *agSlot) Agreement {
+	if sl.run != r.run {
+		sl.ag.Reset()
+		sl.run = r.run
+	}
+	return sl.ag
+}
+
+// simulator is one simulator's local state: its copy of the simulated
 // memory, sequence counters, cached x_cons results, the two thread-local
-// mutexes and the decisions its threads produced.
-type simulatorState struct {
+// mutexes and the decisions its threads produced, with the threads that
+// simulate the processes. It is built with the engine and cleared at the
+// start of each of its runs.
+type simulator struct {
+	i      int
 	memi   memRow
+	rows   [2]memRow // the copies of memi published in MEM, alternately
+	wrote  int       // writes published this run
 	wSN    []int
 	snapSN []int
-	xres   map[int]any
+	xres   []any
+	xknown []bool
 	mutex1 bool // held while engaged in an agreement propose
 	// mutex2 guards xres[a] per simulated object (Figure 4): it makes the
 	// propose/decide pair on XSAFE_AG[a] one-shot per simulator. It must be
@@ -307,71 +372,116 @@ type simulatorState struct {
 	// and a single simulator-wide lock would let one dead object wedge every
 	// x_cons simulation at a *correct* simulator, breaking Lemma 1's bound
 	// of x blocked processes per simulator crash.
-	mutex2  map[int]bool
+	mutex2  []bool
 	decided []any
+	claimed []bool
+
+	apis  []simAPI // apis[j] runs simulated process j
+	group *coro.Group
 }
 
-func (r *engineRun) simulatorBody(i int) sched.Proc {
-	return func(e *sched.Env) {
-		sim := &simulatorState{
-			memi:    make(memRow, r.n),
-			wSN:     make([]int, r.n),
-			snapSN:  make([]int, r.n),
-			xres:    make(map[int]any),
-			mutex2:  make(map[int]bool),
-			decided: make([]any, r.n),
-		}
-		threads := make([]*coro.Thread, r.n)
-		for j := 0; j < r.n; j++ {
-			j := j
-			threads[j] = coro.New(func(y *coro.Yielder) {
-				api := &simAPI{r: r, sim: sim, e: e, y: y, i: i, j: j,
-					proposed: make(map[int]bool)}
-				r.cfg.Alg.Run(api)
-			})
-		}
-		group := coro.NewGroup(threads)
-		defer group.KillAll()
+func (r *Engine) newSimulator(i int) *simulator {
+	n, objs := r.n, len(r.ports)
+	s := &simulator{
+		i:       i,
+		memi:    make(memRow, n),
+		rows:    [2]memRow{make(memRow, n), make(memRow, n)},
+		wSN:     make([]int, n),
+		snapSN:  make([]int, n),
+		xres:    make([]any, objs),
+		xknown:  make([]bool, objs),
+		mutex2:  make([]bool, objs),
+		decided: make([]any, n),
+		claimed: make([]bool, n),
+		apis:    make([]simAPI, n),
+	}
+	threads := make([]*coro.Thread, n)
+	for j := range threads {
+		a := &s.apis[j]
+		*a = simAPI{r: r, sim: s, i: i, j: j, proposed: make([]bool, objs)}
+		a.bind()
+		threads[j] = coro.NewReusable(func(y *coro.Yielder) {
+			a.y = y
+			r.cfg.Alg.Run(a)
+		})
+	}
+	s.group = coro.NewGroup(threads)
+	return s
+}
 
-		claimed := make([]bool, r.n)
-		for {
-			progressed := group.ResumeNext()
-			for j, dv := range sim.decided {
-				if dv == nil || claimed[j] {
-					continue
-				}
-				claimed[j] = true
-				r.completed[i]++
-				if !r.cfg.Colored {
-					// Colorless: adopt the first simulated decision (§2.4),
-					// or keep simulating to completion when the run is
-					// instrumented for the liveness lemmas.
-					if r.decisions[i] == nil {
-						r.decisions[i] = dv
-						r.claims[i] = j
-						e.Decide(dv)
-					}
-					if !r.cfg.RunToCompletion {
-						return
-					}
-					continue
-				}
-				// Colored (§5.5): claim p_j's decision through T&S[j]; on
-				// loss resume the remaining threads for another decision.
-				if r.tas[j].TestAndSet(e) {
+// reset clears the simulator's local state for a run on e and re-arms its
+// threads.
+func (s *simulator) reset(e *sched.Env) {
+	clear(s.memi)
+	s.wrote = 0
+	clear(s.wSN)
+	clear(s.snapSN)
+	clear(s.xres)
+	clear(s.xknown)
+	s.mutex1 = false
+	clear(s.mutex2)
+	clear(s.decided)
+	clear(s.claimed)
+	for j := range s.apis {
+		s.apis[j].e = e
+		clear(s.apis[j].proposed)
+	}
+	s.group.Reset()
+}
+
+// end stops the simulator's threads at the end of its run, or as a crash
+// unwinds it: parked until the next run when the engine keeps them, ended
+// otherwise.
+func (r *Engine) end(s *simulator) {
+	if r.keep {
+		s.group.KillAll()
+	} else {
+		s.group.Close()
+	}
+}
+
+// simulate is simulator i's process body.
+func (r *Engine) simulate(s *simulator, e *sched.Env) {
+	i := s.i
+	s.reset(e)
+	defer r.end(s)
+	for {
+		progressed := s.group.ResumeNext()
+		for j, dv := range s.decided {
+			if dv == nil || s.claimed[j] {
+				continue
+			}
+			s.claimed[j] = true
+			r.completed[i]++
+			if !r.cfg.Colored {
+				// Colorless: adopt the first simulated decision (§2.4),
+				// or keep simulating to completion when the run is
+				// instrumented for the liveness lemmas.
+				if r.decisions[i] == nil {
 					r.decisions[i] = dv
 					r.claims[i] = j
 					e.Decide(dv)
+				}
+				if !r.cfg.RunToCompletion {
 					return
 				}
+				continue
 			}
-			if !progressed {
-				// Every thread finished and no usable claim was produced:
-				// the simulator halts (with RunToCompletion it has already
-				// decided; otherwise this is possible only outside the
-				// §5.5 conditions).
+			// Colored (§5.5): claim p_j's decision through T&S[j]; on
+			// loss resume the remaining threads for another decision.
+			if r.tas[j].TestAndSet(e) {
+				r.decisions[i] = dv
+				r.claims[i] = j
+				e.Decide(dv)
 				return
 			}
+		}
+		if !progressed {
+			// Every thread finished and no usable claim was produced:
+			// the simulator halts (with RunToCompletion it has already
+			// decided; otherwise this is possible only outside the
+			// §5.5 conditions).
+			return
 		}
 	}
 }
@@ -383,13 +493,30 @@ func (r *engineRun) simulatorBody(i int) sched.Proc {
 // itself never touches the scheduler. The thread yields to its siblings
 // wherever the simulated process may block.
 type simAPI struct {
-	r        *engineRun
-	sim      *simulatorState
+	r        *Engine
+	sim      *simulator
 	e        *sched.Env
 	y        *coro.Yielder
 	i        int // simulator index
 	j        int // simulated process index
-	proposed map[int]bool
+	proposed []bool
+
+	// The shared steps, bound once as closures over the fields below,
+	// which carry each step's arguments and results.
+	updateOp, scanOp, proposeOp, decideOp func()
+	row                                   memRow    // updateOp: the published copy
+	view                                  []memRow  // scanOp: MEM's live cells
+	ag                                    Agreement // proposeOp, decideOp
+	arg, res                              any
+	ok                                    bool
+}
+
+// bind builds the shared-step closures.
+func (a *simAPI) bind() {
+	a.updateOp = func() { a.r.mem.Update(a.e, a.i, a.row) }
+	a.scanOp = func() { a.view = a.r.mem.ScanView(a.e) }
+	a.proposeOp = func() { a.ag.Propose(a.e, a.arg) }
+	a.decideOp = func() { a.res, a.ok = a.ag.TryDecide(a.e) }
 }
 
 var _ algorithms.API = (*simAPI)(nil)
@@ -405,6 +532,9 @@ func (a *simAPI) Input() any { return a.r.cfg.Inputs[a.j] }
 
 // Write implements sim_write (Figure 2): bump the write sequence number,
 // update the local memory copy and publish it in MEM[i] in one atomic step.
+// The published copy alternates between two buffers: the one MEM[i] holds
+// stays untouched until the next write replaces it, and scanners read MEM
+// before their next step.
 func (a *simAPI) Write(v any) {
 	sim := a.sim
 	sim.wSN[a.j]++                                    // line 01
@@ -412,18 +542,19 @@ func (a *simAPI) Write(v any) {
 	if a.r.onWrite != nil {
 		a.r.onWrite(a.i, a.j, sim.wSN[a.j], v)
 	}
-	snap := make(memRow, len(sim.memi))
-	copy(snap, sim.memi)
-	a.y.Call(func() { a.r.mem.Update(a.e, a.i, snap) }) // line 03
-	a.y.Yield()                                         // fair interleaving of the simulator's threads (§2.4)
+	a.row = sim.rows[sim.wrote%2]
+	sim.wrote++
+	copy(a.row, sim.memi)
+	a.y.Call(a.updateOp) // line 03
+	a.y.Yield()          // fair interleaving of the simulator's threads (§2.4)
 }
 
 // Snapshot implements sim_snapshot (Figure 3).
 func (a *simAPI) Snapshot() []any {
 	r, sim := a.r, a.sim
 
-	var sm []memRow
-	a.y.Call(func() { sm = r.mem.Scan(a.e) }) // line 01
+	a.y.Call(a.scanOp) // line 01
+	sm := a.view
 	input := make([]any, r.n)
 	for y := 0; y < r.n; y++ { // lines 02-03: adopt the most advanced write
 		best := memCell{}
@@ -478,14 +609,14 @@ func (a *simAPI) XConsPropose(obj int, v any) any {
 	a.proposed[obj] = true
 
 	a.enterMutex2(obj) // line 01
-	if _, known := sim.xres[obj]; !known {
+	if !sim.xknown[obj] {
 		ag := r.xconsAGAt(obj)
 		a.enterMutex1() // line 02
 		a.propose(ag, v)
 		sim.mutex1 = false
 		for { // line 03
 			if res, ok := a.tryDecide(ag); ok {
-				sim.xres[obj] = res
+				sim.xres[obj], sim.xknown[obj] = res, true
 				break
 			}
 			a.y.Yield()
@@ -499,13 +630,15 @@ func (a *simAPI) XConsPropose(obj int, v any) any {
 
 // propose runs ag.Propose as a step of the simulator.
 func (a *simAPI) propose(ag Agreement, v any) {
-	a.y.Call(func() { ag.Propose(a.e, v) })
+	a.ag, a.arg = ag, v
+	a.y.Call(a.proposeOp)
 }
 
 // tryDecide runs ag.TryDecide as a step of the simulator.
-func (a *simAPI) tryDecide(ag Agreement) (v any, ok bool) {
-	a.y.Call(func() { v, ok = ag.TryDecide(a.e) })
-	return v, ok
+func (a *simAPI) tryDecide(ag Agreement) (any, bool) {
+	a.ag = ag
+	a.y.Call(a.decideOp)
+	return a.res, a.ok
 }
 
 // Decide implements algorithms.API: the simulated decision is recorded

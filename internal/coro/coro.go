@@ -20,7 +20,16 @@
 // by a Call operation (in particular the crash sentinel of internal/sched)
 // unwinds the resumer directly and leaves the calling thread parked inside
 // Call; Kill reaps a parked thread without running any of its remaining
-// code, so no coroutine outlives its simulator.
+// code.
+//
+// A thread built with New is one-shot: its coroutine ends with its body, and
+// Kill ends it too, so no coroutine outlives its simulator. A thread built
+// with NewReusable keeps its coroutine across bodies, the way the scheduler
+// keeps one coroutine per process across runs: when its body returns or is
+// killed, the coroutine parks at the run boundary, and Reset re-arms it to
+// run the body again from the start, on the stack the coroutine has already
+// grown. Such a coroutine is a parked goroutine until Close ends it, so
+// whoever keeps reusable threads between runs must Close them when done.
 package coro
 
 import "iter"
@@ -28,6 +37,7 @@ import "iter"
 // Yielder is passed to a thread body and provides its suspension points.
 type Yielder struct {
 	yield func(op func()) bool
+	t     *Thread
 }
 
 // Yield suspends the thread and returns control to the caller of Resume. It
@@ -40,40 +50,66 @@ func (y *Yielder) Yield() { y.Call(nil) }
 // unwinds the caller of Resume and the thread stays parked inside Call until
 // it is killed. A nil op makes Call a plain Yield.
 func (y *Yielder) Call(op func()) {
-	if !y.yield(op) {
+	if !y.yield(op) || y.t.killing {
 		panic(killSentinel{})
 	}
 }
 
 type killSentinel struct{}
 
-// Thread is a coroutine. The zero value is not usable; construct with New.
-// Thread methods must be called from a single resumer at a time.
+// Thread is a coroutine. The zero value is not usable; construct with New or
+// NewReusable. Thread methods must be called from a single resumer at a
+// time.
 type Thread struct {
-	body func(*Yielder)
-	next func() (func(), bool) // nil until the first Resume
-	stop func()
-	done bool
+	body     func(*Yielder)
+	y        Yielder
+	next     func() (func(), bool) // nil until the first Resume, and after the coroutine ended
+	stop     func()
+	reusable bool // the coroutine outlives the body (NewReusable)
+	started  bool // the current body has been resumed
+	killing  bool // Kill is unwinding the current body
+	done     bool
 }
 
-// New returns a thread that will run body. The body does not start executing
-// (and no coroutine exists) until the first Resume.
+// New returns a one-shot thread that will run body. The body does not start
+// executing (and no coroutine exists) until the first Resume.
 func New(body func(*Yielder)) *Thread {
 	return &Thread{body: body}
 }
 
-// run is the coroutine body: it runs the thread body once, absorbing the
-// kill sentinel. Any other panic propagates out of the Resume that caused it.
+// NewReusable returns a thread that runs body once per arming: New, and
+// again after every Reset. Its coroutine is started by the first Resume and
+// lives until Close.
+func NewReusable(body func(*Yielder)) *Thread {
+	return &Thread{body: body, reusable: true}
+}
+
+// run is the coroutine body: it runs the thread body once, or, for a
+// reusable thread, once per arming, parking at the run boundary in between
+// until the next Resume after a Reset (or Close, which ends it).
 func (t *Thread) run(yield func(func()) bool) {
+	t.y = Yielder{yield: yield, t: t}
+	for {
+		t.runBody()
+		if !t.reusable || !yield(nil) {
+			return
+		}
+	}
+}
+
+// runBody runs the body once, absorbing the kill sentinel. Any other panic
+// ends the coroutine and propagates out of the Resume that caused it.
+func (t *Thread) runBody() {
 	defer func() {
 		t.done = true
 		if r := recover(); r != nil {
 			if _, kill := r.(killSentinel); !kill {
+				t.next, t.stop = nil, nil
 				panic(r)
 			}
 		}
 	}()
-	t.body(&Yielder{yield: yield})
+	t.body(&t.y)
 }
 
 // Resume runs the thread until its next Yield or until its body returns,
@@ -88,9 +124,10 @@ func (t *Thread) Resume() bool {
 	if t.next == nil {
 		t.next, t.stop = iter.Pull(t.run)
 	}
+	t.started = true
 	for {
 		op, ok := t.next()
-		if !ok {
+		if !ok || t.done {
 			return true
 		}
 		if op == nil {
@@ -100,17 +137,43 @@ func (t *Thread) Resume() bool {
 	}
 }
 
-// Kill reaps the thread: a never-started or parked thread is unwound without
-// executing further body code. Killing a done thread is a no-op. Kill is safe
-// to call during a panic unwind, which is how simulators clean up their
-// threads when a step of theirs crashes.
+// Kill ends the thread's current body without executing any more of its
+// code. A thread not yet resumed since it was armed is only marked done: its
+// coroutine, if any, is not resumed, so the body does not start. A parked
+// one-shot thread is reaped with its coroutine; a parked reusable thread is
+// unwound to the run boundary, where its coroutine waits for Reset. Killing a
+// done thread is a no-op. Kill is safe to call during a panic unwind, which
+// is how simulators clean up their threads when a step of theirs crashes.
 func (t *Thread) Kill() {
-	if t.done {
-		return
+	switch {
+	case t.done:
+	case !t.reusable:
+		t.Close()
+	case !t.started:
+		t.done = true
+	default:
+		t.killing = true
+		t.next()
+		t.killing = false
 	}
+}
+
+// Reset re-arms a reusable thread: its next Resume runs the body again from
+// the start. A body still live is killed first.
+func (t *Thread) Reset() {
+	t.Kill()
+	t.done, t.started = false, false
+}
+
+// Close ends the thread and its coroutine without executing any more of its
+// body. A reusable thread stays usable: Reset re-arms it, and its next
+// Resume starts a new coroutine. Closing a thread without a coroutine only
+// marks it done.
+func (t *Thread) Close() {
 	t.done = true
 	if t.stop != nil {
 		t.stop()
+		t.next, t.stop = nil, nil
 	}
 }
 
@@ -160,9 +223,25 @@ func (g *Group) Live() int {
 	return live
 }
 
-// KillAll reaps every live thread. It is safe during panic unwinds.
+// KillAll kills every live thread. It is safe during panic unwinds.
 func (g *Group) KillAll() {
 	for _, t := range g.threads {
 		t.Kill()
+	}
+}
+
+// Reset re-arms every thread of a group of reusable threads and restarts the
+// round-robin at the first.
+func (g *Group) Reset() {
+	for _, t := range g.threads {
+		t.Reset()
+	}
+	g.next = 0
+}
+
+// Close closes every thread. It is safe during panic unwinds.
+func (g *Group) Close() {
+	for _, t := range g.threads {
+		t.Close()
 	}
 }

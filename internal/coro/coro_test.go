@@ -252,3 +252,150 @@ func TestCallPanicLeavesThreadParked(t *testing.T) {
 		t.Fatalf("goroutines %d -> %d: parked threads leaked", before, got)
 	}
 }
+
+// TestReusableRearms: a reusable thread runs its body again from the start
+// after Reset, whether the last body returned or was killed while parked,
+// and keeps one coroutine throughout.
+func TestReusableRearms(t *testing.T) {
+	var log []string
+	th := NewReusable(func(y *Yielder) {
+		log = append(log, "start")
+		y.Yield()
+		log = append(log, "end")
+	})
+	defer th.Close()
+	for run := 0; run < 3; run++ {
+		if th.Resume() || th.Resume() != true {
+			t.Fatalf("run %d: the body did not yield once and then finish", run)
+		}
+		th.Reset()
+	}
+	th.Resume()
+	th.Kill() // parked after "start": unwound, the coroutine kept
+	if !th.Done() {
+		t.Fatal("killed thread should be done")
+	}
+	th.Reset()
+	th.Resume()
+	want := "[start end start end start end start start]"
+	if got := fmt.Sprint(log); got != want {
+		t.Fatalf("log = %s, want %s", got, want)
+	}
+}
+
+// TestReusableKillBeforeStart: killing a thread that was re-armed but not
+// resumed must not resume its coroutine, or the new body would start and
+// run up to its first yield — a step the next run would then skip.
+func TestReusableKillBeforeStart(t *testing.T) {
+	starts := 0
+	th := NewReusable(func(y *Yielder) {
+		starts++
+		y.Yield()
+	})
+	defer th.Close()
+	th.Resume()
+	th.Kill()
+	th.Reset()
+	th.Kill() // armed, never resumed
+	if starts != 1 {
+		t.Fatalf("body started %d times, want 1", starts)
+	}
+	th.Reset()
+	th.Resume()
+	if starts != 2 {
+		t.Fatalf("body started %d times after the re-arm, want 2", starts)
+	}
+}
+
+// TestReusablePanicRestarts: a body panic ends the coroutine; Reset re-arms
+// the thread, whose next Resume starts a new one.
+func TestReusablePanicRestarts(t *testing.T) {
+	fail := true
+	ran := 0
+	th := NewReusable(func(y *Yielder) {
+		ran++
+		if fail {
+			panic("boom")
+		}
+	})
+	defer th.Close()
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want boom", r)
+			}
+		}()
+		th.Resume()
+	}()
+	if !th.Done() {
+		t.Fatal("panicked thread should be done")
+	}
+	fail = false
+	th.Reset()
+	if !th.Resume() || ran != 2 {
+		t.Fatalf("re-armed thread did not run to completion (ran %d)", ran)
+	}
+}
+
+// TestReusableCloseLeaksNothing: Close ends a reusable thread's coroutine
+// wherever it is parked — at the run boundary, inside a Call whose op
+// panicked, or armed and not yet resumed — and a closed thread is re-armed
+// by Reset on a new coroutine.
+func TestReusableCloseLeaksNothing(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		crash := i%3 == 0
+		th := NewReusable(func(y *Yielder) {
+			y.Call(func() {
+				if crash {
+					panic("step crashed")
+				}
+			})
+			y.Yield()
+		})
+		func() {
+			defer func() { recover() }()
+			th.Resume()
+		}()
+		crash = false
+		switch i % 3 {
+		case 1:
+			th.Kill() // parked at the run boundary
+		case 2:
+			th.Kill()
+			th.Reset() // armed, not resumed
+		}
+		th.Close()
+		th.Reset()
+		if th.Resume() {
+			t.Fatal("re-armed thread finished without yielding")
+		}
+		th.Close()
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("goroutines %d -> %d: closed threads leaked", before, got)
+	}
+}
+
+// TestGroupReset: Reset re-arms every thread of a group and restarts the
+// round-robin at the first.
+func TestGroupReset(t *testing.T) {
+	var order []int
+	mk := func(id int) *Thread {
+		return NewReusable(func(y *Yielder) {
+			order = append(order, id)
+			y.Yield()
+		})
+	}
+	g := NewGroup([]*Thread{mk(0), mk(1), mk(2)})
+	defer g.Close()
+	g.ResumeNext()
+	g.ResumeNext()
+	g.KillAll()
+	g.Reset()
+	for g.ResumeNext() {
+	}
+	if got := fmt.Sprint(order); got != "[0 1 0 1 2]" {
+		t.Fatalf("order = %s", got)
+	}
+}

@@ -2,6 +2,7 @@ package detector
 
 import (
 	"fmt"
+	"strconv"
 
 	"mpcn/internal/agreement"
 	"mpcn/internal/object"
@@ -38,10 +39,28 @@ type BoostedConsensus struct {
 	n, x int
 
 	dec *reg.Register[decCell]
-	xc  map[xcKey]*object.XConsensus
-	ca  map[int]*agreement.CommitAdopt
+	xc  map[xcKey]*lazy[*object.XConsensus]
+	ca  map[int]*lazy[*agreement.CommitAdopt]
+	run int // bumped by Reset
 
 	annSnap *snapshot.Primitive[annCell]
+}
+
+// lazy is an object built on its first use, with the run that last used
+// it: Reset keeps the objects, and each is reset on its first use in the
+// next run, so every run meets it freshly constructed.
+type lazy[T interface{ Reset() }] struct {
+	obj T
+	run int
+}
+
+// current returns the object, reset first if an earlier run used it.
+func (l *lazy[T]) current(run int) T {
+	if l.run != run {
+		l.obj.Reset()
+		l.run = run
+	}
+	return l.obj
 }
 
 // xcKey addresses XC[S, r]. An Ωx output is the window {lo..lo+x-1} (see
@@ -89,8 +108,8 @@ func NewBoostedConsensus(name string, n, x int) *BoostedConsensus {
 		n:       n,
 		x:       x,
 		dec:     reg.New[decCell](name + ".DEC"),
-		xc:      make(map[xcKey]*object.XConsensus),
-		ca:      make(map[int]*agreement.CommitAdopt),
+		xc:      make(map[xcKey]*lazy[*object.XConsensus]),
+		ca:      make(map[int]*lazy[*agreement.CommitAdopt]),
 		annSnap: snapshot.NewPrimitive[annCell](name+".ANN", n),
 	}
 }
@@ -99,26 +118,49 @@ func NewBoostedConsensus(name string, n, x int) *BoostedConsensus {
 // r = key.round, creating it lazily with ports S; only then is S built as a
 // slice.
 func (b *BoostedConsensus) xcAt(key xcKey) *object.XConsensus {
-	obj, ok := b.xc[key]
+	l, ok := b.xc[key]
 	if !ok {
 		set := make([]sched.ProcID, b.x)
 		for i := range set {
 			set[i] = key.lo + sched.ProcID(i)
 		}
-		obj = object.NewXConsensus(fmt.Sprintf("%s.XC[%v@%d]", b.name, set, key.round), b.x, set)
-		b.xc[key] = obj
+		l = &lazy[*object.XConsensus]{run: b.run,
+			obj: object.NewXConsensus(b.name+".XC["+formatSet(set)+"@"+strconv.Itoa(key.round)+"]", b.x, set)}
+		b.xc[key] = l
 	}
-	return obj
+	return l.current(b.run)
+}
+
+// formatSet renders set as fmt's %v does ("[0 1]"), without fmt.
+func formatSet(set []sched.ProcID) string {
+	buf := []byte{'['}
+	for i, p := range set {
+		if i > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = strconv.AppendInt(buf, int64(p), 10)
+	}
+	return string(append(buf, ']'))
 }
 
 // caAt returns CA[r], creating it lazily.
 func (b *BoostedConsensus) caAt(r int) *agreement.CommitAdopt {
-	ca, ok := b.ca[r]
+	l, ok := b.ca[r]
 	if !ok {
-		ca = agreement.NewCommitAdopt(fmt.Sprintf("%s.CA[%d]", b.name, r), b.n)
-		b.ca[r] = ca
+		l = &lazy[*agreement.CommitAdopt]{run: b.run,
+			obj: agreement.NewCommitAdopt(b.name+".CA["+strconv.Itoa(r)+"]", b.n)}
+		b.ca[r] = l
 	}
-	return ca
+	return l.current(b.run)
+}
+
+// Reset returns the object to its freshly constructed state for another
+// run, keeping the XC and CA objects earlier runs built and their step
+// labels.
+func (b *BoostedConsensus) Reset() {
+	b.run++
+	b.dec.Reset()
+	b.annSnap.Reset()
 }
 
 // Propose proposes v and returns the decided value. All n processes are

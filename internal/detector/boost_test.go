@@ -1,6 +1,7 @@
 package detector
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -209,5 +210,15 @@ func TestLeaderSetValidation(t *testing.T) {
 	}}
 	if _, err := sched.Run(sched.Config{}, bodies); err == nil {
 		t.Fatal("LeaderSet(x > n) accepted")
+	}
+}
+
+// TestFormatSetMatchesFmt: the XC names render their port set exactly as
+// fmt's %v did, so the objects' interned step labels are unchanged.
+func TestFormatSetMatchesFmt(t *testing.T) {
+	for _, set := range [][]sched.ProcID{nil, {0}, {0, 1}, {3, 4, 5}, {10, 11}} {
+		if got, want := formatSet(set), fmt.Sprintf("%v", set); got != want {
+			t.Errorf("formatSet(%v) = %q, want %q", set, got, want)
+		}
 	}
 }

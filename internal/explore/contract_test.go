@@ -221,15 +221,22 @@ func TestCheckerPanicPropagates(t *testing.T) {
 
 // checkerPanic runs e on a harness whose checker panics on the third run
 // and returns the recovered panic value.
-func checkerPanic(t *testing.T, e engine) (r any) {
+func checkerPanic(t *testing.T, e engine) any {
+	t.Helper()
+	return checkerPanicOn(t, e, sessions.CommitAdopt(2), false)
+}
+
+// checkerPanicOn is checkerPanic on mk's harness, with a visited store when
+// store is set.
+func checkerPanicOn(t *testing.T, e engine, mk func() explore.Session, store bool) (r any) {
 	t.Helper()
 	defer func() { r = recover() }()
-	mk := checked(sessions.CommitAdopt(2), func(n int64) {
+	mk = checked(mk, func(n int64) {
 		if n == 3 {
 			panic("checker exploded")
 		}
 	})
-	_, _ = e.run(context.Background(), mk, job{})
+	_, _ = e.run(context.Background(), mk, job{store: store})
 	return nil
 }
 
@@ -262,85 +269,118 @@ func TestViolationScriptReplays(t *testing.T) {
 	}
 }
 
+// leakHarnesses are the harnesses of TestJobsLeakNoGoroutines' rows:
+// commit-adopt, whose sessions keep nothing between runs, and BG, whose
+// sessions keep their engine's simulator threads parked on coroutines until
+// the lane retires. BG has no fingerprint, so its rows run without a
+// visited store.
+var leakHarnesses = []leakHarness{
+	{"", sessions.CommitAdopt(2), true},
+	{"bg/", mustBG(2, 1), false},
+}
+
+type leakHarness struct {
+	prefix string // subtest name prefix
+	mk     func() explore.Session
+	store  bool
+}
+
+func mustBG(n, t int) func() explore.Session {
+	mk, err := sessions.BG(n, t)
+	if err != nil {
+		panic(err)
+	}
+	return mk
+}
+
 // TestJobsLeakNoGoroutines: a job that ends badly — cancelled, its checker
 // panicking, a process body panicking — leaves no goroutine behind (lanes,
-// relay and process coroutines all end), and a body panic hands its runtime
-// back closed: the session comes back !Healthy() and the daemon's
-// SessionPool never leases it again.
+// relay, process coroutines and the BG simulator threads all end), and a
+// body panic hands its runtime back closed: the session comes back
+// !Healthy() and the daemon's SessionPool never leases it again.
 func TestJobsLeakNoGoroutines(t *testing.T) {
 	for _, e := range engines {
-		t.Run(e.name+"/cancel", func(t *testing.T) {
-			before := settledGoroutines()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			mk := checked(sessions.CommitAdopt(2), func(n int64) {
-				if n == 20 {
-					cancel()
-				}
-			})
-			if _, err := e.run(ctx, mk, job{store: true, samples: 100000}); !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if got := settledGoroutines(); got > before {
-				t.Fatalf("goroutines %d -> %d over a cancelled job", before, got)
-			}
-		})
-		t.Run(e.name+"/checker-panic", func(t *testing.T) {
-			before := settledGoroutines()
-			if checkerPanic(t, e) == nil {
-				t.Fatal("panic did not propagate")
-			}
-			if got := settledGoroutines(); got > before {
-				t.Fatalf("goroutines %d -> %d over a job whose checker panicked", before, got)
-			}
-		})
-		t.Run(e.name+"/body-panic", func(t *testing.T) {
-			before := settledGoroutines()
-			pool := service.NewSessionPool(0)
-			src := &recordingRuntime{pool: pool}
-			var runs atomic.Int64
-			mk := func() explore.Session {
-				s := sessions.CommitAdopt(2)()
-				make := s.Make
-				s.Make = func() []sched.Proc {
-					bodies := make()
-					if runs.Add(1) != 3 {
-						return bodies
-					}
-					return append([]sched.Proc{func(*sched.Env) { panic("bug in body") }}, bodies[1:]...)
-				}
-				return s
-			}
-			if _, err := e.run(context.Background(), mk, job{runtime: src}); !errors.Is(err, explore.ErrRunFailed) {
-				t.Fatalf("err = %v, want ErrRunFailed", err)
-			}
-			broken := src.unhealthy()
-			if len(broken) == 0 {
-				t.Fatal("the runtime of the failed run came back healthy")
-			}
-			// Lease more sessions than the pool can hold idle: none is broken.
-			var leased []*sched.Session
-			for range len(src.released) + 1 {
-				rt, err := pool.Acquire(2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, b := range broken {
-					if rt == b {
-						t.Fatal("the pool leased a broken session again")
-					}
-				}
-				leased = append(leased, rt)
-			}
-			for _, rt := range leased {
-				pool.Release(rt)
-			}
-			pool.Close()
-			if got := settledGoroutines(); got > before {
-				t.Fatalf("goroutines %d -> %d over a job whose body panicked", before, got)
-			}
-		})
+		for _, h := range leakHarnesses {
+			jobsLeakRows(t, e, h)
+		}
 	}
+}
+
+// jobsLeakRows runs TestJobsLeakNoGoroutines' three rows for engine e on
+// harness h.
+func jobsLeakRows(t *testing.T, e engine, h leakHarness) {
+	name := e.name + "/" + h.prefix
+	t.Run(name+"cancel", func(t *testing.T) {
+		before := settledGoroutines()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		mk := checked(h.mk, func(n int64) {
+			if n == 20 {
+				cancel()
+			}
+		})
+		if _, err := e.run(ctx, mk, job{store: h.store, samples: 100000}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if got := settledGoroutines(); got > before {
+			t.Fatalf("goroutines %d -> %d over a cancelled job", before, got)
+		}
+	})
+	t.Run(name+"checker-panic", func(t *testing.T) {
+		before := settledGoroutines()
+		if checkerPanicOn(t, e, h.mk, h.store) == nil {
+			t.Fatal("panic did not propagate")
+		}
+		if got := settledGoroutines(); got > before {
+			t.Fatalf("goroutines %d -> %d over a job whose checker panicked", before, got)
+		}
+	})
+	t.Run(name+"body-panic", func(t *testing.T) {
+		before := settledGoroutines()
+		pool := service.NewSessionPool(0)
+		src := &recordingRuntime{pool: pool}
+		var runs atomic.Int64
+		mk := func() explore.Session {
+			s := h.mk()
+			make := s.Make
+			s.Make = func() []sched.Proc {
+				bodies := make()
+				if runs.Add(1) != 3 {
+					return bodies
+				}
+				return append([]sched.Proc{func(*sched.Env) { panic("bug in body") }}, bodies[1:]...)
+			}
+			return s
+		}
+		if _, err := e.run(context.Background(), mk, job{runtime: src}); !errors.Is(err, explore.ErrRunFailed) {
+			t.Fatalf("err = %v, want ErrRunFailed", err)
+		}
+		broken := src.unhealthy()
+		if len(broken) == 0 {
+			t.Fatal("the runtime of the failed run came back healthy")
+		}
+		// Lease more sessions than the pool can hold idle: none is broken.
+		var leased []*sched.Session
+		for range len(src.released) + 1 {
+			rt, err := pool.Acquire(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range broken {
+				if rt == b {
+					t.Fatal("the pool leased a broken session again")
+				}
+			}
+			leased = append(leased, rt)
+		}
+		for _, rt := range leased {
+			pool.Release(rt)
+		}
+		pool.Close()
+		if got := settledGoroutines(); got > before {
+			t.Fatalf("goroutines %d -> %d over a job whose body panicked", before, got)
+		}
+	})
 }
 
 // keepingRuntime is a RuntimeSource that keeps every released session warm

@@ -213,12 +213,15 @@ func (l *Lane) close() {
 	l.rt = nil
 }
 
-// retire ends the lane: it closes the runtime and lets go of the visited
-// store. A runtime kept warm by a RuntimeSource still holds its last
-// adversary, which reaches the store only through the lane.
+// retire ends the lane: it closes the runtime and the session and lets go of
+// the visited store. A runtime kept warm by a RuntimeSource still holds its
+// last adversary, which reaches the store only through the lane.
 func (l *Lane) retire() {
 	l.close()
 	l.store = nil
+	if l.session.Close != nil {
+		l.session.Close()
+	}
 }
 
 // Pool runs one job's items on one lane per session: worker k replays on

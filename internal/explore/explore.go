@@ -583,6 +583,13 @@ type Session struct {
 	// concrete identity affects the run's future or Check's verdict beyond
 	// process naming.
 	Canon func(v any) any
+	// Close, when non-nil, releases what the harness keeps between runs:
+	// the BG harness keeps its engine's simulator threads parked on their
+	// coroutines. The engines call it when the lane that replays the
+	// session retires, and ReplayScript and ReplayLoose when their run
+	// ends; a caller that runs Make itself calls it when done. A closed
+	// session stays usable, and Check still reads its last run.
+	Close func()
 }
 
 // runBudget is the shared MaxRuns ticket counter: every complete run takes a

@@ -64,12 +64,15 @@ func (f *follower) Next(v sched.View) sched.Decision {
 	return f.fail(fmt.Errorf("explore: script exhausted after %d decisions but the run needs more", len(f.script)))
 }
 
-// replay runs a fresh run of sess under a follower of script. maxSteps <= 0
-// selects the engines' default budget. The Result records the run's whole
-// Trace.
+// replay runs a fresh run of sess under a follower of script and closes
+// sess. maxSteps <= 0 selects the engines' default budget. The Result
+// records the run's whole Trace.
 func replay(sess Session, script []string, maxSteps int, loose bool) (*sched.Result, error) {
 	if maxSteps <= 0 {
 		maxSteps = defaultMaxSteps
+	}
+	if sess.Close != nil {
+		defer sess.Close()
 	}
 	bodies := sess.Make()
 	f := &follower{script: script, loose: loose}
@@ -97,8 +100,8 @@ func replay(sess Session, script []string, maxSteps int, loose bool) (*sched.Res
 // sample.Config.OnSample script) against a fresh run of sess under the
 // strict contract and returns the run's Result, its Trace included. The
 // caller runs sess.Check itself: the checker closures read harness state the
-// replayed Make populated. maxSteps <= 0 selects the engines' default
-// budget. Any divergence between the script and the runtime (a malformed
+// replayed Make populated; the run over, sess is closed (Session.Close).
+// maxSteps <= 0 selects the engines' default budget. Any divergence between the script and the runtime (a malformed
 // entry, a wrong label, a non-runnable target, leftover or missing
 // decisions) is an error: the script then does not describe a schedule of
 // this session.

@@ -156,20 +156,20 @@ func RenamingSession(n int) func() explore.Session {
 func BoostedConsensusDetector(n, x int) func() explore.Session {
 	return func() explore.Session {
 		var decided []any
-		var bc *detector.BoostedConsensus
+		bc := detector.NewBoostedConsensus("bc", n, x)
+		bodies := make([]sched.Proc, n)
+		for i := range bodies {
+			v := 100 + i
+			bodies[i] = func(e *sched.Env) {
+				got := bc.Propose(e, v)
+				decided = append(decided, got)
+				e.Decide(got)
+			}
+		}
 		return explore.Session{
 			Make: func() []sched.Proc {
 				decided = decided[:0]
-				bc = detector.NewBoostedConsensus("bc", n, x)
-				bodies := make([]sched.Proc, n)
-				for i := range bodies {
-					v := 100 + i
-					bodies[i] = func(e *sched.Env) {
-						got := bc.Propose(e, v)
-						decided = append(decided, got)
-						e.Decide(got)
-					}
-				}
+				bc.Reset()
 				return bodies
 			},
 			Check: func(res *sched.Result) error {

@@ -27,7 +27,7 @@ import (
 func TestAndSetRace(n int) func() explore.Session {
 	return func() explore.Session {
 		var outs []any // per completed invocation: won (bool)
-		var tas *object.TestAndSet
+		tas := object.NewTestAndSet("tas")
 		bodies := make([]sched.Proc, n)
 		for i := range bodies {
 			bodies[i] = func(e *sched.Env) {
@@ -42,7 +42,7 @@ func TestAndSetRace(n int) func() explore.Session {
 			Symmetric: true,
 			Make: func() []sched.Proc {
 				outs = outs[:0]
-				tas = object.NewTestAndSet("tas")
+				tas.Reset()
 				return bodies
 			},
 			Check: func(res *sched.Result) error {
@@ -266,7 +266,7 @@ func CASCounter(n, retries int) func() explore.Session {
 func XConsensusAgreement(n, x int) func() explore.Session {
 	return func() explore.Session {
 		var decided []any
-		var xc *object.XConsensus
+		xc := object.NewXConsensus("xc", x, nil)
 		bodies := make([]sched.Proc, n)
 		for i := range bodies {
 			v := 100 + i
@@ -279,7 +279,7 @@ func XConsensusAgreement(n, x int) func() explore.Session {
 		return explore.Session{
 			Make: func() []sched.Proc {
 				decided = decided[:0]
-				xc = object.NewXConsensus("xc", x, nil)
+				xc.Reset()
 				return bodies
 			},
 			Check: func(res *sched.Result) error {
@@ -300,7 +300,7 @@ func XConsensusAgreement(n, x int) func() explore.Session {
 func XCompeteSlots(n, x int) func() explore.Session {
 	return func() explore.Session {
 		var outs []any // per completed invocation: won (bool)
-		var xc *agreement.XCompete
+		xc := agreement.NewXCompete("xcomp", x, nil)
 		bodies := make([]sched.Proc, n)
 		for i := range bodies {
 			bodies[i] = func(e *sched.Env) {
@@ -312,7 +312,7 @@ func XCompeteSlots(n, x int) func() explore.Session {
 		return explore.Session{
 			Make: func() []sched.Proc {
 				outs = outs[:0]
-				xc = agreement.NewXCompete("xcomp", x, nil)
+				xc.Reset()
 				return bodies
 			},
 			Check: func(res *sched.Result) error {

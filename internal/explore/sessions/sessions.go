@@ -15,6 +15,7 @@ package sessions
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -33,28 +34,17 @@ import (
 // where a mid-propose crash blocks the survivors surface as runs in which
 // nobody decides; when starved is non-nil those single-crash runs are
 // counted into it (atomically — the counter is shared across workers).
+// The object and the bodies are built once per session; Make resets the
+// object.
 func SafeAgreement(n, probes int, starved *atomic.Int64) func() explore.Session {
 	return func() explore.Session {
 		var decided []any
-		var sa *agreement.SafeAgreement
+		sa := agreement.NewSafeAgreement("sa", n)
+		bodies := proposerBodies(n, probes, sa, &decided)
 		return explore.Session{
 			Make: func() []sched.Proc {
 				decided = decided[:0]
-				sa = agreement.NewSafeAgreement("sa", n)
-				bodies := make([]sched.Proc, n)
-				for i := range bodies {
-					v := 100 + i
-					bodies[i] = func(e *sched.Env) {
-						sa.Propose(e, v)
-						for p := 0; p < probes; p++ {
-							if got, ok := sa.TryDecide(e); ok {
-								decided = append(decided, got)
-								e.Decide(got)
-								return
-							}
-						}
-					}
-				}
+				sa.Reset()
 				return bodies
 			},
 			Check: func(res *sched.Result) error {
@@ -75,25 +65,12 @@ func SafeAgreement(n, probes int, starved *atomic.Int64) func() explore.Session 
 func XSafe(n, x, probes int) func() explore.Session {
 	return func() explore.Session {
 		var decided []any
-		var xs *agreement.XSafeAgreement
+		xs := agreement.NewXSafeFactory(n, x, nil).New("xsa")
+		bodies := proposerBodies(n, probes, xs, &decided)
 		return explore.Session{
 			Make: func() []sched.Proc {
 				decided = decided[:0]
-				xs = agreement.NewXSafeFactory(n, x, nil).New("xsa")
-				bodies := make([]sched.Proc, n)
-				for i := range bodies {
-					v := 100 + i
-					bodies[i] = func(e *sched.Env) {
-						xs.Propose(e, v)
-						for p := 0; p < probes; p++ {
-							if got, ok := xs.TryDecide(e); ok {
-								decided = append(decided, got)
-								e.Decide(got)
-								return
-							}
-						}
-					}
-				}
+				xs.Reset()
 				return bodies
 			},
 			Check: func(res *sched.Result) error {
@@ -105,6 +82,30 @@ func XSafe(n, x, probes int) func() explore.Session {
 			},
 		}
 	}
+}
+
+// proposerBodies are the bodies of the agreement harnesses: process i
+// proposes 100+i to ag, then probes TryDecide up to probes times and logs
+// the value it decides in *decided.
+func proposerBodies(n, probes int, ag interface {
+	Propose(e *sched.Env, v any)
+	TryDecide(e *sched.Env) (any, bool)
+}, decided *[]any) []sched.Proc {
+	bodies := make([]sched.Proc, n)
+	for i := range bodies {
+		v := 100 + i
+		bodies[i] = func(e *sched.Env) {
+			ag.Propose(e, v)
+			for p := 0; p < probes; p++ {
+				if got, ok := ag.TryDecide(e); ok {
+					*decided = append(*decided, got)
+					e.Decide(got)
+					return
+				}
+			}
+		}
+	}
+	return bodies
 }
 
 // CommitAdopt checks the four commit-adopt properties and wait-freedom on
@@ -187,61 +188,57 @@ func CommitAdopt(n int) func() explore.Session {
 // (t+1)-set bound on whatever decisions appear. The simulators take their
 // threads' shared steps on their own coroutines, so BG replays on the direct
 // protocol with batched grants like every other harness.
+//
+// Each session builds one engine and its bodies, and Make only resets it.
+// The engine keeps its simulator threads parked on their coroutines between
+// runs; the session's Close ends them.
 func BG(n, t int) (func() explore.Session, error) {
 	inputs := tasks.DistinctInputs(n)
-	mkEngine := func() (interface {
-		Bodies() []sched.Proc
-	}, error) {
-		return bg.New(bg.Config{
-			Alg: algorithms.SnapshotKSet{T: t}, Inputs: inputs, Simulators: t + 1,
-			SourceX: 1, NewAgreement: bg.SafeAgreementProvider(t + 1),
-		})
+	cfg := bg.Config{
+		Alg: algorithms.SnapshotKSet{T: t}, Inputs: inputs, Simulators: t + 1,
+		SourceX: 1, NewAgreement: bg.SafeAgreementProvider(t + 1),
 	}
-	if _, err := mkEngine(); err != nil {
+	if _, err := bg.New(cfg); err != nil {
 		return nil, err
 	}
 	return func() explore.Session {
-		var decisions []any
+		engine, err := bg.New(cfg)
+		if err != nil {
+			panic(err) // validated above
+		}
+		var decisions, seen []any
+		bodies := engine.Bodies()
+		wrapped := make([]sched.Proc, len(bodies))
+		for i, b := range bodies {
+			wrapped[i] = func(e *sched.Env) {
+				b(e)
+				if e.Decided() {
+					decisions = append(decisions, e.Decision())
+				}
+			}
+		}
 		return explore.Session{
 			Make: func() []sched.Proc {
-				engine, err := mkEngine()
-				if err != nil {
-					panic(err) // validated above; per-run construction cannot fail
-				}
+				engine.Reset()
 				decisions = decisions[:0]
-				bodies := engine.Bodies()
-				wrapped := make([]sched.Proc, len(bodies))
-				for i, b := range bodies {
-					b := b
-					wrapped[i] = func(e *sched.Env) {
-						b(e)
-						if e.Decided() {
-							decisions = append(decisions, e.Decision())
-						}
-					}
-				}
 				return wrapped
 			},
 			Check: func(res *sched.Result) error {
-				seen := make(map[any]bool)
+				seen = seen[:0]
 				for _, v := range decisions {
-					ok := false
-					for _, in := range inputs {
-						if v == in {
-							ok = true
-							break
-						}
-					}
-					if !ok {
+					if !slices.Contains(inputs, v) {
 						return fmt.Errorf("non-proposed simulated value %v", v)
 					}
-					seen[v] = true
+					if !slices.Contains(seen, v) {
+						seen = append(seen, v)
+					}
 				}
 				if len(seen) > t+1 {
 					return fmt.Errorf("%d distinct decisions exceed the (t+1)-set bound %d", len(seen), t+1)
 				}
 				return nil
 			},
+			Close: engine.Close,
 		}
 	}, nil
 }

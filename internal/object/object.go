@@ -57,6 +57,9 @@ func NewTestAndSet(name string) *TestAndSet {
 	return &TestAndSet{name: name, tasL: sched.Intern(name + ".test&set")}
 }
 
+// Reset returns the object to its unset state.
+func (t *TestAndSet) Reset() { t.set = false }
+
 // Fingerprint implements sched.Fingerprinter.
 func (t *TestAndSet) Fingerprint(h *sched.FP) {
 	h.Label(t.tasL)
@@ -275,6 +278,13 @@ func NewXConsensus(name string, x int, portIDs []sched.ProcID) *XConsensus {
 
 // X returns the object's consensus number (its port capacity).
 func (c *XConsensus) X() int { return c.x }
+
+// Reset returns the object to its freshly constructed state: undecided, no
+// port proposed.
+func (c *XConsensus) Reset() {
+	c.decided, c.value = false, nil
+	clear(c.proposed)
+}
 
 // Fingerprint implements sched.Fingerprinter: identity, decision state and
 // the (unordered) set of ports that already proposed.

@@ -39,6 +39,13 @@ func NewWith[T any](name string, init T) *Register[T] {
 	return r
 }
 
+// Reset returns the register to the zero value of T, keeping its step
+// labels.
+func (r *Register[T]) Reset() {
+	var zero T
+	r.v = zero
+}
+
 // Read atomically reads the register.
 func (r *Register[T]) Read(e *sched.Env) T {
 	e.StepL(r.readL)

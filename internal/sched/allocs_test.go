@@ -54,6 +54,38 @@ func TestFoldAllocs(t *testing.T) {
 	}
 }
 
+// TestOrbitFoldAllocs: under an orbit FP with a canon hook — a symmetry
+// walk of a harness with a Canon — Fold of an any cell or a Fingerprinter
+// cell and Value of a []any allocate nothing, on the root and on a lane: the
+// canon sees the cell's parts, and the cell is not boxed.
+func TestOrbitFoldAllocs(t *testing.T) {
+	const big = 1 << 20
+	var a any = big
+	var slice any = []any{big, nil, "x", []any{big + 1}}
+	cell := hookCell{n: big, v: slice}
+	h := sched.NewOrbitFP(2, func(v any) any {
+		if i, ok := v.(int); ok && i >= big {
+			return "‹erased›"
+		}
+		return v
+	})
+	lane := h.Lane(1)
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Fold(any)", func() { sched.Fold(h, &a) }},
+		{"Fold(Fingerprinter)", func() { sched.Fold(h, &cell) }},
+		{"lane Fold(any)", func() { sched.Fold(lane, &a) }},
+		{"lane Fold(Fingerprinter)", func() { sched.Fold(lane, &cell) }},
+		{"Value([]any)", func() { h.Value(slice) }},
+	} {
+		if n := testing.AllocsPerRun(100, c.f); n != 0 {
+			t.Errorf("orbit %s: %v allocs, want 0", c.name, n)
+		}
+	}
+}
+
 // regranter re-grants the process it granted last for as long as that
 // process is runnable: under the direct protocol every step after a
 // process's first is consulted and granted in place.

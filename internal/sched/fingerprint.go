@@ -63,7 +63,8 @@ type orbit struct {
 
 // NewOrbitFP returns an FP in orbit-canonical mode with n per-process digest
 // lanes. canon, when non-nil, is applied to every value folded through Value
-// (on the root, the lanes and Sub carriers alike) before hashing — the hook
+// or Fold (on the root, the lanes and Sub carriers alike) before hashing,
+// except a Fingerprinter, whose parts it sees instead — the hook
 // sessions use to erase value parameterizations that differ only by process
 // identity (e.g. per-process proposal values). Orbit FPs are reusable via
 // Reset; they are not safe for concurrent use.
@@ -395,18 +396,18 @@ func (h *FP) value(v any) {
 // Scalars fold under Value's type tags, an *any defers to Value, and a *T
 // that implements Fingerprinter (T's value methods included) folds through
 // the pointer, so the words match what Value folds for the boxed *v. Other
-// types fall back to Value(*v). In orbit mode with a canon hook, the fold is
-// Value(canon(*v)): canon sees the whole value, and a result still of type T
-// folds through its pointer.
+// types fall back to Value(*v). In orbit mode with a canon hook, a
+// Fingerprinter folds as above, its parts reaching canon through Value, and
+// any other value folds as Value(*v): canon sees the whole value. Neither
+// boxes a Fingerprinter or an any cell.
 func Fold[T any](h *FP, v *T) {
 	if h.orb != nil && h.orb.canon != nil {
-		c := h.orb.canon(*v)
-		t, ok := c.(T)
-		if !ok {
-			h.value(c)
-			return
+		if f, ok := any(v).(Fingerprinter); ok {
+			f.Fingerprint(h)
+		} else {
+			h.Value(*v)
 		}
-		v = &t
+		return
 	}
 	switch p := any(v).(type) {
 	case *any:
