@@ -12,7 +12,7 @@
 #   make docs-check                     (docs/health job)
 GO ?= go
 
-.PHONY: build vet test alloc-check fp-quality fuzz-fp fuzz-script store-race bench bench-check throughput-gate profile explore-smoke sample-smoke service-smoke spec-conformance symmetry-conformance weakmem-conformance experiments docs-check
+.PHONY: build vet test alloc-check fp-quality fuzz-fp fuzz-script store-race bench bench-check throughput-gate profile explore-smoke sample-smoke service-smoke spec-conformance symmetry-conformance weakmem-conformance experiments docs-check loc
 
 build:
 	$(GO) build ./...
@@ -173,3 +173,8 @@ docs-check:
 
 experiments:
 	$(GO) run ./cmd/experiments
+
+# Size of the program: non-test Go lines outside bench/ (a module of its
+# own). Simplicity changes report this figure before and after.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l

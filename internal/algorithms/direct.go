@@ -8,31 +8,43 @@ import (
 	"mpcn/internal/snapshot"
 )
 
-// Direct runs alg natively in the model ASM(n, ·, x): each algorithm process
-// is one scheduler process, the shared memory is a primitive snapshot object
-// and the algorithm's declared objects are real x-ported consensus objects.
-// n is len(inputs); the failure pattern (and hence the effective t) is
-// entirely the adversary's in cfg.
+// Direct runs alg natively in the model ASM(n, ·, x) (see Native). n is
+// len(inputs); the failure pattern (and hence the effective t) is entirely
+// the adversary's in cfg.
 func Direct(alg Algorithm, inputs []any, x int, cfg sched.Config) (*sched.Result, error) {
+	bodies, _, err := Native(alg, inputs, x)
+	if err != nil {
+		return nil, err
+	}
+	return sched.Run(cfg, bodies)
+}
+
+// Native validates alg for ASM(n, ·, x), n = len(inputs), and builds the
+// process bodies of a native run: each algorithm process is one scheduler
+// process with input inputs[j], the shared memory is a primitive snapshot
+// object named "mem", which Native returns too, and the algorithm's
+// declared objects are real x-ported consensus objects. The bodies share
+// these objects, so a caller that runs them again resets them first.
+func Native(alg Algorithm, inputs []any, x int) ([]sched.Proc, *snapshot.Primitive[any], error) {
 	n := len(inputs)
 	if n == 0 {
-		return nil, fmt.Errorf("algorithms: no inputs for %s", alg.Name())
+		return nil, nil, fmt.Errorf("algorithms: no inputs for %s", alg.Name())
 	}
 	if err := alg.Requires(n, x); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	mem := snapshot.NewPrimitive[any]("mem", n)
 	portSets := alg.Objects(n)
 	objs := make([]*object.XConsensus, len(portSets))
 	for a, ports := range portSets {
 		if len(ports) > x {
-			return nil, fmt.Errorf("algorithms: %s object %d has %d ports, model allows %d",
+			return nil, nil, fmt.Errorf("algorithms: %s object %d has %d ports, model allows %d",
 				alg.Name(), a, len(ports), x)
 		}
 		ids := make([]sched.ProcID, len(ports))
 		for i, p := range ports {
 			if p < 0 || p >= n {
-				return nil, fmt.Errorf("algorithms: %s object %d port %d out of range", alg.Name(), a, p)
+				return nil, nil, fmt.Errorf("algorithms: %s object %d port %d out of range", alg.Name(), a, p)
 			}
 			ids[i] = sched.ProcID(p)
 		}
@@ -46,7 +58,7 @@ func Direct(alg Algorithm, inputs []any, x int, cfg sched.Config) (*sched.Result
 			alg.Run(&directAPI{e: e, j: j, input: inputs[j], mem: mem, objs: objs})
 		}
 	}
-	return sched.Run(cfg, bodies)
+	return bodies, mem, nil
 }
 
 // directAPI implements API for native runs: operations map one-to-one onto

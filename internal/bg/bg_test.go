@@ -32,8 +32,8 @@ func validateColorless(t *testing.T, task tasks.Task, inputs []any, r *Result) {
 func TestClassicBGFailureFree(t *testing.T) {
 	// n = 6 simulated processes, t = 2: the 2-resilient 3-set algorithm runs
 	// on 3 simulators; all simulators decide legal values. The seed sweep
-	// drives fresh engines over one reusable scheduler session (the RunOn
-	// driver path).
+	// drives fresh engines over one reusable scheduler session (the sweep
+	// driver path: Bodies, Collect, Close).
 	const n, tRes = 6, 2
 	inputs := tasks.DistinctInputs(n)
 	session, err := sched.NewSession(tRes + 1)
@@ -50,7 +50,8 @@ func TestClassicBGFailureFree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		r, err := run.RunOn(session)
+		r, err := runOn(run, session)
+		run.Close()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

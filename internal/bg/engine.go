@@ -134,7 +134,9 @@ type agSlot struct {
 // agreement objects, the simulators' local state and their threads. New
 // builds it for one run; Reset returns it to its freshly constructed state,
 // so a driver that runs many simulations of one configuration builds it
-// once.
+// once. The simulator threads are coroutines that park at the end of every
+// run; Run ends them before it returns, and a driver of the Bodies ends them
+// with Close.
 type Engine struct {
 	cfg   Config
 	n     int // simulated processes
@@ -155,9 +157,6 @@ type Engine struct {
 
 	sims   []*simulator
 	bodies []sched.Proc
-	// keep is set by Reset: the simulator threads' coroutines then park at
-	// the end of a run instead of ending, until Close.
-	keep bool
 
 	// onSnapshot, when non-nil, observes every value returned by a
 	// simulated snapshot: simulator i obtained val for the snapsn-th
@@ -172,9 +171,8 @@ type Engine struct {
 	onWrite func(i, j, sn int, val any)
 }
 
-// New validates cfg and builds the engine for one run: Run or RunOn it, or
-// drive its Bodies. One run of a new engine leaves nothing behind; to run it
-// again, see Reset.
+// New validates cfg and builds the engine for one run: Run it, or drive its
+// Bodies and Close it when done. To run it again, see Reset.
 func New(cfg Config) (*Engine, error) {
 	n := len(cfg.Inputs)
 	if n == 0 {
@@ -245,11 +243,9 @@ func New(cfg Config) (*Engine, error) {
 
 // Reset returns the engine to its freshly constructed state for another
 // run: MEM cleared, every agreement object as if new, no decisions, claims
-// or completions. The simulator threads keep their coroutines: from the
-// first Reset on, a run parks them at its end instead of ending them, so
-// the engine's owner must call Close once it is done with the engine.
+// or completions. The simulator threads keep the coroutines they parked on
+// at the end of the last run.
 func (r *Engine) Reset() {
-	r.keep = true
 	r.run++
 	r.mem.Reset()
 	for _, t := range r.tas {
@@ -262,7 +258,7 @@ func (r *Engine) Reset() {
 	clear(r.completed)
 }
 
-// Close ends the simulator threads' coroutines that runs after a Reset keep
+// Close ends the simulator threads' coroutines, which every run leaves
 // parked. The engine stays usable: a later run starts new ones.
 func (r *Engine) Close() {
 	for _, s := range r.sims {
@@ -271,8 +267,10 @@ func (r *Engine) Close() {
 }
 
 // Run executes the simulation under the configured scheduler and returns the
-// combined result.
+// combined result. It closes the engine's threads before it returns, so a
+// run leaves no goroutine behind.
 func (r *Engine) Run() (*Result, error) {
+	defer r.Close()
 	sres, err := sched.Run(r.cfg.Sched, r.Bodies())
 	if err != nil {
 		return nil, err
@@ -280,30 +278,18 @@ func (r *Engine) Run() (*Result, error) {
 	return r.Collect(sres), nil
 }
 
-// RunOn executes the simulation on a reusable scheduler session (which must
-// have Simulators processes). Sweep drivers that execute many simulations of
-// the same shape reuse one session across runs instead of respawning the
-// runtime per run, and one engine too: Reset it before each further run and
-// Close it when done. The returned Result aliases the session's pooled
-// buffers, which the session's next run overwrites, and the engine's, which
-// Reset clears.
-func (r *Engine) RunOn(s *sched.Session) (*Result, error) {
-	sres, err := s.Run(r.cfg.Sched, r.Bodies())
-	if err != nil {
-		return nil, err
-	}
-	return r.Collect(sres), nil
-}
-
 // Bodies returns the simulator process bodies without running them, for
-// callers — such as the exhaustive explorer — that drive sched.Run (or a
-// replaying adversary) themselves. The bodies are built once with the
-// engine: they run the current run, so Reset the engine between runs. The
+// callers — such as the exhaustive explorer, or a sweep on one reusable
+// sched.Session — that drive the scheduler (or a replaying adversary)
+// themselves and pass its result to Collect. The bodies are built once with
+// the engine: they run the current run, so Reset the engine between runs,
+// and Close it when done, since every run leaves its threads parked. The
 // slice is the engine's own and must not be modified.
 func (r *Engine) Bodies() []sched.Proc { return r.bodies }
 
 // Collect assembles the simulation-level Result around an externally
-// obtained scheduler result for this engine's bodies.
+// obtained scheduler result for this engine's bodies. The Result aliases
+// the engine's decision, claim and completion buffers, which Reset clears.
 func (r *Engine) Collect(sres *sched.Result) *Result {
 	out := &Result{
 		Sched:              sres,
@@ -400,7 +386,7 @@ func (r *Engine) newSimulator(i int) *simulator {
 		a := &s.apis[j]
 		*a = simAPI{r: r, sim: s, i: i, j: j, proposed: make([]bool, objs)}
 		a.bind()
-		threads[j] = coro.NewReusable(func(y *coro.Yielder) {
+		threads[j] = coro.New(func(y *coro.Yielder) {
 			a.y = y
 			r.cfg.Alg.Run(a)
 		})
@@ -429,22 +415,12 @@ func (s *simulator) reset(e *sched.Env) {
 	s.group.Reset()
 }
 
-// end stops the simulator's threads at the end of its run, or as a crash
-// unwinds it: parked until the next run when the engine keeps them, ended
-// otherwise.
-func (r *Engine) end(s *simulator) {
-	if r.keep {
-		s.group.KillAll()
-	} else {
-		s.group.Close()
-	}
-}
-
 // simulate is simulator i's process body.
 func (r *Engine) simulate(s *simulator, e *sched.Env) {
 	i := s.i
 	s.reset(e)
-	defer r.end(s)
+	// Park the threads at the end of the run, or as a crash unwinds it.
+	defer s.group.KillAll()
 	for {
 		progressed := s.group.ResumeNext()
 		for j, dv := range s.decided {

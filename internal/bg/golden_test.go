@@ -108,6 +108,17 @@ func digestRun(h hash.Hash, shape *corpusShape, name string, seed int64, r *Resu
 		r.SimulatorDecisions, r.ClaimedProc, r.SimOutputs, r.Completed)
 }
 
+// runOn runs eng once on the scheduler session s, which must have one
+// process per simulator, and collects the result. The engine's threads stay
+// parked until it is closed.
+func runOn(eng *Engine, s *sched.Session) (*Result, error) {
+	sres, err := s.Run(eng.cfg.Sched, eng.Bodies())
+	if err != nil {
+		return nil, err
+	}
+	return eng.Collect(sres), nil
+}
+
 // corpusDigest runs the golden corpus on sessions built with opts (one per
 // simulator count, reused across the corpus) and returns its digest.
 func corpusDigest(t *testing.T, opts sched.SessionOptions) (string, corpusShape) {
@@ -135,7 +146,8 @@ func corpusDigest(t *testing.T, opts sched.SessionOptions) (string, corpusShape)
 				}
 				sessions[cfg.Simulators] = s
 			}
-			r, err := run.RunOn(s)
+			r, err := runOn(run, s)
+			run.Close()
 			digestRun(h, &shape, gc.name, seed, r, err)
 		}
 	}
@@ -164,9 +176,10 @@ func TestBGGoldenDigest(t *testing.T) {
 
 // TestTornDownRunsLeakNoGoroutines: runs torn down while a simulator is
 // parked inside a routed step (the step budget runs out, or the adversary
-// crashes it) must reap every simulator thread. Each parked thread is a
-// coroutine with a goroutine of its own, so a thread left unreaped shows up
-// in runtime.NumGoroutine.
+// crashes it) must leave every simulator thread where Close can end it. The
+// runs reuse one engine per corpus case, Reset before each run; each thread
+// is a coroutine with a goroutine of its own, so a thread that closing the
+// engines does not end shows up in runtime.NumGoroutine.
 func TestTornDownRunsLeakNoGoroutines(t *testing.T) {
 	s, err := sched.NewSession(3)
 	if err != nil {
@@ -174,27 +187,36 @@ func TestTornDownRunsLeakNoGoroutines(t *testing.T) {
 	}
 	defer s.Close()
 	var cases []goldenCase
+	var engines []*Engine
 	for _, gc := range goldenCorpus() {
 		if gc.cfg.Simulators == 3 {
+			eng, err := New(gc.cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", gc.name, err)
+			}
 			cases = append(cases, gc)
+			engines = append(engines, eng)
 		}
 	}
-	run := func(i int) *Result {
-		gc := cases[i%len(cases)]
-		seed := int64(i)
-		cfg := gc.cfg
-		cfg.Sched = sched.Config{Adversary: gc.adv(seed), MaxSteps: 10 + i%90}
-		eng, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+	closeAll := func() {
+		for _, eng := range engines {
+			eng.Close()
 		}
-		r, err := eng.RunOn(s)
+	}
+	defer closeAll()
+	run := func(i int) *Result {
+		gc, eng := cases[i%len(cases)], engines[i%len(cases)]
+		seed := int64(i)
+		eng.Reset()
+		eng.cfg.Sched = sched.Config{Adversary: gc.adv(seed), MaxSteps: 10 + i%90}
+		r, err := runOn(eng, s)
 		if err != nil {
 			t.Fatalf("%s/%d: %v", gc.name, seed, err)
 		}
 		return r
 	}
 	run(0) // the session's process coroutines exist from here on
+	closeAll()
 	before := settledGoroutines()
 	exhausted, crashed := 0, 0
 	for i := 1; i <= 400; i++ {
@@ -209,6 +231,7 @@ func TestTornDownRunsLeakNoGoroutines(t *testing.T) {
 	if exhausted == 0 || crashed == 0 {
 		t.Fatalf("no teardown exercised: %d budget-exhausted, %d crashed runs", exhausted, crashed)
 	}
+	closeAll()
 	if got := settledGoroutines(); got > before {
 		t.Fatalf("goroutines %d -> %d over %d torn-down runs", before, got, exhausted+crashed)
 	}

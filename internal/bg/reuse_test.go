@@ -47,7 +47,7 @@ func TestEngineReuseMatchesGolden(t *testing.T) {
 					eng.Reset()
 				}
 				eng.cfg.Sched = sched.Config{Adversary: gc.adv(seed), MaxSteps: gc.maxSteps, TraceCapacity: 1 << 16}
-				r, err := eng.RunOn(sessions[gc.cfg.Simulators])
+				r, err := runOn(eng, sessions[gc.cfg.Simulators])
 				digestRun(h, &shape, gc.name, seed, r, err)
 			}
 			eng.Close()
@@ -63,7 +63,7 @@ func TestEngineReuseMatchesGolden(t *testing.T) {
 
 // TestEngineReuseAfterThreadPanic: a simulated process whose body panics
 // fails the run and ends its thread's coroutine; after Reset the engine
-// runs cleanly again on a new one.
+// runs cleanly again on a new one, and Close leaves no coroutine behind.
 func TestEngineReuseAfterThreadPanic(t *testing.T) {
 	fail := true
 	alg := misbehavingAlg{
@@ -77,6 +77,10 @@ func TestEngineReuseAfterThreadPanic(t *testing.T) {
 		},
 	}
 	before := settledGoroutines()
+	s, err := sched.NewSession(2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng, err := New(Config{
 		Alg: alg, Inputs: tasks.DistinctInputs(3), Simulators: 2, SourceX: 1,
 		NewAgreement: SafeAgreementProvider(2), Sched: sched.Config{Seed: 3},
@@ -84,14 +88,13 @@ func TestEngineReuseAfterThreadPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Reset() // keep the threads between runs
-	if _, err := eng.Run(); err == nil {
+	if _, err := runOn(eng, s); err == nil {
 		t.Fatal("a panicking simulated process did not fail the run")
 	}
 	fail = false
 	for run := 0; run < 3; run++ {
 		eng.Reset()
-		r, err := eng.Run()
+		r, err := runOn(eng, s)
 		if err != nil {
 			t.Fatalf("run %d after the panic: %v", run, err)
 		}
@@ -102,6 +105,7 @@ func TestEngineReuseAfterThreadPanic(t *testing.T) {
 		}
 	}
 	eng.Close()
+	s.Close()
 	if got := settledGoroutines(); got > before {
 		t.Fatalf("goroutines %d -> %d after Close", before, got)
 	}

@@ -19,17 +19,16 @@
 // Panics raised by a thread body are re-raised inside Resume. A panic raised
 // by a Call operation (in particular the crash sentinel of internal/sched)
 // unwinds the resumer directly and leaves the calling thread parked inside
-// Call; Kill reaps a parked thread without running any of its remaining
+// Call; Kill unwinds a parked thread without running any of its remaining
 // code.
 //
-// A thread built with New is one-shot: its coroutine ends with its body, and
-// Kill ends it too, so no coroutine outlives its simulator. A thread built
-// with NewReusable keeps its coroutine across bodies, the way the scheduler
-// keeps one coroutine per process across runs: when its body returns or is
-// killed, the coroutine parks at the run boundary, and Reset re-arms it to
-// run the body again from the start, on the stack the coroutine has already
-// grown. Such a coroutine is a parked goroutine until Close ends it, so
-// whoever keeps reusable threads between runs must Close them when done.
+// A thread has one lifetime, the way the scheduler keeps one coroutine per
+// process across runs: New arms it, its first Resume starts its coroutine,
+// and when its body returns or is killed the coroutine parks at the run
+// boundary. Reset re-arms it to run the body again from the start, on the
+// stack the coroutine has already grown. A parked coroutine is a parked
+// goroutine until Close ends it, so whoever owns threads must Close them
+// when done.
 package coro
 
 import "iter"
@@ -57,41 +56,33 @@ func (y *Yielder) Call(op func()) {
 
 type killSentinel struct{}
 
-// Thread is a coroutine. The zero value is not usable; construct with New or
-// NewReusable. Thread methods must be called from a single resumer at a
-// time.
+// Thread is a coroutine. The zero value is not usable; construct with New.
+// Thread methods must be called from a single resumer at a time.
 type Thread struct {
-	body     func(*Yielder)
-	y        Yielder
-	next     func() (func(), bool) // nil until the first Resume, and after the coroutine ended
-	stop     func()
-	reusable bool // the coroutine outlives the body (NewReusable)
-	started  bool // the current body has been resumed
-	killing  bool // Kill is unwinding the current body
-	done     bool
+	body    func(*Yielder)
+	y       Yielder
+	next    func() (func(), bool) // nil until the first Resume, and after the coroutine ended
+	stop    func()
+	started bool // the current body has been resumed
+	killing bool // Kill is unwinding the current body
+	done    bool
 }
 
-// New returns a one-shot thread that will run body. The body does not start
-// executing (and no coroutine exists) until the first Resume.
+// New returns a thread that runs body once per arming: New arms it, and so
+// does every Reset. Its coroutine is started by the first Resume and lives
+// until Close; the body does not start executing before that Resume.
 func New(body func(*Yielder)) *Thread {
 	return &Thread{body: body}
 }
 
-// NewReusable returns a thread that runs body once per arming: New, and
-// again after every Reset. Its coroutine is started by the first Resume and
-// lives until Close.
-func NewReusable(body func(*Yielder)) *Thread {
-	return &Thread{body: body, reusable: true}
-}
-
-// run is the coroutine body: it runs the thread body once, or, for a
-// reusable thread, once per arming, parking at the run boundary in between
-// until the next Resume after a Reset (or Close, which ends it).
+// run is the coroutine body: it runs the thread body once per arming,
+// parking at the run boundary in between until the next Resume after a
+// Reset (or Close, which ends it).
 func (t *Thread) run(yield func(func()) bool) {
 	t.y = Yielder{yield: yield, t: t}
 	for {
 		t.runBody()
-		if !t.reusable || !yield(nil) {
+		if !yield(nil) {
 			return
 		}
 	}
@@ -140,15 +131,13 @@ func (t *Thread) Resume() bool {
 // Kill ends the thread's current body without executing any more of its
 // code. A thread not yet resumed since it was armed is only marked done: its
 // coroutine, if any, is not resumed, so the body does not start. A parked
-// one-shot thread is reaped with its coroutine; a parked reusable thread is
-// unwound to the run boundary, where its coroutine waits for Reset. Killing a
-// done thread is a no-op. Kill is safe to call during a panic unwind, which
-// is how simulators clean up their threads when a step of theirs crashes.
+// thread is unwound to the run boundary, where its coroutine waits for Reset
+// or Close. Killing a done thread is a no-op. Kill is safe to call during a
+// panic unwind, which is how simulators clean up their threads when a step
+// of theirs crashes.
 func (t *Thread) Kill() {
 	switch {
 	case t.done:
-	case !t.reusable:
-		t.Close()
 	case !t.started:
 		t.done = true
 	default:
@@ -158,17 +147,17 @@ func (t *Thread) Kill() {
 	}
 }
 
-// Reset re-arms a reusable thread: its next Resume runs the body again from
-// the start. A body still live is killed first.
+// Reset re-arms the thread: its next Resume runs the body again from the
+// start. A body still live is killed first.
 func (t *Thread) Reset() {
 	t.Kill()
 	t.done, t.started = false, false
 }
 
 // Close ends the thread and its coroutine without executing any more of its
-// body. A reusable thread stays usable: Reset re-arms it, and its next
-// Resume starts a new coroutine. Closing a thread without a coroutine only
-// marks it done.
+// body. The thread stays usable: Reset re-arms it, and its next Resume
+// starts a new coroutine. Closing a thread without a coroutine only marks it
+// done.
 func (t *Thread) Close() {
 	t.done = true
 	if t.stop != nil {
@@ -230,8 +219,8 @@ func (g *Group) KillAll() {
 	}
 }
 
-// Reset re-arms every thread of a group of reusable threads and restarts the
-// round-robin at the first.
+// Reset re-arms every thread of the group and restarts the round-robin at
+// the first.
 func (g *Group) Reset() {
 	for _, t := range g.threads {
 		t.Reset()

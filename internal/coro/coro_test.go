@@ -15,6 +15,7 @@ func TestResumeRunsToYield(t *testing.T) {
 		y.Yield()
 		log = append(log, 3)
 	})
+	defer th.Close()
 	if th.Done() {
 		t.Fatal("new thread should not be done")
 	}
@@ -56,6 +57,7 @@ func TestKillParked(t *testing.T) {
 		y.Yield()
 		reached = true
 	})
+	defer th.Close()
 	th.Resume()
 	th.Kill()
 	if !th.Done() {
@@ -108,6 +110,7 @@ func TestGroupRoundRobin(t *testing.T) {
 		})
 	}
 	g := NewGroup([]*Thread{mk(0, 2), mk(1, 2), mk(2, 2)})
+	defer g.Close()
 	for g.ResumeNext() {
 	}
 	// Each thread logs once per full resume; round-robin order interleaves.
@@ -134,6 +137,7 @@ func TestGroupSkipsDone(t *testing.T) {
 		order = append(order, 1)
 	})
 	g := NewGroup([]*Thread{short, long})
+	defer g.Close()
 	for g.ResumeNext() {
 	}
 	want := []int{0, 1, 1}
@@ -151,6 +155,7 @@ func TestGroupKillAll(t *testing.T) {
 		})
 	}
 	g := NewGroup([]*Thread{mk(), mk(), mk()})
+	defer g.Close()
 	g.ResumeNext()
 	g.ResumeNext()
 	g.KillAll()
@@ -169,6 +174,7 @@ func TestKillAllDuringPanicUnwind(t *testing.T) {
 	sib := New(func(y *Yielder) { y.Yield() })
 	bad := New(func(y *Yielder) { y.Yield(); panic("crash") })
 	g := NewGroup([]*Thread{sib, bad})
+	defer g.Close()
 	g.ResumeNext() // starts sib, parks it
 	g.ResumeNext() // starts bad, parks it
 
@@ -222,8 +228,9 @@ func TestCallRunsOpThenResumesThread(t *testing.T) {
 
 // TestCallPanicLeavesThreadParked: an op that panics unwinds the resumer,
 // not the thread. The thread stays parked inside Call and not done, so the
-// resumer's cleanup still reaps its coroutine with Kill; marking it done
-// would skip the Kill and leak the coroutine's goroutine.
+// resumer's cleanup still unwinds it with Kill to the run boundary, where
+// Close ends its coroutine; marking it done would skip the Kill and leave
+// the body parked mid-step.
 func TestCallPanicLeavesThreadParked(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 200; i++ {
@@ -247,18 +254,19 @@ func TestCallPanicLeavesThreadParked(t *testing.T) {
 		if !th.Done() || after {
 			t.Fatalf("Kill did not reap the parked thread (done=%v, ran on=%v)", th.Done(), after)
 		}
+		th.Close()
 	}
 	if got := runtime.NumGoroutine(); got > before {
 		t.Fatalf("goroutines %d -> %d: parked threads leaked", before, got)
 	}
 }
 
-// TestReusableRearms: a reusable thread runs its body again from the start
-// after Reset, whether the last body returned or was killed while parked,
-// and keeps one coroutine throughout.
+// TestReusableRearms: a thread runs its body again from the start after
+// Reset, whether the last body returned or was killed while parked, and
+// keeps one coroutine throughout.
 func TestReusableRearms(t *testing.T) {
 	var log []string
-	th := NewReusable(func(y *Yielder) {
+	th := New(func(y *Yielder) {
 		log = append(log, "start")
 		y.Yield()
 		log = append(log, "end")
@@ -288,7 +296,7 @@ func TestReusableRearms(t *testing.T) {
 // run up to its first yield — a step the next run would then skip.
 func TestReusableKillBeforeStart(t *testing.T) {
 	starts := 0
-	th := NewReusable(func(y *Yielder) {
+	th := New(func(y *Yielder) {
 		starts++
 		y.Yield()
 	})
@@ -312,7 +320,7 @@ func TestReusableKillBeforeStart(t *testing.T) {
 func TestReusablePanicRestarts(t *testing.T) {
 	fail := true
 	ran := 0
-	th := NewReusable(func(y *Yielder) {
+	th := New(func(y *Yielder) {
 		ran++
 		if fail {
 			panic("boom")
@@ -337,7 +345,7 @@ func TestReusablePanicRestarts(t *testing.T) {
 	}
 }
 
-// TestReusableCloseLeaksNothing: Close ends a reusable thread's coroutine
+// TestReusableCloseLeaksNothing: Close ends a thread's coroutine
 // wherever it is parked — at the run boundary, inside a Call whose op
 // panicked, or armed and not yet resumed — and a closed thread is re-armed
 // by Reset on a new coroutine.
@@ -345,7 +353,7 @@ func TestReusableCloseLeaksNothing(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 200; i++ {
 		crash := i%3 == 0
-		th := NewReusable(func(y *Yielder) {
+		th := New(func(y *Yielder) {
 			y.Call(func() {
 				if crash {
 					panic("step crashed")
@@ -382,7 +390,7 @@ func TestReusableCloseLeaksNothing(t *testing.T) {
 func TestGroupReset(t *testing.T) {
 	var order []int
 	mk := func(id int) *Thread {
-		return NewReusable(func(y *Yielder) {
+		return New(func(y *Yielder) {
 			order = append(order, id)
 			y.Yield()
 		})

@@ -21,7 +21,6 @@ import (
 	"mpcn/internal/hierarchy"
 	"mpcn/internal/object"
 	"mpcn/internal/sched"
-	"mpcn/internal/snapshot"
 	"mpcn/internal/universal"
 )
 
@@ -73,51 +72,36 @@ func MLSet(n, l int) func() explore.Session {
 	}
 }
 
-// renameAPI adapts one explorer process to the algorithms.API operation set:
-// the shared memory is a primitive snapshot object and the process's original
-// name is its index + 1. Renaming declares no x_cons objects, so XConsPropose
-// is unreachable.
-type renameAPI struct {
-	e   *sched.Env
-	j   int
-	mem *snapshot.Primitive[any]
-}
-
-var _ algorithms.API = (*renameAPI)(nil)
-
-func (a *renameAPI) ID() int         { return a.j }
-func (a *renameAPI) N() int          { return a.mem.Len() }
-func (a *renameAPI) Input() any      { return a.j + 1 }
-func (a *renameAPI) Write(v any)     { a.mem.Update(a.e, a.j, v) }
-func (a *renameAPI) Snapshot() []any { return a.mem.Scan(a.e) }
-func (a *renameAPI) Decide(v any)    { a.e.Decide(v) }
-func (a *renameAPI) XConsPropose(obj int, v any) any {
-	panic(fmt.Sprintf("renaming declares no x_cons objects, proposed to %d", obj))
-}
-
 // RenamingSession checks the wait-free (2n-1)-renaming algorithm natively on
 // every schedule: the names decided by surviving processes are distinct, lie
 // in 1..2n-1, and — the algorithm being wait-free — no schedule or crash
-// placement wedges a survivor.
+// placement wedges a survivor. Process j's original name is j+1. Each
+// session builds the native bodies once (algorithms.Native), and Make
+// resets their snapshot, the only shared object renaming declares.
 func RenamingSession(n int) func() explore.Session {
 	alg := algorithms.Renaming{}
+	inputs := make([]any, n)
+	for j := range inputs {
+		inputs[j] = j + 1
+	}
 	return func() explore.Session {
 		var names []any
-		var mem *snapshot.Primitive[any]
+		bodies, mem, err := algorithms.Native(alg, inputs, 1)
+		if err != nil {
+			panic(err) // renaming runs at every n >= 1
+		}
+		for j, run := range bodies {
+			bodies[j] = func(e *sched.Env) {
+				run(e)
+				if e.Decided() {
+					names = append(names, e.Decision())
+				}
+			}
+		}
 		return explore.Session{
 			Make: func() []sched.Proc {
 				names = names[:0]
-				mem = snapshot.NewPrimitive[any]("mem", n)
-				bodies := make([]sched.Proc, n)
-				for j := range bodies {
-					j := j
-					bodies[j] = func(e *sched.Env) {
-						alg.Run(&renameAPI{e: e, j: j, mem: mem})
-						if e.Decided() {
-							names = append(names, e.Decision())
-						}
-					}
-				}
+				mem.Reset()
 				return bodies
 			},
 			Check: func(res *sched.Result) error {

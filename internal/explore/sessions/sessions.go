@@ -189,9 +189,11 @@ func CommitAdopt(n int) func() explore.Session {
 // threads' shared steps on their own coroutines, so BG replays on the direct
 // protocol with batched grants like every other harness.
 //
-// Each session builds one engine and its bodies, and Make only resets it.
-// The engine keeps its simulator threads parked on their coroutines between
-// runs; the session's Close ends them.
+// Each session builds one engine, and Make only resets it and returns its
+// bodies. The engine keeps its simulator threads parked on their coroutines
+// between runs; the session's Close ends them. A simulator decides and
+// returns with no step in between, so the checker reads the decisions from
+// the run's outcomes.
 func BG(n, t int) (func() explore.Session, error) {
 	inputs := tasks.DistinctInputs(n)
 	cfg := bg.Config{
@@ -206,26 +208,19 @@ func BG(n, t int) (func() explore.Session, error) {
 		if err != nil {
 			panic(err) // validated above
 		}
-		var decisions, seen []any
-		bodies := engine.Bodies()
-		wrapped := make([]sched.Proc, len(bodies))
-		for i, b := range bodies {
-			wrapped[i] = func(e *sched.Env) {
-				b(e)
-				if e.Decided() {
-					decisions = append(decisions, e.Decision())
-				}
-			}
-		}
+		var seen []any
 		return explore.Session{
 			Make: func() []sched.Proc {
 				engine.Reset()
-				decisions = decisions[:0]
-				return wrapped
+				return engine.Bodies()
 			},
 			Check: func(res *sched.Result) error {
 				seen = seen[:0]
-				for _, v := range decisions {
+				for _, o := range res.Outcomes {
+					if !o.Decided {
+						continue
+					}
+					v := o.Value
 					if !slices.Contains(inputs, v) {
 						return fmt.Errorf("non-proposed simulated value %v", v)
 					}

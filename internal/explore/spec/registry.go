@@ -21,7 +21,7 @@ var registry struct {
 // duplicate names panic: registration happens from init funcs, where a bad
 // Decl is a programming error, not a run-time condition.
 func Register(d Decl) {
-	s, err := newDecl(d)
+	s, err := newScenario(d)
 	if err != nil {
 		panic(err.Error())
 	}

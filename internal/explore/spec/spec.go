@@ -167,58 +167,56 @@ type Sampling struct {
 	Depth int
 }
 
-// Spec is a self-describing, parameterized, explorable scenario: a harness
-// (process bodies + property checker + optional state fingerprint) over a
-// declared parameter domain. Implementations are normally Decls passed to
-// Register; the interface exists so consumers and the conformance suite stay
-// implementation-agnostic.
-type Spec interface {
-	// Name is the registry key, a short lowercase identifier.
-	Name() string
-	// Doc is the one-line description (-list, experiment rows).
-	Doc() string
-	// Params declares the parameter domains, including the engine-level
-	// crashes/steps params, sorted by name.
-	Params() []Param
-	// New builds a fresh, worker-private exploration harness for a resolved
-	// parameter assignment. Callers must resolve p first (Resolve or Grid);
-	// New may panic on unresolved or out-of-domain assignments.
-	New(p Params) explore.Session
-	// SupportsDedup reports whether New's sessions carry a Fingerprint, i.e.
-	// whether explore.Config.Dedup is usable.
-	SupportsDedup() bool
-	// SupportsPrune reports whether the checker is insensitive to the order
-	// of commuting operations, i.e. whether explore.Config.Prune is sound.
-	SupportsPrune() bool
-	// SupportsSymmetry reports whether New's sessions declare process-
-	// permutation symmetry (explore.Session.Symmetric), i.e. whether
-	// explore.Config.Symmetry is sound. Implies SupportsDedup: symmetry
-	// reduction acts only through the visited-state store.
-	SupportsSymmetry() bool
-	// Sampling returns the spec's schedule-sampling budget declaration.
-	Sampling() Sampling
+// Spec is a registered scenario: a harness (process bodies + property
+// checker + optional state fingerprint) over a declared parameter domain.
+// Register builds it from a Decl; Lookup and All return it, nil standing
+// for no scenario.
+type Spec = *Scenario
+
+// Scenario is what a Spec points to: a validated Decl with its parameter
+// list completed by the engine params.
+type Scenario struct {
+	d      Decl
+	params []Param // Decl.Params + engine params, sorted by name
 }
 
-// Validator is the optional cross-parameter constraint hook: Resolve calls
-// it after the per-Param range checks. Decls install it via Decl.Validate.
-type Validator interface {
-	Validate(p Params) error
-}
+// Name is the registry key, a short lowercase identifier.
+func (s *Scenario) Name() string { return s.d.Name }
 
-// Bounder is the optional unbounded-tree marker interface; Unbounded is the
-// accessor consumers should use.
-type Bounder interface {
-	Unbounded() bool
-}
+// Doc is the one-line description (-list, experiment rows).
+func (s *Scenario) Doc() string { return s.d.Doc }
+
+// Params declares the parameter domains, including the engine-level
+// crashes/steps params, sorted by name. The slice is a copy.
+func (s *Scenario) Params() []Param { return append([]Param(nil), s.params...) }
+
+// New builds a fresh, worker-private exploration harness for a resolved
+// parameter assignment. Callers must resolve p first (Resolve or Grid); New
+// may panic on unresolved or out-of-domain assignments.
+func (s *Scenario) New(p Params) explore.Session { return s.d.New(p) }
+
+// SupportsDedup reports whether New's sessions carry a Fingerprint, i.e.
+// whether explore.Config.Dedup is usable.
+func (s *Scenario) SupportsDedup() bool { return s.d.Dedup }
+
+// SupportsPrune reports whether the checker is insensitive to the order of
+// commuting operations, i.e. whether explore.Config.Prune is sound.
+func (s *Scenario) SupportsPrune() bool { return s.d.Prune }
+
+// SupportsSymmetry reports whether New's sessions declare process-
+// permutation symmetry (explore.Session.Symmetric), i.e. whether
+// explore.Config.Symmetry is sound. Implies SupportsDedup: symmetry
+// reduction acts only through the visited-state store.
+func (s *Scenario) SupportsSymmetry() bool { return s.d.Symmetry }
+
+// Sampling returns the spec's schedule-sampling budget declaration.
+func (s *Scenario) Sampling() Sampling { return s.d.Sampling }
 
 // Unbounded reports whether a spec declares that its decision tree cannot
 // be exhausted at any feasible run budget (Decl.Unbounded — the BG
 // simulation). Consumers use it to select bounded-smoke mode (cap MaxRuns,
 // accept exhausted=false) instead of special-casing spec names.
-func Unbounded(s Spec) bool {
-	b, ok := s.(Bounder)
-	return ok && b.Unbounded()
-}
+func Unbounded(s Spec) bool { return s.d.Unbounded }
 
 // Decl declares a Spec for Register. Name, Doc and New are required; Params
 // lists the object-level domains (the crashes/steps engine params are
@@ -247,43 +245,38 @@ type Decl struct {
 	Sampling Sampling
 }
 
-// decl adapts a Decl to the Spec interface.
-type decl struct {
-	d      Decl
-	params []Param // Decl.Params + engine params, sorted by name
-}
-
-func newDecl(d Decl) (decl, error) {
+// newScenario validates d and completes its parameter list.
+func newScenario(d Decl) (Spec, error) {
 	if d.Name == "" {
-		return decl{}, fmt.Errorf("spec: Decl without a Name")
+		return nil, fmt.Errorf("spec: Decl without a Name")
 	}
 	if d.New == nil {
-		return decl{}, fmt.Errorf("spec %q: Decl without a New", d.Name)
+		return nil, fmt.Errorf("spec %q: Decl without a New", d.Name)
 	}
 	if d.Doc == "" {
-		return decl{}, fmt.Errorf("spec %q: Decl without a Doc line", d.Name)
+		return nil, fmt.Errorf("spec %q: Decl without a Doc line", d.Name)
 	}
 	if d.Sampling.Budget < 0 || d.Sampling.Depth < 0 {
-		return decl{}, fmt.Errorf("spec %q: negative sampling declaration %+v", d.Name, d.Sampling)
+		return nil, fmt.Errorf("spec %q: negative sampling declaration %+v", d.Name, d.Sampling)
 	}
 	if d.Symmetry && !d.Dedup {
-		return decl{}, fmt.Errorf("spec %q: Symmetry requires Dedup (the reduction acts through the visited store)", d.Name)
+		return nil, fmt.Errorf("spec %q: Symmetry requires Dedup (the reduction acts through the visited store)", d.Name)
 	}
 	params := append([]Param(nil), d.Params...)
 	have := make(map[string]bool, len(params)+2)
 	for i, p := range params {
 		if have[p.Name] {
-			return decl{}, fmt.Errorf("spec %q: duplicate param %q", d.Name, p.Name)
+			return nil, fmt.Errorf("spec %q: duplicate param %q", d.Name, p.Name)
 		}
 		have[p.Name] = true
 		if p.Enum() {
 			seen := make(map[string]bool, len(p.Values))
 			for _, v := range p.Values {
 				if v == "" || strings.ContainsAny(v, ", =") {
-					return decl{}, fmt.Errorf("spec %q: param %q has malformed value name %q", d.Name, p.Name, v)
+					return nil, fmt.Errorf("spec %q: param %q has malformed value name %q", d.Name, p.Name, v)
 				}
 				if seen[v] {
-					return decl{}, fmt.Errorf("spec %q: param %q has duplicate value name %q", d.Name, p.Name, v)
+					return nil, fmt.Errorf("spec %q: param %q has duplicate value name %q", d.Name, p.Name, v)
 				}
 				seen[v] = true
 			}
@@ -306,30 +299,14 @@ func newDecl(d Decl) (decl, error) {
 	}
 	for _, p := range params {
 		if p.Min > p.Max {
-			return decl{}, fmt.Errorf("spec %q: param %q has empty range %s", d.Name, p.Name, p.Range())
+			return nil, fmt.Errorf("spec %q: param %q has empty range %s", d.Name, p.Name, p.Range())
 		}
 		if p.Default < p.Min || p.Default > p.Max {
-			return decl{}, fmt.Errorf("spec %q: param %q default %d outside %s", d.Name, p.Name, p.Default, p.Range())
+			return nil, fmt.Errorf("spec %q: param %q default %d outside %s", d.Name, p.Name, p.Default, p.Range())
 		}
 	}
 	sort.Slice(params, func(i, j int) bool { return params[i].Name < params[j].Name })
-	return decl{d: d, params: params}, nil
-}
-
-func (s decl) Name() string                 { return s.d.Name }
-func (s decl) Doc() string                  { return s.d.Doc }
-func (s decl) Params() []Param              { return append([]Param(nil), s.params...) }
-func (s decl) New(p Params) explore.Session { return s.d.New(p) }
-func (s decl) SupportsDedup() bool          { return s.d.Dedup }
-func (s decl) SupportsPrune() bool          { return s.d.Prune }
-func (s decl) SupportsSymmetry() bool       { return s.d.Symmetry }
-func (s decl) Unbounded() bool              { return s.d.Unbounded }
-func (s decl) Sampling() Sampling           { return s.d.Sampling }
-func (s decl) Validate(p Params) error {
-	if s.d.Validate == nil {
-		return nil
-	}
-	return s.d.Validate(p)
+	return &Scenario{d: d, params: params}, nil
 }
 
 // ParamError describes a rejected parameter assignment: which spec, which
@@ -377,7 +354,7 @@ func (e *ParamError) Error() string {
 // declared domains: absent params take their defaults, unknown names and
 // out-of-range values fail with a *ParamError naming the offending
 // parameter and its declared domain, and the spec's cross-parameter
-// Validator (if any) runs last. The input map is not modified.
+// Decl.Validate (if any) runs last. The input map is not modified.
 func Resolve(s Spec, p Params) (Params, error) {
 	out := make(Params, len(p))
 	decls := s.Params()
@@ -398,8 +375,8 @@ func Resolve(s Spec, p Params) (Params, error) {
 			return nil, &ParamError{Spec: s.Name(), Param: name, Unknown: true, Declared: decls}
 		}
 	}
-	if v, ok := s.(Validator); ok {
-		if err := v.Validate(out); err != nil {
+	if s.d.Validate != nil {
+		if err := s.d.Validate(out); err != nil {
 			return nil, fmt.Errorf("spec %q: %w", s.Name(), err)
 		}
 	}
