@@ -41,3 +41,18 @@ func TestFoldAllocs(t *testing.T) {
 		t.Errorf("Primitive[saCell].ScanView: %v allocs, want 0", n)
 	}
 }
+
+// TestMemoMissAllocs: a safe_agreement object whose memoized digest was
+// invalidated re-folds SM and the proposer set without allocating, and so
+// does a hit.
+func TestMemoMissAllocs(t *testing.T) {
+	sa := NewSafeAgreement("sa", 3)
+	schedtest.Run(t, func(e *sched.Env) { sa.Propose(e, big) })
+	var h sched.FP
+	if n := testing.AllocsPerRun(100, func() { sa.memo.Invalidate(); sa.Fingerprint(&h) }); n != 0 {
+		t.Errorf("SafeAgreement miss: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sa.Fingerprint(&h) }); n != 0 {
+		t.Errorf("SafeAgreement hit: %v allocs, want 0", n)
+	}
+}

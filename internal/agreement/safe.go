@@ -59,6 +59,7 @@ type SafeAgreement struct {
 	name     string
 	sm       *snapshot.Primitive[saCell]
 	proposed map[sched.ProcID]bool
+	memo     sched.Memo // the plain-mode digest of sm and proposed
 }
 
 // NewSafeAgreement returns a safe_agreement object for n simulators.
@@ -67,6 +68,7 @@ func NewSafeAgreement(name string, n int) *SafeAgreement {
 		name:     name,
 		sm:       snapshot.NewPrimitive[saCell](name+".SM", n),
 		proposed: make(map[sched.ProcID]bool),
+		memo:     sched.NewMemo[saCell](),
 	}
 }
 
@@ -76,13 +78,26 @@ func NewSafeAgreement(name string, n int) *SafeAgreement {
 func (s *SafeAgreement) Reset() {
 	s.sm.Reset()
 	clear(s.proposed)
+	s.memo.Invalidate()
 }
 
 // Fingerprint implements sched.Fingerprinter: it folds the SM snapshot and
-// the (unordered) set of simulators that already proposed.
+// the (unordered) set of simulators that already proposed, memoized between
+// Propose's writes (sched.Memo), so the set's map is walked only after it
+// or SM changed.
 func (s *SafeAgreement) Fingerprint(h *sched.FP) {
-	s.sm.Fingerprint(h)
-	h.ProcSet(s.proposed)
+	if f := s.memo.Begin(h); f != nil {
+		s.sm.Fingerprint(f)
+		f.ProcSet(s.proposed)
+	}
+	s.memo.End(h)
+}
+
+// update writes c to the caller's SM component and drops the memoized
+// digest.
+func (s *SafeAgreement) update(e *sched.Env, i int, c saCell) {
+	s.sm.Update(e, i, c)
+	s.memo.Invalidate()
 }
 
 // Propose proposes v on behalf of the calling simulator (Figure 1, lines
@@ -96,9 +111,10 @@ func (s *SafeAgreement) Propose(e *sched.Env, v any) {
 		panic(fmt.Sprintf("agreement: simulator %d proposed twice to %s", i, s.name))
 	}
 	s.proposed[e.ID()] = true
+	s.memo.Invalidate()
 
-	s.sm.Update(e, i, saCell{value: v, level: saUnstable}) // line 01
-	sm := s.sm.ScanView(e)                                 // line 02: read before the next step
+	s.update(e, i, saCell{value: v, level: saUnstable}) // line 01
+	sm := s.sm.ScanView(e)                              // line 02: read before the next step
 	stable := false
 	for _, c := range sm {
 		if c.level == saStable {
@@ -107,9 +123,9 @@ func (s *SafeAgreement) Propose(e *sched.Env, v any) {
 		}
 	}
 	if stable { // line 03
-		s.sm.Update(e, i, saCell{value: v, level: saMeaningless})
+		s.update(e, i, saCell{value: v, level: saMeaningless})
 	} else {
-		s.sm.Update(e, i, saCell{value: v, level: saStable})
+		s.update(e, i, saCell{value: v, level: saStable})
 	}
 }
 

@@ -32,10 +32,12 @@ import (
 func MLSet(n, l int) func() explore.Session {
 	return func() explore.Session {
 		var decided []any
+		var decidedLog logDigest
 		var ml *object.MLSetAgreement
 		return explore.Session{
 			Make: func() []sched.Proc {
 				decided = decided[:0]
+				decidedLog.reset()
 				ml = object.NewMLSetAgreement("ml", n, l, nil)
 				bodies := make([]sched.Proc, n)
 				for i := range bodies {
@@ -66,7 +68,7 @@ func MLSet(n, l int) func() explore.Session {
 			},
 			Fingerprint: func(h *sched.FP) {
 				ml.Fingerprint(h)
-				foldValues(h, decided)
+				decidedLog.values(h, decided)
 			},
 		}
 	}
@@ -86,6 +88,7 @@ func RenamingSession(n int) func() explore.Session {
 	}
 	return func() explore.Session {
 		var names []any
+		var namesLog logDigest
 		bodies, mem, err := algorithms.Native(alg, inputs, 1)
 		if err != nil {
 			panic(err) // renaming runs at every n >= 1
@@ -101,6 +104,7 @@ func RenamingSession(n int) func() explore.Session {
 		return explore.Session{
 			Make: func() []sched.Proc {
 				names = names[:0]
+				namesLog.reset()
 				mem.Reset()
 				return bodies
 			},
@@ -123,7 +127,7 @@ func RenamingSession(n int) func() explore.Session {
 			},
 			Fingerprint: func(h *sched.FP) {
 				mem.Fingerprint(h)
-				foldValues(h, names)
+				namesLog.values(h, names)
 			},
 		}
 	}
@@ -183,10 +187,12 @@ var hierarchyBases = []string{"tas", "queue", "cas"}
 func HierarchyConsensus(base string, n int) func() explore.Session {
 	return func() explore.Session {
 		var decided []any
+		var decidedLog logDigest
 		var cons fpConsensus
 		return explore.Session{
 			Make: func() []sched.Proc {
 				decided = decided[:0]
+				decidedLog.reset()
 				switch base {
 				case "tas":
 					cons = hierarchy.NewFromTAS("h", 0, 1)
@@ -216,7 +222,7 @@ func HierarchyConsensus(base string, n int) func() explore.Session {
 			},
 			Fingerprint: func(h *sched.FP) {
 				cons.Fingerprint(h)
-				foldValues(h, decided)
+				decidedLog.values(h, decided)
 			},
 		}
 	}
@@ -237,10 +243,12 @@ type counterResp struct {
 func UniversalCounter(n, ops int) func() explore.Session {
 	return func() explore.Session {
 		var resps []counterResp
+		var respsLog logDigest
 		var u *universal.Universal[int, int, int]
 		return explore.Session{
 			Make: func() []sched.Proc {
 				resps = resps[:0]
+				respsLog.reset()
 				ports := make([]sched.ProcID, n)
 				for i := range ports {
 					ports[i] = sched.ProcID(i)
@@ -287,7 +295,7 @@ func UniversalCounter(n, ops int) func() explore.Session {
 			},
 			Fingerprint: func(h *sched.FP) {
 				u.Fingerprint(h)
-				foldMultiset(h, len(resps), func(i int, t *sched.FP) {
+				respsLog.fold(h, len(resps), func(i int, t *sched.FP) {
 					t.Int(resps[i].proc)
 					t.Int(resps[i].idx)
 					t.Int(resps[i].val)

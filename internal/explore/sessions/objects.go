@@ -27,6 +27,7 @@ import (
 func TestAndSetRace(n int) func() explore.Session {
 	return func() explore.Session {
 		var outs []any // per completed invocation: won (bool)
+		var outsLog logDigest
 		tas := object.NewTestAndSet("tas")
 		bodies := make([]sched.Proc, n)
 		for i := range bodies {
@@ -42,6 +43,7 @@ func TestAndSetRace(n int) func() explore.Session {
 			Symmetric: true,
 			Make: func() []sched.Proc {
 				outs = outs[:0]
+				outsLog.reset()
 				tas.Reset()
 				return bodies
 			},
@@ -65,7 +67,7 @@ func TestAndSetRace(n int) func() explore.Session {
 			},
 			Fingerprint: func(h *sched.FP) {
 				tas.Fingerprint(h)
-				foldValues(h, outs)
+				outsLog.values(h, outs)
 			},
 		}
 	}
@@ -118,11 +120,14 @@ func conserveElements(kind string, inserted []any, removed []dequeueRecord, fina
 // enqueue ops distinct values and then dequeue ops times. On every schedule
 // and crash placement the removed values plus the final queue content are
 // exactly the enqueued values, and no dequeue ever observes an empty queue.
+// The queue and the bodies are built once per session; Make resets the
+// queue.
 func QueueConservation(n, ops int) func() explore.Session {
 	return func() explore.Session {
 		var inserted []any
 		var removed []dequeueRecord
-		var q *object.Queue[int]
+		var insertedLog, removedLog logDigest
+		q := object.NewQueue[int]("q")
 		bodies := make([]sched.Proc, n)
 		for i := range bodies {
 			i := i
@@ -143,7 +148,9 @@ func QueueConservation(n, ops int) func() explore.Session {
 			Make: func() []sched.Proc {
 				inserted = inserted[:0]
 				removed = removed[:0]
-				q = object.NewQueue[int]("q")
+				insertedLog.reset()
+				removedLog.reset()
+				q.Reset()
 				return bodies
 			},
 			Check: func(res *sched.Result) error {
@@ -154,8 +161,8 @@ func QueueConservation(n, ops int) func() explore.Session {
 			},
 			Fingerprint: func(h *sched.FP) {
 				q.Fingerprint(h)
-				foldValues(h, inserted)
-				foldMultiset(h, len(removed), func(i int, t *sched.FP) {
+				insertedLog.values(h, inserted)
+				removedLog.fold(h, len(removed), func(i int, t *sched.FP) {
 					t.Value(removed[i].v)
 					t.Bool(removed[i].ok)
 				})
@@ -166,12 +173,14 @@ func QueueConservation(n, ops int) func() explore.Session {
 
 // StackConservation is QueueConservation for the LIFO stack: n processes
 // each push ops distinct values then pop ops times; element conservation and
-// the non-empty invariant hold on every schedule and crash placement.
+// the non-empty invariant hold on every schedule and crash placement. The
+// stack and the bodies are built once per session; Make resets the stack.
 func StackConservation(n, ops int) func() explore.Session {
 	return func() explore.Session {
 		var inserted []any
 		var removed []dequeueRecord
-		var s *object.Stack[int]
+		var insertedLog, removedLog logDigest
+		s := object.NewStack[int]("s")
 		bodies := make([]sched.Proc, n)
 		for i := range bodies {
 			i := i
@@ -192,7 +201,9 @@ func StackConservation(n, ops int) func() explore.Session {
 			Make: func() []sched.Proc {
 				inserted = inserted[:0]
 				removed = removed[:0]
-				s = object.NewStack[int]("s")
+				insertedLog.reset()
+				removedLog.reset()
+				s.Reset()
 				return bodies
 			},
 			Check: func(res *sched.Result) error {
@@ -203,8 +214,8 @@ func StackConservation(n, ops int) func() explore.Session {
 			},
 			Fingerprint: func(h *sched.FP) {
 				s.Fingerprint(h)
-				foldValues(h, inserted)
-				foldMultiset(h, len(removed), func(i int, t *sched.FP) {
+				insertedLog.values(h, inserted)
+				removedLog.fold(h, len(removed), func(i int, t *sched.FP) {
 					t.Value(removed[i].v)
 					t.Bool(removed[i].ok)
 				})
@@ -221,6 +232,7 @@ func StackConservation(n, ops int) func() explore.Session {
 func CASCounter(n, retries int) func() explore.Session {
 	return func() explore.Session {
 		var succeeded []any // process index per successful increment
+		var succeededLog logDigest
 		var c *object.CompareAndSwap[int]
 		bodies := make([]sched.Proc, n)
 		for i := range bodies {
@@ -239,6 +251,7 @@ func CASCounter(n, retries int) func() explore.Session {
 		return explore.Session{
 			Make: func() []sched.Proc {
 				succeeded = succeeded[:0]
+				succeededLog.reset()
 				c = object.NewCompareAndSwap[int]("cas", 0)
 				return bodies
 			},
@@ -254,7 +267,7 @@ func CASCounter(n, retries int) func() explore.Session {
 			},
 			Fingerprint: func(h *sched.FP) {
 				c.Fingerprint(h)
-				foldValues(h, succeeded)
+				succeededLog.values(h, succeeded)
 			},
 		}
 	}
@@ -266,6 +279,7 @@ func CASCounter(n, retries int) func() explore.Session {
 func XConsensusAgreement(n, x int) func() explore.Session {
 	return func() explore.Session {
 		var decided []any
+		var decidedLog logDigest
 		xc := object.NewXConsensus("xc", x, nil)
 		bodies := make([]sched.Proc, n)
 		for i := range bodies {
@@ -279,6 +293,7 @@ func XConsensusAgreement(n, x int) func() explore.Session {
 		return explore.Session{
 			Make: func() []sched.Proc {
 				decided = decided[:0]
+				decidedLog.reset()
 				xc.Reset()
 				return bodies
 			},
@@ -287,7 +302,7 @@ func XConsensusAgreement(n, x int) func() explore.Session {
 			},
 			Fingerprint: func(h *sched.FP) {
 				xc.Fingerprint(h)
-				foldValues(h, decided)
+				decidedLog.values(h, decided)
 			},
 		}
 	}
@@ -300,6 +315,7 @@ func XConsensusAgreement(n, x int) func() explore.Session {
 func XCompeteSlots(n, x int) func() explore.Session {
 	return func() explore.Session {
 		var outs []any // per completed invocation: won (bool)
+		var outsLog logDigest
 		xc := agreement.NewXCompete("xcomp", x, nil)
 		bodies := make([]sched.Proc, n)
 		for i := range bodies {
@@ -312,6 +328,7 @@ func XCompeteSlots(n, x int) func() explore.Session {
 		return explore.Session{
 			Make: func() []sched.Proc {
 				outs = outs[:0]
+				outsLog.reset()
 				xc.Reset()
 				return bodies
 			},
@@ -337,7 +354,7 @@ func XCompeteSlots(n, x int) func() explore.Session {
 			},
 			Fingerprint: func(h *sched.FP) {
 				xc.Fingerprint(h)
-				foldValues(h, outs)
+				outsLog.values(h, outs)
 			},
 		}
 	}

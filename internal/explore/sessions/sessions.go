@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"mpcn/internal/agreement"
@@ -39,11 +38,13 @@ import (
 func SafeAgreement(n, probes int, starved *atomic.Int64) func() explore.Session {
 	return func() explore.Session {
 		var decided []any
+		var decidedLog logDigest
 		sa := agreement.NewSafeAgreement("sa", n)
 		bodies := proposerBodies(n, probes, sa, &decided)
 		return explore.Session{
 			Make: func() []sched.Proc {
 				decided = decided[:0]
+				decidedLog.reset()
 				sa.Reset()
 				return bodies
 			},
@@ -55,7 +56,7 @@ func SafeAgreement(n, probes int, starved *atomic.Int64) func() explore.Session 
 			},
 			Fingerprint: func(h *sched.FP) {
 				sa.Fingerprint(h)
-				foldValues(h, decided)
+				decidedLog.values(h, decided)
 			},
 		}
 	}
@@ -65,11 +66,13 @@ func SafeAgreement(n, probes int, starved *atomic.Int64) func() explore.Session 
 func XSafe(n, x, probes int) func() explore.Session {
 	return func() explore.Session {
 		var decided []any
+		var decidedLog logDigest
 		xs := agreement.NewXSafeFactory(n, x, nil).New("xsa")
 		bodies := proposerBodies(n, probes, xs, &decided)
 		return explore.Session{
 			Make: func() []sched.Proc {
 				decided = decided[:0]
+				decidedLog.reset()
 				xs.Reset()
 				return bodies
 			},
@@ -78,7 +81,7 @@ func XSafe(n, x, probes int) func() explore.Session {
 			},
 			Fingerprint: func(h *sched.FP) {
 				xs.Fingerprint(h)
-				foldValues(h, decided)
+				decidedLog.values(h, decided)
 			},
 		}
 	}
@@ -120,6 +123,7 @@ func CommitAdopt(n int) func() explore.Session {
 	}
 	return func() explore.Session {
 		var outs []out
+		var outsLog logDigest
 		var ca *agreement.CommitAdopt
 		bodies := make([]sched.Proc, n)
 		for i := range bodies {
@@ -135,6 +139,7 @@ func CommitAdopt(n int) func() explore.Session {
 			Canon:     eraseProposals(n),
 			Make: func() []sched.Proc {
 				outs = outs[:0]
+				outsLog.reset()
 				if ca == nil {
 					ca = agreement.NewCommitAdopt("ca", n)
 				} else {
@@ -169,7 +174,7 @@ func CommitAdopt(n int) func() explore.Session {
 			},
 			Fingerprint: func(h *sched.FP) {
 				ca.Fingerprint(h)
-				foldMultiset(h, len(outs), func(i int, t *sched.FP) {
+				outsLog.fold(h, len(outs), func(i int, t *sched.FP) {
 					t.Value(outs[i].v)
 					t.Bool(outs[i].committed)
 				})
@@ -263,35 +268,38 @@ var ErrNonMonotonicRead = errors.New("registers: reader observed a non-monotonic
 // battery replays and minimizes. At the defaults (readers=0, atomic) the
 // session is step-for-step and digest-for-digest identical to the historical
 // writer-only harness, and only that default configuration declares
-// process-permutation symmetry.
+// process-permutation symmetry. The array and the bodies are built once per
+// session; Make resets the array.
 func Registers(n, writes, readers int, backend reg.Backend) func() explore.Session {
 	return func() explore.Session {
-		var regs reg.BackendArray[int]
+		regs := reg.NewBackendArray[int](backend, "r", n, n+readers)
 		var pairs [][2]int // per completed reader: (first, second) observation
+		var pairsLog logDigest
+		bodies := make([]sched.Proc, n+readers)
+		for i := 0; i < n; i++ {
+			i := i
+			bodies[i] = func(e *sched.Env) {
+				for j := 1; j <= writes; j++ {
+					regs.Write(e, i, j)
+				}
+				regs.Flush(e)
+				e.Decide(0)
+			}
+		}
+		for r := 0; r < readers; r++ {
+			bodies[n+r] = func(e *sched.Env) {
+				a := regs.Read(e, 0)
+				b := regs.Read(e, 0)
+				pairs = append(pairs, [2]int{a, b})
+				e.Decide(0)
+			}
+		}
 		return explore.Session{
 			Symmetric: readers == 0 && backend.SupportsSymmetry(),
 			Make: func() []sched.Proc {
-				regs = reg.NewBackendArray[int](backend, "r", n, n+readers)
+				regs.Reset()
 				pairs = pairs[:0]
-				bodies := make([]sched.Proc, n+readers)
-				for i := 0; i < n; i++ {
-					i := i
-					bodies[i] = func(e *sched.Env) {
-						for j := 1; j <= writes; j++ {
-							regs.Write(e, i, j)
-						}
-						regs.Flush(e)
-						e.Decide(0)
-					}
-				}
-				for r := 0; r < readers; r++ {
-					bodies[n+r] = func(e *sched.Env) {
-						a := regs.Read(e, 0)
-						b := regs.Read(e, 0)
-						pairs = append(pairs, [2]int{a, b})
-						e.Decide(0)
-					}
-				}
+				pairsLog.reset()
 				return bodies
 			},
 			Check: func(res *sched.Result) error {
@@ -311,7 +319,7 @@ func Registers(n, writes, readers int, backend reg.Backend) func() explore.Sessi
 			Fingerprint: func(h *sched.FP) {
 				regs.Fingerprint(h)
 				if readers > 0 {
-					foldMultiset(h, len(pairs), func(i int, t *sched.FP) {
+					pairsLog.fold(h, len(pairs), func(i int, t *sched.FP) {
 						t.Int(pairs[i][0])
 						t.Int(pairs[i][1])
 					})
@@ -339,27 +347,28 @@ var ErrStoreLoadReordered = errors.New("sb: both loads returned 0 (store-load re
 // concurrent reads, not the store→load order SB probes. The two weak
 // backends are therefore distinguishable from each other, not just from
 // atomic: regular alone fails the Registers reader monotonicity property,
-// tso alone fails SB.
+// tso alone fails SB. The array and the bodies are built once per session;
+// Make resets the array.
 func StoreBuffer(backend reg.Backend) func() explore.Session {
 	return func() explore.Session {
-		var cells reg.BackendArray[int]
+		cells := reg.NewBackendArray[int](backend, "sb", 2, 2)
 		var loads [2]int
 		var loaded [2]bool
+		bodies := make([]sched.Proc, 2)
+		for i := 0; i < 2; i++ {
+			i := i
+			bodies[i] = func(e *sched.Env) {
+				cells.Write(e, i, 1)
+				v := cells.Read(e, 1-i)
+				loads[i], loaded[i] = v, true
+				cells.Flush(e)
+				e.Decide(v)
+			}
+		}
 		return explore.Session{
 			Make: func() []sched.Proc {
-				cells = reg.NewBackendArray[int](backend, "sb", 2, 2)
+				cells.Reset()
 				loads, loaded = [2]int{}, [2]bool{}
-				bodies := make([]sched.Proc, 2)
-				for i := 0; i < 2; i++ {
-					i := i
-					bodies[i] = func(e *sched.Env) {
-						cells.Write(e, i, 1)
-						v := cells.Read(e, 1-i)
-						loads[i], loaded[i] = v, true
-						cells.Flush(e)
-						e.Decide(v)
-					}
-				}
 				return bodies
 			},
 			Check: func(res *sched.Result) error {
@@ -382,30 +391,56 @@ func StoreBuffer(backend reg.Backend) func() explore.Session {
 	}
 }
 
-// foldMultiset folds n log entries as a multiset: per-entry digests are
-// combined commutatively, so two runs whose logs hold the same entries in
-// different completion orders fingerprint identically. Sound because every
-// checker here treats its log as a set (required under Prune anyway).
-// Per-entry digests go through h.Sub() so that, under symmetry reduction,
-// entry values canonicalize through the session's Canon exactly like
-// top-level state (Sub is a zero FP on a plain accumulator). The per-entry
-// accumulator comes from subFPs: it escapes through the fold closure, so a
-// local would be heap-allocated for every entry of every fingerprint.
-func foldMultiset(h *sched.FP, n int, fold func(i int, t *sched.FP)) {
-	t := subFPs.Get().(*sched.FP)
-	var sum uint64
-	for i := 0; i < n; i++ {
-		*t = h.Sub()
-		fold(i, t)
-		sum += sched.Mix(t.Sum().Lo)
-	}
-	subFPs.Put(t)
-	h.Int(n)
-	h.Word(sum)
+// logDigest is the multiset digest of one append-only harness log: per-entry
+// digests are combined commutatively, so two runs whose logs hold the same
+// entries in different completion orders fingerprint identically. Sound
+// because every checker here treats its log as a set (required under Prune
+// anyway). Per-entry digests start from h.Sub(), so that, under symmetry
+// reduction, entry values canonicalize through the session's Canon exactly
+// like top-level state (Sub is a zero FP on a plain accumulator).
+//
+// The digest is incremental: a fold Mix-sums only the entries appended since
+// the previous fold into the running sum, then folds the entry count and the
+// sum, the same words a fold of the whole log gives. The sum is kept for one
+// Sub carrier — plain, or one orbit FP's — and restarts when the carrier
+// changes. The session resets it in every Make: the log restarts empty, and
+// the first fold of a replay can land at the length the previous run ended
+// at, which a length check would take for an unchanged log.
+type logDigest struct {
+	sub sched.FP // the carrier the sum was folded under
+	n   int      // entries in sum
+	sum uint64
+	// t is the per-entry accumulator. It escapes through the entry fold, so
+	// a local would be heap-allocated at every entry.
+	t sched.FP
 }
 
-// subFPs recycles foldMultiset's per-entry accumulators.
-var subFPs = sync.Pool{New: func() any { return new(sched.FP) }}
+// reset empties the digest for a new run's log.
+func (d *logDigest) reset() { d.n, d.sum = 0, 0 }
+
+// fold folds the digest of a log of n entries into h; entry folds entry i
+// into t. Entries below the previous fold's n must be unchanged.
+func (d *logDigest) fold(h *sched.FP, n int, entry func(i int, t *sched.FP)) {
+	if sub := h.Sub(); sub != d.sub {
+		d.sub, d.n, d.sum = sub, 0, 0
+	}
+	if n < d.n {
+		panic(fmt.Sprintf("sessions: log shrank from %d to %d entries without a reset", d.n, n))
+	}
+	for i := d.n; i < n; i++ {
+		d.t = d.sub
+		entry(i, &d.t)
+		d.sum += sched.Mix(d.t.Sum().Lo)
+	}
+	d.n = n
+	h.Int(n)
+	h.Word(d.sum)
+}
+
+// values folds a plain decision-value log.
+func (d *logDigest) values(h *sched.FP, vs []any) {
+	d.fold(h, len(vs), func(i int, t *sched.FP) { t.Value(vs[i]) })
+}
 
 // eraseProposals returns the symmetry Canon of the proposal-value sessions:
 // the distinct per-process inputs 100..100+n-1 all map to one tag, so runs
@@ -420,11 +455,6 @@ func eraseProposals(n int) func(v any) any {
 		}
 		return v
 	}
-}
-
-// foldValues is foldMultiset over a plain decision-value log.
-func foldValues(h *sched.FP, vs []any) {
-	foldMultiset(h, len(vs), func(i int, t *sched.FP) { t.Value(vs[i]) })
 }
 
 func checkAgreement(decided []any, n int) error {

@@ -46,6 +46,18 @@ func TestConformanceAllSpecs(t *testing.T) {
 	}
 }
 
+// TestMemoDigestsMatchFresh runs the memo battery over every registered spec
+// on the conformance grid: at every decision boundary of sampled runs and of
+// a dedup walk, the harness digest, with its objects' and logs' cached
+// digests, equals the one a fresh session computes at the same boundary.
+func TestMemoDigestsMatchFresh(t *testing.T) {
+	for _, s := range spec.All() {
+		t.Run(s.Name(), func(t *testing.T) {
+			spectest.MemoDigests(t, s, options(s))
+		})
+	}
+}
+
 // TestSymmetryVerdictPermutationInvariance is the cross-spec witness behind
 // the Symmetry capability declarations: for every registered spec declaring
 // SupportsSymmetry, checker verdicts are invariant under renaming the

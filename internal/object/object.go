@@ -85,19 +85,29 @@ type Queue[T any] struct {
 	name     string
 	enqueueL sched.Label
 	dequeueL sched.Label
-	items    []T
+	init     []T
+	items    []T // every item enqueued since construction or Reset
+	head     int // items[head:] are queued, front first
 }
 
 // NewQueue returns a queue initialized with the given items (front first).
 func NewQueue[T any](name string, init ...T) *Queue[T] {
-	items := make([]T, len(init))
-	copy(items, init)
-	return &Queue[T]{
+	q := &Queue[T]{
 		name:     name,
 		enqueueL: sched.Intern(name + ".enqueue"),
 		dequeueL: sched.Intern(name + ".dequeue"),
-		items:    items,
+		init:     append([]T(nil), init...),
 	}
+	q.Reset()
+	return q
+}
+
+// Reset returns the queue to its freshly constructed content, keeping its
+// step labels and its storage, so a harness can reuse one queue across runs.
+func (q *Queue[T]) Reset() {
+	clear(q.items)
+	q.items = append(q.items[:0], q.init...)
+	q.head = 0
 }
 
 // Enqueue atomically appends v.
@@ -110,9 +120,10 @@ func (q *Queue[T]) Enqueue(e *sched.Env, v T) {
 // front to back.
 func (q *Queue[T]) Fingerprint(h *sched.FP) {
 	h.Label(q.enqueueL)
-	h.Int(len(q.items))
-	for i := range q.items {
-		sched.Fold(h, &q.items[i])
+	queued := q.items[q.head:]
+	h.Int(len(queued))
+	for i := range queued {
+		sched.Fold(h, &queued[i])
 	}
 }
 
@@ -121,21 +132,21 @@ func (q *Queue[T]) Fingerprint(h *sched.FP) {
 // takes no scheduling step and must not be called from process bodies
 // mid-run.
 func (q *Queue[T]) Items() []T {
-	return append([]T(nil), q.items...)
+	return append([]T(nil), q.items[q.head:]...)
 }
 
 // Dequeue atomically removes and returns the front item; ok is false when
 // the queue is empty.
 func (q *Queue[T]) Dequeue(e *sched.Env) (v T, ok bool) {
 	e.StepL(q.dequeueL)
-	if len(q.items) == 0 {
+	if q.head == len(q.items) {
 		sched.ObserveBool(e, false)
 		return v, false
 	}
 	sched.ObserveBool(e, true)
-	sched.Observe(e, &q.items[0])
-	v = q.items[0]
-	q.items = q.items[1:]
+	sched.Observe(e, &q.items[q.head])
+	v = q.items[q.head]
+	q.head++
 	return v, true
 }
 
@@ -144,19 +155,27 @@ type Stack[T any] struct {
 	name  string
 	pushL sched.Label
 	popL  sched.Label
+	init  []T
 	items []T
 }
 
 // NewStack returns a stack initialized with the given items (bottom first).
 func NewStack[T any](name string, init ...T) *Stack[T] {
-	items := make([]T, len(init))
-	copy(items, init)
-	return &Stack[T]{
+	s := &Stack[T]{
 		name:  name,
 		pushL: sched.Intern(name + ".push"),
 		popL:  sched.Intern(name + ".pop"),
-		items: items,
+		init:  append([]T(nil), init...),
 	}
+	s.Reset()
+	return s
+}
+
+// Reset returns the stack to its freshly constructed content, keeping its
+// step labels and its storage, so a harness can reuse one stack across runs.
+func (s *Stack[T]) Reset() {
+	clear(s.items)
+	s.items = append(s.items[:0], s.init...)
 }
 
 // Push atomically pushes v.

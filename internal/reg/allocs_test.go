@@ -49,3 +49,22 @@ func TestFoldAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoMissAllocs: a register and an array whose memoized digests were
+// invalidated re-fold without allocating.
+func TestMemoMissAllocs(t *testing.T) {
+	r := NewWith[any]("r", big)
+	a := NewArrayWith[int]("a", 3, big)
+	var h sched.FP
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Register[any]", func() { r.memo.Invalidate(); r.Fingerprint(&h) }},
+		{"Array[int]", func() { a.Reset(); a.Fingerprint(&h) }},
+	} {
+		if n := testing.AllocsPerRun(100, c.f); n != 0 {
+			t.Errorf("%s miss: %v allocs, want 0", c.name, n)
+		}
+	}
+}

@@ -29,6 +29,7 @@ package reg
 
 import (
 	"fmt"
+	"slices"
 
 	"mpcn/internal/sched"
 )
@@ -72,12 +73,15 @@ func (b Backend) SupportsSymmetry() bool { return b == Atomic }
 // BackendArray is the backend-polymorphic register array: the Array API
 // plus Flush, which drains buffered writes to memory (a no-op for the
 // backends without buffers). All three implementations fingerprint their
-// full abstract state, so state dedup is sound for every backend.
+// full abstract state, so state dedup is sound for every backend, and Reset
+// returns each to the state it was constructed in, folding like a fresh
+// array, so a harness can reuse one array across runs.
 type BackendArray[T any] interface {
 	Len() int
 	Read(e *sched.Env, i int) T
 	Write(e *sched.Env, i int, v T)
 	Flush(e *sched.Env)
+	Reset()
 	Fingerprint(h *sched.FP)
 }
 
@@ -162,6 +166,13 @@ func (a *RegularArray[T]) Write(e *sched.Env, i int, v T) {
 
 // Flush implements BackendArray: regular registers buffer nothing.
 func (a *RegularArray[T]) Flush(e *sched.Env) {}
+
+// Reset implements BackendArray: every cell committed and visible at the
+// zero value.
+func (a *RegularArray[T]) Reset() {
+	clear(a.cells)
+	clear(a.visible)
+}
 
 // Fingerprint folds the array identity plus each cell's committed AND
 // visible value — mid-write flicker states dedup apart from quiescent ones.
@@ -249,8 +260,20 @@ func (a *TSOArray[T]) Flush(e *sched.Env) {
 	for len(a.buf[me]) > 0 {
 		ent := a.buf[me][0]
 		e.StepL(a.flushL[ent.cell])
-		a.buf[me] = a.buf[me][1:]
+		// Shift rather than reslice, so the buffer keeps its storage for
+		// the runs after a Reset.
+		a.buf[me] = slices.Delete(a.buf[me], 0, 1)
 		a.mem[ent.cell] = ent.v
+	}
+}
+
+// Reset implements BackendArray: memory at the zero value and every store
+// buffer empty, keeping the buffers' storage.
+func (a *TSOArray[T]) Reset() {
+	clear(a.mem)
+	for p := range a.buf {
+		clear(a.buf[p])
+		a.buf[p] = a.buf[p][:0]
 	}
 }
 

@@ -21,6 +21,7 @@ type Register[T any] struct {
 	readL  sched.Label
 	writeL sched.Label
 	v      T
+	memo   sched.Memo // the plain-mode digest of v, between writes
 }
 
 // New returns a register named name holding the zero value of T.
@@ -29,6 +30,7 @@ func New[T any](name string) *Register[T] {
 		name:   name,
 		readL:  sched.Intern(name + ".read"),
 		writeL: sched.Intern(name + ".write"),
+		memo:   sched.NewMemo[T](),
 	}
 }
 
@@ -44,6 +46,7 @@ func NewWith[T any](name string, init T) *Register[T] {
 func (r *Register[T]) Reset() {
 	var zero T
 	r.v = zero
+	r.memo.Invalidate()
 }
 
 // Read atomically reads the register.
@@ -57,13 +60,18 @@ func (r *Register[T]) Read(e *sched.Env) T {
 func (r *Register[T]) Write(e *sched.Env, v T) {
 	e.StepL(r.writeL)
 	r.v = v
+	r.memo.Invalidate()
 }
 
 // Fingerprint implements sched.Fingerprinter: it folds the register's
-// identity (its interned write label) and current value.
+// identity (its interned write label) and current value, memoized between
+// writes (sched.Memo).
 func (r *Register[T]) Fingerprint(h *sched.FP) {
-	h.Label(r.writeL)
-	sched.Fold(h, &r.v)
+	if f := r.memo.Begin(h); f != nil {
+		f.Label(r.writeL)
+		sched.Fold(f, &r.v)
+	}
+	r.memo.End(h)
 }
 
 // Array is an array of atomic registers sharing a common name prefix. Cell i
@@ -73,6 +81,8 @@ type Array[T any] struct {
 	readL  []sched.Label
 	writeL []sched.Label
 	cells  []T
+	init   T          // every cell's value at construction and after Reset
+	memo   sched.Memo // the plain-mode digest of cells, between writes
 }
 
 // NewArray returns an n-cell register array holding zero values.
@@ -85,16 +95,26 @@ func NewArray[T any](name string, n int) *Array[T] {
 		readL:  sched.InternIndexed("%s[%d].read", name, n),
 		writeL: sched.InternIndexed("%s[%d].write", name, n),
 		cells:  make([]T, n),
+		memo:   sched.NewMemo[T](),
 	}
 }
 
 // NewArrayWith returns an n-cell register array with every cell set to init.
 func NewArrayWith[T any](name string, n int, init T) *Array[T] {
 	a := NewArray[T](name, n)
-	for i := range a.cells {
-		a.cells[i] = init
-	}
+	a.init = init
+	a.Reset()
 	return a
+}
+
+// Reset returns every cell to its value at construction (init for
+// NewArrayWith, the zero value otherwise), keeping the step labels, so a
+// harness can reuse one array across runs.
+func (a *Array[T]) Reset() {
+	for i := range a.cells {
+		a.cells[i] = a.init
+	}
+	a.memo.Invalidate()
 }
 
 // Len returns the number of cells.
@@ -111,18 +131,22 @@ func (a *Array[T]) Read(e *sched.Env, i int) T {
 func (a *Array[T]) Write(e *sched.Env, i int, v T) {
 	e.StepL(a.writeL[i])
 	a.cells[i] = v
+	a.memo.Invalidate()
 }
 
 // Fingerprint implements sched.Fingerprinter: it folds the array's identity
 // and every cell value in index order. Cell i routes through digest lane i,
 // so arrays indexed by process (cell i written by process i) canonicalize
 // under symmetry reduction; on a plain FP, Lane is the identity and the fold
-// is the exact in-order fold.
+// is the exact in-order fold, memoized between writes (sched.Memo).
 func (a *Array[T]) Fingerprint(h *sched.FP) {
-	h.Label(a.writeL[0])
-	for i := range a.cells {
-		sched.Fold(h.Lane(sched.ProcID(i)), &a.cells[i])
+	if f := a.memo.Begin(h); f != nil {
+		f.Label(a.writeL[0])
+		for i := range a.cells {
+			sched.Fold(f.Lane(sched.ProcID(i)), &a.cells[i])
+		}
 	}
+	a.memo.End(h)
 }
 
 // Collect reads every cell in index order (one step per cell, i.e. a

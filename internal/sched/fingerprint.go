@@ -566,6 +566,11 @@ func (h *FP) ProcSet(m map[ProcID]bool) {
 //     folded commutatively (see Mix) or in a canonical element order.
 //   - Fingerprint must not take scheduler steps (no Env access): it runs at
 //     decision boundaries, outside any process.
+//   - An object that memoizes its digest (see Memo) invalidates the memo on
+//     every write to state the digest covers and on Reset, and owns every
+//     byte its digest covers: a cached digest is only as fresh as the last
+//     invalidation, so state another party can write without going through
+//     the object (a buffer it aliases, say) must not be behind a memo.
 //
 // The reg, snapshot, object and agreement packages implement Fingerprinter
 // on every shared-object type; exploration harnesses compose those into a

@@ -48,3 +48,16 @@ func TestFoldAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoMissAllocs: a Primitive whose memoized digest was invalidated
+// re-folds its components without allocating.
+func TestMemoMissAllocs(t *testing.T) {
+	p := NewPrimitive[any]("p", 3)
+	for i := range p.cells {
+		p.cells[i] = []any{big + i, "x"}
+	}
+	var h sched.FP
+	if n := testing.AllocsPerRun(100, func() { p.memo.Invalidate(); p.Fingerprint(&h) }); n != 0 {
+		t.Errorf("Primitive[any] miss: %v allocs, want 0", n)
+	}
+}

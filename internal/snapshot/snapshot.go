@@ -40,6 +40,7 @@ type Primitive[T any] struct {
 	updateL []sched.Label
 	scanL   sched.Label
 	cells   []T
+	memo    sched.Memo // the plain-mode digest of cells, between updates
 }
 
 var _ Snapshot[int] = (*Primitive[int])(nil)
@@ -54,6 +55,7 @@ func NewPrimitive[T any](name string, n int) *Primitive[T] {
 		updateL: sched.InternIndexed("%s[%d].update", name, n),
 		scanL:   sched.Intern(name + ".scan"),
 		cells:   make([]T, n),
+		memo:    sched.NewMemo[T](),
 	}
 }
 
@@ -61,6 +63,7 @@ func NewPrimitive[T any](name string, n int) *Primitive[T] {
 func (s *Primitive[T]) Update(e *sched.Env, i int, v T) {
 	e.StepL(s.updateL[i])
 	s.cells[i] = v
+	s.memo.Invalidate()
 }
 
 // Scan implements Snapshot.
@@ -101,6 +104,7 @@ func (s *Primitive[T]) Reset() {
 	for i := range s.cells {
 		s.cells[i] = zero
 	}
+	s.memo.Invalidate()
 }
 
 // Len implements Snapshot.
@@ -110,12 +114,16 @@ func (s *Primitive[T]) Len() int { return len(s.cells) }
 // and every component in index order. Component i routes through digest lane
 // i — snapshot components are per-process by construction (process i updates
 // component i) — so the object canonicalizes under symmetry reduction; on a
-// plain FP, Lane is the identity and the fold is the exact in-order fold.
+// plain FP, Lane is the identity and the fold is the exact in-order fold,
+// memoized between updates (sched.Memo).
 func (s *Primitive[T]) Fingerprint(h *sched.FP) {
-	h.Label(s.scanL)
-	for i := range s.cells {
-		sched.Fold(h.Lane(sched.ProcID(i)), &s.cells[i])
+	if f := s.memo.Begin(h); f != nil {
+		f.Label(s.scanL)
+		for i := range s.cells {
+			sched.Fold(f.Lane(sched.ProcID(i)), &s.cells[i])
+		}
 	}
+	s.memo.End(h)
 }
 
 // afekCell is one single-writer register of the Afek et al. construction:
