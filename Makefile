@@ -2,7 +2,7 @@
 #   make build vet test explore-smoke   (test job)
 #   make bench-check                    (test job)
 #   make alloc-check                    (test job)
-#   make fp-quality fuzz-fp fuzz-script (test job)
+#   make fp-quality fuzz-fp fuzz-script fuzz-job (test job)
 #   make store-race                     (test job)
 #   make throughput-gate                (test job)
 #   make sample-smoke service-smoke     (test job)
@@ -12,7 +12,7 @@
 #   make docs-check                     (docs/health job)
 GO ?= go
 
-.PHONY: build vet test alloc-check fp-quality fuzz-fp fuzz-script store-race bench bench-check throughput-gate profile explore-smoke sample-smoke service-smoke spec-conformance symmetry-conformance weakmem-conformance experiments docs-check loc
+.PHONY: build vet test alloc-check fp-quality fuzz-fp fuzz-script fuzz-job store-race bench bench-check throughput-gate profile explore-smoke sample-smoke service-smoke spec-conformance symmetry-conformance weakmem-conformance experiments docs-check loc
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,14 @@ fuzz-fp:
 fuzz-script:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseChoice$$' -fuzztime 30s ./internal/explore
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayScript$$' -fuzztime 30s ./internal/explore
+
+# Fuzz the daemon's job admission for 30 s (internal/service/fuzz_test.go),
+# the POST /jobs decode and Prepare path that cmd/explore's cells share:
+# arbitrary bytes decoded into a Request never make Prepare panic, every
+# rejection is a *RequestError, and an accepted job prepared again from its
+# Result's canonical spec, params, engine and seed keeps its Key.
+fuzz-job:
+	$(GO) test -run '^$$' -fuzz '^FuzzPrepare$$' -fuzztime 30s ./internal/service
 
 # Race shake of the concurrent paths: the visited store's lock-free probes
 # (hits write no shared memory), the scheduler's in-place adversary

@@ -36,9 +36,17 @@
 // depth, throughput and the exhaustion verdict; any property violation
 // aborts with the reproducing decision script.
 //
+// Every grid cell is a job of the exploredd daemon's (internal/service): the
+// flags are validated by service.NewJob, the daemon's own check, and the
+// cell runs through service.Run, its engine dispatch. -json prints each
+// cell's record in the daemon's Result encoding, so the CLI and a POST /jobs
+// submission of the same cell give the same record.
+//
 // The BG simulation's decision tree is astronomically deep even for tiny
 // configurations: bound it with -maxruns (the run is then a coverage smoke,
 // reported as exhausted=false), keep n and t minimal — or switch to -sample.
+// Specs that declare an unbounded tree (bg, detector) reject an exhaustive
+// sweep without -maxruns before anything runs, as the daemon does.
 //
 // -compare additionally runs the sequential explorer on every cell and
 // verifies that the parallel engine visited the identical state space — the
@@ -70,7 +78,9 @@
 // the exhaustive engine, plus its (seed, index) pair. Each cell reports
 // samples/sec and the distinct-state coverage estimate; -allspecs sweeps
 // every registered spec at its declared defaults and sampling budget (the
-// CI sample-smoke mode).
+// CI sample-smoke mode). Under -allspecs the unbounded specs run with the
+// cell parameter steps=800, which their labels and -json records show.
+// -samples 0 is rejected: the daemon reads a zero budget as the spec's own.
 package main
 
 import (
@@ -248,7 +258,7 @@ func run(args []string, out io.Writer) int {
 	// boundary instead of leaving worker pools running to their budgets.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	if err := dispatch(ctx, o, out); err != nil {
+	if err := sweep(ctx, o, out); err != nil {
 		fmt.Fprintf(os.Stderr, "explore: %v\n", err)
 		var paramErr *spec.ParamError
 		if errors.As(err, &paramErr) {
@@ -268,31 +278,23 @@ func run(args []string, out io.Writer) int {
 	return 0
 }
 
-// dispatch routes between the exhaustive and the sampling sweeps.
-func dispatch(ctx context.Context, o options, out io.Writer) error {
-	if o.allSpecs && o.sample == "" {
-		return errors.New("-allspecs needs -sample (exhaustive all-spec sweeps would not terminate)")
-	}
-	if o.sample != "" {
-		return sampleSweep(ctx, o, out)
-	}
-	return sweep(ctx, o, out)
-}
-
 // rejectInapplicableFlags fails loudly on flag combinations one engine would
-// otherwise silently ignore: exhaustive-only flags under -sample, and
-// explicit scenario selection or grids under -allspecs (which sweeps every
-// spec at its declared defaults), and a -dedupmem whose byte count does not
-// fit an int (it would wrap into the default ceiling). Silent drops would let
-// the user believe a bound or a grid applied when it did not.
+// otherwise silently ignore: exhaustive-only flags under -sample,
+// sampling-only flags without it, -samples 0, and explicit scenario
+// selection or grids under -allspecs (which sweeps every spec at its
+// declared defaults). Silent drops would let the user believe a bound or a
+// grid applied when it did not. Engine bounds and capabilities are checked
+// per job by service.NewJob.
 func rejectInapplicableFlags(o options, explicit map[string]bool, haveSets bool) error {
 	if o.jsonOut && o.compare {
 		return errors.New("-compare prints a human-readable comparison; drop it under -json")
 	}
-	if o.dedupMem < 0 || o.dedupMem > service.MaxDedupMemMiB {
-		return fmt.Errorf("-dedupmem %d out of range [0, %d] MiB", o.dedupMem, service.MaxDedupMemMiB)
-	}
 	if o.sample != "" {
+		if o.samples == 0 {
+			// The daemon reads samples=0 as "the spec's budget"; a user who
+			// typed it meant no samples at all.
+			return errors.New("-samples 0 draws nothing (give a positive count)")
+		}
 		for _, name := range []string{"prune", "dedup", "dedupmem", "symmetry", "maxruns", "compare"} {
 			if explicit[name] {
 				return fmt.Errorf("-%s applies to exhaustive exploration only (drop it or drop -sample)", name)
@@ -399,198 +401,169 @@ func printList(out io.Writer) {
 	}
 }
 
-// jsonResult renders one grid cell's outcome in the daemon's Result
-// encoding (NDJSON, one record per line). The record is emitted for
-// violations too — the caller still aborts the sweep afterwards — so
-// scripted consumers see the verdict and replay script on stdout.
-func jsonResult(out io.Writer, j *service.Job, est explore.Stats, sst sample.Stats, err error) error {
-	return json.NewEncoder(out).Encode(service.NewResult(j, est, sst, err))
-}
-
-// exploreJob assembles the service job record of one exhaustive cell, the
-// identity under which -json encodes its result.
-func exploreJob(s spec.Spec, p spec.Params, o options) *service.Job {
-	return &service.Job{
-		Spec:   s,
-		Params: p,
-		Engine: service.Engine{
-			Mode:     service.ModeExhaustive,
-			Workers:  o.workers,
-			MaxRuns:  o.maxRuns,
-			Prune:    o.prune,
-			Dedup:    o.dedup,
-			DedupMem: o.dedupMem,
-			Symmetry: o.symmetry,
-		},
+// sweepJobs builds the job of every cell the invocation names: the -object
+// spec's grid cells or, under -allspecs, every registered spec at its
+// declared defaults and sampling budget. Each job goes through
+// service.NewJob, the daemon's validation, and the whole sweep is rejected
+// before anything runs when any of them is invalid.
+func sweepJobs(o options) ([]*service.Job, error) {
+	specs := spec.All()
+	if !o.allSpecs {
+		s, err := spec.Lookup(o.object)
+		if err != nil {
+			return nil, err
+		}
+		specs = []spec.Spec{s}
 	}
+	eng := service.Engine{
+		Mode: service.ModeExhaustive, Workers: o.workers, MaxRuns: o.maxRuns,
+		Prune: o.prune, Dedup: o.dedup, DedupMem: o.dedupMem, Symmetry: o.symmetry,
+	}
+	var seed int64
+	if o.sample != "" {
+		eng = service.Engine{
+			Mode: service.ModeSample, Workers: o.workers,
+			Strategy: o.sample, Samples: o.samples, Depth: o.depth,
+		}
+		seed = o.seed
+	}
+	var jobs []*service.Job
+	for _, s := range specs {
+		// Under -allspecs the flag check admits no grid, so every spec runs
+		// at its declared defaults.
+		cells, err := resolveGrid(s, o.grids)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range cells {
+			e := eng
+			if o.allSpecs {
+				if b := s.Sampling().Budget; b > 0 && b < e.Samples {
+					e.Samples = b
+				}
+				// Unbounded trees walk to the engine's step default on most
+				// schedules; bound the smoke's runs so -allspecs stays quick.
+				// The bound is a cell parameter, so the label and the -json
+				// record name it.
+				if spec.Unbounded(s) && p[spec.ParamSteps] <= 0 {
+					p[spec.ParamSteps] = allSpecsSteps
+				}
+			}
+			j, err := service.NewJob(s, p, e, seed)
+			if err != nil {
+				return nil, err
+			}
+			jobs = append(jobs, j)
+		}
+	}
+	return jobs, nil
 }
 
+// allSpecsSteps is the per-run step budget -allspecs gives unbounded specs.
+const allSpecsSteps = 800
+
+// sweep runs every job of the invocation through service.Run, the daemon's
+// engine dispatch, and reports each one as the daemon's Result record under
+// -json or as a text row otherwise. A violating job's record is still
+// emitted under -json, so scripted consumers see the verdict and replay
+// script on stdout, and then the sweep aborts.
 func sweep(ctx context.Context, o options, out io.Writer) error {
-	s, err := spec.Lookup(o.object)
-	if err != nil {
-		return err
-	}
-	cells, err := resolveGrid(s, o.grids)
+	jobs, err := sweepJobs(o)
 	if err != nil {
 		return err
 	}
 	if !o.jsonOut {
-		fmt.Fprintf(out, "exhaustive exploration of %s (prune=%v, workers=%d, maxruns=%d)\n",
-			s.Name(), o.prune, o.workers, o.maxRuns)
-		fmt.Fprintf(out, "%-40s %10s %8s %6s %10s %10s %s\n",
-			"configuration", "runs", "pruned", "depth", "runs/sec", "elapsed", "verdict")
-	}
-	for _, p := range cells {
-		cfg, err := spec.Config(s, p, explore.Config{
-			MaxRuns:  o.maxRuns,
-			Workers:  o.workers,
-			Prune:    o.prune,
-			Dedup:    o.dedup,
-			DedupMem: o.dedupMem << 20,
-			Symmetry: o.symmetry,
-		})
-		if err != nil {
-			return err
+		if o.sample != "" {
+			fmt.Fprintf(out, "schedule sampling: strategy=%s samples=%d seed=%d workers=%d\n",
+				o.sample, o.samples, o.seed, o.workers)
+			fmt.Fprintf(out, "%-40s %10s %10s %6s %12s %10s %s\n",
+				"configuration", "samples", "distinct", "depth", "samples/sec", "elapsed", "verdict")
+		} else {
+			fmt.Fprintf(out, "exhaustive exploration of %s (prune=%v, workers=%d, maxruns=%d)\n",
+				o.object, o.prune, o.workers, o.maxRuns)
+			fmt.Fprintf(out, "%-40s %10s %8s %6s %10s %10s %s\n",
+				"configuration", "runs", "pruned", "depth", "runs/sec", "elapsed", "verdict")
 		}
-		stats, err := explore.ExploreContext(ctx, spec.Factory(s, p), cfg)
+	}
+	for _, j := range jobs {
+		est, sst, err := service.Run(ctx, j, nil, nil)
 		if o.jsonOut {
-			if jerr := jsonResult(out, exploreJob(s, p, o), stats, sample.Stats{}, err); jerr != nil {
+			if jerr := json.NewEncoder(out).Encode(service.NewResult(j, est, sst, err)); jerr != nil {
 				return jerr
 			}
 		}
 		if err != nil {
-			return fmt.Errorf("spec %q %s: %w", s.Name(), p.Text(s), err)
+			return fmt.Errorf("spec %q %s: %w", j.Spec.Name(), j.Params.Text(j.Spec), err)
 		}
 		if o.jsonOut {
 			continue
 		}
-		verdict := "EXHAUSTED"
-		if !stats.Exhausted {
-			verdict = "partial (bounded)"
-		}
-		fmt.Fprintf(out, "%-40s %10d %8d %6d %10.0f %10s %s\n",
-			p.Text(s), stats.Runs, stats.Pruned, stats.MaxDepth, stats.RunsPerSec(),
-			stats.Elapsed.Round(stats.Elapsed/100+1), verdict)
-		if o.dedup {
-			fmt.Fprintf(out, "%-40s %s\n", "  (dedup)", stats.Dedup)
-		}
-		if o.compare && o.workers != 1 {
-			seq, err := explore.ExploreSession(s.New(p), cfg)
-			if err != nil {
-				return fmt.Errorf("spec %q %s (sequential): %w", s.Name(), p.Text(s), err)
-			}
-			if o.dedup {
-				// Parallel dedup run counts are timing-dependent; only the
-				// verdict is comparable.
-				if seq.Exhausted != stats.Exhausted {
-					return fmt.Errorf("%v: parallel/sequential verdict divergence under dedup: par=%v seq=%v",
-						p, stats.Exhausted, seq.Exhausted)
-				}
-			} else if seq.Runs != stats.Runs || seq.Exhausted != stats.Exhausted || seq.Pruned != stats.Pruned {
-				return fmt.Errorf("%v: parallel/sequential divergence: par={runs:%d pruned:%d} seq={runs:%d pruned:%d}",
-					p, stats.Runs, stats.Pruned, seq.Runs, seq.Pruned)
-			}
-			fmt.Fprintf(out, "%-40s %10d %8d %6d %10.0f %10s sequential check OK\n",
-				"  (sequential)", seq.Runs, seq.Pruned, seq.MaxDepth, seq.RunsPerSec(),
-				seq.Elapsed.Round(seq.Elapsed/100+1))
+		if j.Engine.Mode == service.ModeSample {
+			printSampled(out, j, sst)
+		} else if err := printExplored(ctx, out, o, j, est); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// sampleSweep runs the probabilistic engine over the selected spec's grid
-// cells (or, with -allspecs, over every registered spec at its declared
-// defaults and sampling budget).
-func sampleSweep(ctx context.Context, o options, out io.Writer) error {
-	var specs []spec.Spec
-	if o.allSpecs {
-		specs = spec.All()
-	} else {
-		s, err := spec.Lookup(o.object)
-		if err != nil {
-			return err
-		}
-		specs = []spec.Spec{s}
+// printExplored prints an exhaustive job's text row and, under -compare,
+// reruns the job on the sequential engine and checks that both walks agree.
+func printExplored(ctx context.Context, out io.Writer, o options, j *service.Job, stats explore.Stats) error {
+	label := j.Params.Text(j.Spec)
+	verdict := "EXHAUSTED"
+	if !stats.Exhausted {
+		verdict = "partial (bounded)"
 	}
-	if !o.jsonOut {
-		fmt.Fprintf(out, "schedule sampling: strategy=%s samples=%d seed=%d workers=%d\n",
-			o.sample, o.samples, o.seed, o.workers)
-		fmt.Fprintf(out, "%-40s %10s %10s %6s %12s %10s %s\n",
-			"configuration", "samples", "distinct", "depth", "samples/sec", "elapsed", "verdict")
+	fmt.Fprintf(out, "%-40s %10d %8d %6d %10.0f %10s %s\n",
+		label, stats.Runs, stats.Pruned, stats.MaxDepth, stats.RunsPerSec(),
+		stats.Elapsed.Round(stats.Elapsed/100+1), verdict)
+	if o.dedup {
+		fmt.Fprintf(out, "%-40s %s\n", "  (dedup)", stats.Dedup)
 	}
-	for _, s := range specs {
-		grids := o.grids
-		if o.allSpecs {
-			grids = nil // declared defaults only; grid flags may not apply to every spec
-		}
-		cells, err := resolveGrid(s, grids)
-		if err != nil {
-			return err
-		}
-		for _, p := range cells {
-			cfg := sample.Config{
-				Samples:    o.samples,
-				Seed:       o.seed,
-				MaxCrashes: p[spec.ParamCrashes],
-				MaxSteps:   p[spec.ParamSteps],
-				Depth:      o.depth,
-				Workers:    o.workers,
-				Coverage:   true,
-			}
-			if cfg.Depth <= 0 {
-				cfg.Depth = s.Sampling().Depth
-			}
-			if o.allSpecs {
-				if b := s.Sampling().Budget; b > 0 && b < cfg.Samples {
-					cfg.Samples = b
-				}
-				// Unbounded trees walk to the engine's step default on most
-				// schedules; bound the smoke's runs so -allspecs stays quick.
-				if spec.Unbounded(s) && cfg.MaxSteps <= 0 {
-					cfg.MaxSteps = 800
-				}
-			}
-			stats, err := sample.RunContext(ctx, spec.Factory(s, p), o.sample, cfg)
-			if o.jsonOut {
-				j := &service.Job{
-					Spec:   s,
-					Params: p,
-					Engine: service.Engine{
-						Mode:     service.ModeSample,
-						Workers:  o.workers,
-						Strategy: o.sample,
-						Samples:  cfg.Samples,
-						Depth:    cfg.Depth,
-					},
-					Seed: o.seed,
-				}
-				if jerr := jsonResult(out, j, explore.Stats{}, stats, err); jerr != nil {
-					return jerr
-				}
-			}
-			if err != nil {
-				return fmt.Errorf("spec %q %s: %w", s.Name(), p.Text(s), err)
-			}
-			if o.jsonOut {
-				continue
-			}
-			label := fmt.Sprintf("%s %s", s.Name(), p.Text(s))
-			fmt.Fprintf(out, "%-40s %10d %10d %6d %12.0f %10s SAMPLED\n",
-				label, stats.Samples, stats.Distinct, stats.MaxDepth, stats.SamplesPerSec(),
-				stats.Elapsed.Round(stats.Elapsed/100+1))
-			if stats.PCTBound > 0 {
-				d := cfg.Depth
-				if d <= 0 {
-					d = sample.DefaultDepth
-				}
-				k := cfg.MaxSteps
-				if k <= 0 {
-					k = sample.DefaultMaxSteps
-				}
-				fmt.Fprintf(out, "%-40s per-run depth-%d bug bound >= %.3g (n=%d, k=%d; observed depth %d — tighten -steps toward it to sharpen placement and bound)\n",
-					"  (pct)", d, stats.PCTBound, stats.Procs, k, stats.MaxDepth)
-			}
-		}
+	if !o.compare || j.Engine.Workers == 1 {
+		return nil
 	}
+	sj := *j
+	sj.Engine.Workers = 1
+	seq, _, err := service.Run(ctx, &sj, nil, nil)
+	if err != nil {
+		return fmt.Errorf("spec %q %s (sequential): %w", j.Spec.Name(), label, err)
+	}
+	if o.dedup {
+		// Parallel dedup run counts are timing-dependent; only the
+		// verdict is comparable.
+		if seq.Exhausted != stats.Exhausted {
+			return fmt.Errorf("%s: parallel/sequential verdict divergence under dedup: par=%v seq=%v",
+				label, stats.Exhausted, seq.Exhausted)
+		}
+	} else if seq.Runs != stats.Runs || seq.Exhausted != stats.Exhausted || seq.Pruned != stats.Pruned {
+		return fmt.Errorf("%s: parallel/sequential divergence: par={runs:%d pruned:%d} seq={runs:%d pruned:%d}",
+			label, stats.Runs, stats.Pruned, seq.Runs, seq.Pruned)
+	}
+	fmt.Fprintf(out, "%-40s %10d %8d %6d %10.0f %10s sequential check OK\n",
+		"  (sequential)", seq.Runs, seq.Pruned, seq.MaxDepth, seq.RunsPerSec(),
+		seq.Elapsed.Round(seq.Elapsed/100+1))
 	return nil
+}
+
+// printSampled prints a sampling job's text row and, for PCT, the per-run
+// bug-detection bound.
+func printSampled(out io.Writer, j *service.Job, stats sample.Stats) {
+	label := fmt.Sprintf("%s %s", j.Spec.Name(), j.Params.Text(j.Spec))
+	fmt.Fprintf(out, "%-40s %10d %10d %6d %12.0f %10s SAMPLED\n",
+		label, stats.Samples, stats.Distinct, stats.MaxDepth, stats.SamplesPerSec(),
+		stats.Elapsed.Round(stats.Elapsed/100+1))
+	if stats.PCTBound > 0 {
+		d := j.Engine.Depth
+		if d <= 0 {
+			d = sample.DefaultDepth
+		}
+		k := j.Params[spec.ParamSteps]
+		if k <= 0 {
+			k = sample.DefaultMaxSteps
+		}
+		fmt.Fprintf(out, "%-40s per-run depth-%d bug bound >= %.3g (n=%d, k=%d; observed depth %d — tighten -steps toward it to sharpen placement and bound)\n",
+			"  (pct)", d, stats.PCTBound, stats.Procs, k, stats.MaxDepth)
+	}
 }

@@ -74,6 +74,9 @@ func TestInvalidConfigurationsRejected(t *testing.T) {
 		{"xconsensus n>x", "-object xconsensus -n 3 -x 2"},
 		{"dedupmem overflows int", "-object commitadopt -dedup -dedupmem 8796093022208"},
 		{"negative dedupmem", "-object commitadopt -dedup -dedupmem -1"},
+		// An unbounded tree without -maxruns would run until interrupted;
+		// it is rejected before the walk starts, so this row returns at once.
+		{"unbounded without maxruns", "-object bg -n 2 -t 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -475,15 +475,19 @@ func Factory(s Spec, p Params) func() explore.Session {
 
 // Config folds the engine-level params of a resolved assignment into base
 // (crashes → MaxCrashes, steps → MaxSteps when non-zero) and enforces the
-// capability flags: requesting Dedup from a spec without a fingerprint
-// fails up front with explore.ErrNoFingerprint tagged with the spec name,
-// and requesting Symmetry from a spec without the capability (or without
-// Dedup alongside) fails with explore.ErrNoSymmetry /
-// explore.ErrSymmetryNeedsDedup likewise.
+// capability flags, the one capability check of every exhaustive job:
+// requesting Prune from a spec that does not declare it fails up front,
+// requesting Dedup from a spec without a fingerprint fails with
+// explore.ErrNoFingerprint tagged with the spec name, and requesting
+// Symmetry from a spec without the capability (or without Dedup alongside)
+// fails with explore.ErrNoSymmetry / explore.ErrSymmetryNeedsDedup likewise.
 func Config(s Spec, p Params, base explore.Config) (explore.Config, error) {
 	base.MaxCrashes = p[ParamCrashes]
 	if v := p[ParamSteps]; v > 0 {
 		base.MaxSteps = v
+	}
+	if base.Prune && !s.SupportsPrune() {
+		return base, fmt.Errorf("spec %q does not support partial-order reduction", s.Name())
 	}
 	if base.Symmetry {
 		if !s.SupportsSymmetry() {

@@ -3,9 +3,10 @@
 // (internal/explore exhaustive, internal/explore/sample probabilistic), a
 // content-addressed single-flight result cache, a FIFO job queue with
 // per-client rate limiting, and a warm sched.Session pool the engines lease
-// runtimes from. cmd/exploredd serves it over HTTP/JSON; cmd/explore's -json
-// mode reuses the same Result encoding, so a job submitted over the wire and
-// the equivalent CLI invocation produce identical records.
+// runtimes from. cmd/exploredd serves it over HTTP/JSON; cmd/explore runs
+// each grid cell as a Job through NewJob and Run, and its -json mode prints
+// the same Result encoding, so a job submitted over the wire and the
+// equivalent CLI invocation produce identical records.
 package service
 
 import (
@@ -95,32 +96,23 @@ type Request struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// RequestError is a rejected submission: a malformed request or engine
-// config, or (via Param) a parameter assignment the spec's declared domains
-// reject.
+// RequestError is a rejected submission. Err is the cause: a malformed
+// request or engine config, a parameter assignment the spec's declared
+// domains reject (*spec.ParamError), or a capability the spec lacks
+// (explore.ErrNoFingerprint, explore.ErrNoSymmetry, ...), so errors.As and
+// errors.Is see through the wrapper.
 type RequestError struct {
-	Msg   string
-	Param *spec.ParamError
+	Err error
 }
 
 // Error implements error.
-func (e *RequestError) Error() string {
-	if e.Param != nil {
-		return e.Param.Error()
-	}
-	return e.Msg
-}
+func (e *RequestError) Error() string { return e.Err.Error() }
 
-// Unwrap exposes the spec-level rejection.
-func (e *RequestError) Unwrap() error {
-	if e.Param != nil {
-		return e.Param
-	}
-	return nil
-}
+// Unwrap exposes the cause.
+func (e *RequestError) Unwrap() error { return e.Err }
 
 func badRequest(format string, args ...any) *RequestError {
-	return &RequestError{Msg: fmt.Sprintf(format, args...)}
+	return &RequestError{Err: fmt.Errorf(format, args...)}
 }
 
 // Job is a validated, canonicalized submission: the resolved spec and
@@ -136,7 +128,9 @@ type Job struct {
 	Seed int64
 }
 
-// Prepare validates and canonicalizes a submission. Failures come back as a
+// Prepare parses and validates a submission: the spec name and the textual
+// parameter assignment resolve against the registry's declared domains, and
+// NewJob takes the resolved cell from there. Failures come back as a
 // *RequestError; parameter-domain rejections carry the spec's *ParamError so
 // servers can render the declared domains (spec.ParamErrorInfo).
 func Prepare(req Request) (*Job, error) {
@@ -145,7 +139,7 @@ func Prepare(req Request) (*Job, error) {
 	}
 	s, err := spec.Lookup(req.Spec)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return nil, &RequestError{Err: err}
 	}
 	raw := make(map[string][]string, len(req.Params))
 	for name, v := range req.Params {
@@ -153,38 +147,48 @@ func Prepare(req Request) (*Job, error) {
 	}
 	grids, err := spec.TextGrid(s, raw)
 	if err != nil {
-		return nil, requestErr(err)
+		return nil, &RequestError{Err: err}
 	}
 	cells, err := spec.Grid(s, grids)
 	if err != nil {
-		return nil, requestErr(err)
+		return nil, &RequestError{Err: err}
 	}
 	if len(cells) != 1 {
 		return nil, badRequest("spec %q: request resolved to %d cells, want 1", req.Spec, len(cells))
 	}
-	eng, seed, err := canonicalEngine(s, req.Engine, req.Seed)
+	return NewJob(s, cells[0], req.Engine, req.Seed)
+}
+
+// NewJob builds the job of one resolved cell p of s (an assignment from
+// spec.Grid or spec.Resolve): it canonicalizes the engine config, then
+// validates it against the spec by building the job's own engine config, so
+// an exhaustive job's capabilities (prune, dedup, symmetry) are checked by
+// spec.Config alone. Failures come back as a *RequestError wrapping the
+// cause.
+func NewJob(s spec.Spec, p spec.Params, eng Engine, seed int64) (*Job, error) {
+	eng, seed, err := canonicalEngine(s, eng, seed)
 	if err != nil {
 		return nil, err
 	}
-	return &Job{Spec: s, Params: cells[0], Engine: eng, Seed: seed}, nil
-}
-
-// requestErr wraps a spec-level rejection, keeping *ParamError structure.
-func requestErr(err error) *RequestError {
-	if pe, ok := err.(*spec.ParamError); ok {
-		return &RequestError{Param: pe}
+	j := &Job{Spec: s, Params: p, Engine: eng, Seed: seed}
+	if eng.Mode == ModeExhaustive {
+		if eng.MaxRuns == 0 && spec.Unbounded(s) {
+			return nil, badRequest("spec %q declares an unbounded tree: exhaustive jobs need maxRuns (or use %s mode)", s.Name(), ModeSample)
+		}
+		if _, err := j.ExploreConfig(); err != nil {
+			return nil, &RequestError{Err: err}
+		}
 	}
-	return &RequestError{Msg: err.Error()}
+	return j, nil
 }
 
 // canonicalEngine normalizes an engine config for one spec: the mode and its
-// relevant defaults are resolved, knobs of the other mode are rejected when
-// set (a submission believing a bound applied when it did not is the failure
-// mode worth rejecting loudly, exactly as cmd/explore does for flags), and
-// the capability flags are enforced up front. The result is canonical: two
-// requests meaning the same job — default-vs-explicit, any parameter order —
-// normalize to identical Engine values, which is what lets the cache key
-// collapse them.
+// relevant defaults are resolved, and knobs of the other mode are rejected
+// when set (a submission believing a bound applied when it did not is the
+// failure mode worth rejecting loudly, exactly as cmd/explore does for
+// flags). The result is canonical: two requests meaning the same job —
+// default-vs-explicit, any parameter order — normalize to identical Engine
+// values, which is what lets the cache key collapse them.
 func canonicalEngine(s spec.Spec, e Engine, seed int64) (Engine, int64, error) {
 	switch e.Mode {
 	case "", ModeExhaustive:
@@ -208,21 +212,6 @@ func canonicalEngine(s spec.Spec, e Engine, seed int64) (Engine, int64, error) {
 		}
 		if e.DedupMem > MaxDedupMemMiB {
 			return e, 0, badRequest("dedupMemMiB %d overflows the byte count (max %d)", e.DedupMem, MaxDedupMemMiB)
-		}
-		if e.Symmetry && !e.Dedup {
-			return e, 0, badRequest("symmetry requires dedup (the reduction acts through the visited store)")
-		}
-		if e.Symmetry && !s.SupportsSymmetry() {
-			return e, 0, badRequest("spec %q does not support symmetry reduction", s.Name())
-		}
-		if e.Dedup && !s.SupportsDedup() {
-			return e, 0, badRequest("spec %q does not support dedup (no state fingerprint)", s.Name())
-		}
-		if e.Prune && !s.SupportsPrune() {
-			return e, 0, badRequest("spec %q does not support partial-order reduction", s.Name())
-		}
-		if e.MaxRuns == 0 && spec.Unbounded(s) {
-			return e, 0, badRequest("spec %q declares an unbounded tree: exhaustive jobs need maxRuns (or use %s mode)", s.Name(), ModeSample)
 		}
 		return e, 0, nil
 	}

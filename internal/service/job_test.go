@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"mpcn/internal/explore"
 	"mpcn/internal/explore/spec"
 
 	// Register the built-in scenarios.
@@ -95,33 +96,36 @@ func TestJobSampleDefaultsResolved(t *testing.T) {
 	}
 }
 
+// rejectedRequests are malformed submissions Prepare must reject; they
+// also seed FuzzPrepare.
+var rejectedRequests = []struct {
+	name string
+	req  Request
+}{
+	{"no spec", Request{}},
+	{"unknown spec", Request{Spec: "nope"}},
+	{"unknown param", Request{Spec: "commitadopt", Params: map[string]string{"bogus": "1"}}},
+	{"out of range", Request{Spec: "commitadopt", Params: map[string]string{"n": "0"}}},
+	{"unknown enum name", Request{Spec: "registers", Params: map[string]string{"backend": "sequential"}}},
+	{"unknown mode", Request{Spec: "commitadopt", Engine: Engine{Mode: "fuzz"}}},
+	{"sample knob under exhaustive", Request{Spec: "commitadopt", Engine: Engine{Strategy: "walk"}}},
+	{"samples under exhaustive", Request{Spec: "commitadopt", Engine: Engine{Samples: 10}}},
+	{"seed under exhaustive", Request{Spec: "commitadopt", Seed: 3}},
+	{"exhaustive knob under sample", Request{Spec: "commitadopt", Engine: Engine{Mode: ModeSample, Dedup: true}}},
+	{"maxruns under sample", Request{Spec: "commitadopt", Engine: Engine{Mode: ModeSample, MaxRuns: 10}}},
+	{"unknown strategy", Request{Spec: "commitadopt", Engine: Engine{Mode: ModeSample, Strategy: "annealing"}}},
+	{"negative samples", Request{Spec: "commitadopt", Engine: Engine{Mode: ModeSample, Samples: -1}}},
+	{"symmetry without dedup", Request{Spec: "commitadopt", Engine: Engine{Symmetry: true}}},
+	{"symmetry unsupported", Request{Spec: "safe", Engine: Engine{Dedup: true, Symmetry: true}}},
+	{"dedup unsupported", Request{Spec: "bg", Engine: Engine{Dedup: true, MaxRuns: 10}}},
+	{"unbounded without maxruns", Request{Spec: "bg"}},
+	{"dedupMemMiB overflows int", Request{Spec: "commitadopt", Engine: Engine{Dedup: true, DedupMem: MaxDedupMemMiB + 1}}},
+}
+
 // TestPrepareRejections: malformed submissions fail loudly, and parameter-
 // domain rejections keep the spec's typed *ParamError.
 func TestPrepareRejections(t *testing.T) {
-	cases := []struct {
-		name string
-		req  Request
-	}{
-		{"no spec", Request{}},
-		{"unknown spec", Request{Spec: "nope"}},
-		{"unknown param", Request{Spec: "commitadopt", Params: map[string]string{"bogus": "1"}}},
-		{"out of range", Request{Spec: "commitadopt", Params: map[string]string{"n": "0"}}},
-		{"unknown enum name", Request{Spec: "registers", Params: map[string]string{"backend": "sequential"}}},
-		{"unknown mode", Request{Spec: "commitadopt", Engine: Engine{Mode: "fuzz"}}},
-		{"sample knob under exhaustive", Request{Spec: "commitadopt", Engine: Engine{Strategy: "walk"}}},
-		{"samples under exhaustive", Request{Spec: "commitadopt", Engine: Engine{Samples: 10}}},
-		{"seed under exhaustive", Request{Spec: "commitadopt", Seed: 3}},
-		{"exhaustive knob under sample", Request{Spec: "commitadopt", Engine: Engine{Mode: ModeSample, Dedup: true}}},
-		{"maxruns under sample", Request{Spec: "commitadopt", Engine: Engine{Mode: ModeSample, MaxRuns: 10}}},
-		{"unknown strategy", Request{Spec: "commitadopt", Engine: Engine{Mode: ModeSample, Strategy: "annealing"}}},
-		{"negative samples", Request{Spec: "commitadopt", Engine: Engine{Mode: ModeSample, Samples: -1}}},
-		{"symmetry without dedup", Request{Spec: "commitadopt", Engine: Engine{Symmetry: true}}},
-		{"symmetry unsupported", Request{Spec: "safe", Engine: Engine{Dedup: true, Symmetry: true}}},
-		{"dedup unsupported", Request{Spec: "bg", Engine: Engine{Dedup: true, MaxRuns: 10}}},
-		{"unbounded without maxruns", Request{Spec: "bg"}},
-		{"dedupMemMiB overflows int", Request{Spec: "commitadopt", Engine: Engine{Dedup: true, DedupMem: MaxDedupMemMiB + 1}}},
-	}
-	for _, tc := range cases {
+	for _, tc := range rejectedRequests {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Prepare(tc.req)
 			if err == nil {
@@ -143,6 +147,22 @@ func TestPrepareRejections(t *testing.T) {
 	}
 	if pe.ValueName != "sequential" || pe.Decl.Name != "backend" {
 		t.Errorf("ParamError detail: %+v", pe)
+	}
+
+	// Capability rejections come from spec.Config and keep its typed cause.
+	for _, tc := range []struct {
+		req  Request
+		want error
+	}{
+		{Request{Spec: "bg", Engine: Engine{Dedup: true, MaxRuns: 10}}, explore.ErrNoFingerprint},
+		{Request{Spec: "safe", Engine: Engine{Dedup: true, Symmetry: true}}, explore.ErrNoSymmetry},
+		{Request{Spec: "commitadopt", Engine: Engine{Symmetry: true}}, explore.ErrSymmetryNeedsDedup},
+	} {
+		_, err := Prepare(tc.req)
+		var re *RequestError
+		if !errors.As(err, &re) || !errors.Is(err, tc.want) {
+			t.Errorf("%+v: err = %v, want a *RequestError wrapping %v", tc.req, err, tc.want)
+		}
 	}
 
 	// The unbounded rejection lifts with a run bound (a coverage smoke).

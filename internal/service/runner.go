@@ -148,7 +148,8 @@ func runJob(js *jobState, cache *Cache, pool *SessionPool) {
 			js.started = time.Now()
 			js.mu.Unlock()
 			js.state.Store(StateRunning)
-			r := execute(js.ctx, js.job, js.prog, pool)
+			est, sst, err := Run(js.ctx, js.job, js.prog, pool)
+			r := NewResult(js.job, est, sst, err)
 			if r.Verdict == VerdictCanceled {
 				// Free the key so the next identical submission re-runs, but
 				// still deliver the cancellation to any followers.
@@ -186,26 +187,30 @@ func canceledResult(j *Job) Result {
 	return r
 }
 
-// execute runs the job's engine under its context, wired to the pool and the
-// job's live progress counters. Engine.Workers carries over to the engine
-// config, where 1 selects the sequential engine.
-func execute(ctx context.Context, j *Job, prog *explore.Progress, pool *SessionPool) Result {
+// Run runs the job's engine under ctx and returns what it returned: exactly
+// one of the stats is filled, selected by j.Engine.Mode, and NewResult turns
+// them into the job's record. prog, when non-nil, receives the live
+// counters; rt, when non-nil, supplies the sched runtimes (the daemon's
+// session pool). Engine.Workers carries over to the engine config, where 1
+// selects the sequential engine. Run is the one engine dispatch of both
+// transports: the daemon's runners and cmd/explore.
+func Run(ctx context.Context, j *Job, prog *explore.Progress, rt explore.RuntimeSource) (explore.Stats, sample.Stats, error) {
 	if j.Engine.Mode == ModeSample {
 		cfg, err := j.SampleConfig()
 		if err != nil {
-			return NewResult(j, explore.Stats{}, sample.Stats{}, err)
+			return explore.Stats{}, sample.Stats{}, err
 		}
 		cfg.Progress = prog
-		cfg.Runtime = pool
+		cfg.Runtime = rt
 		st, err := sample.RunContext(ctx, spec.Factory(j.Spec, j.Params), j.Engine.Strategy, cfg)
-		return NewResult(j, explore.Stats{}, st, err)
+		return explore.Stats{}, st, err
 	}
 	cfg, err := j.ExploreConfig()
 	if err != nil {
-		return NewResult(j, explore.Stats{}, sample.Stats{}, err)
+		return explore.Stats{}, sample.Stats{}, err
 	}
 	cfg.Progress = prog
-	cfg.Runtime = pool
+	cfg.Runtime = rt
 	st, err := explore.ExploreContext(ctx, spec.Factory(j.Spec, j.Params), cfg)
-	return NewResult(j, st, sample.Stats{}, err)
+	return st, sample.Stats{}, err
 }

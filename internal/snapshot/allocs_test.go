@@ -19,12 +19,12 @@ const big = 1 << 20
 func TestFoldAllocs(t *testing.T) {
 	p := NewPrimitive[int]("p", 3)
 	af := NewAfek[int]("af", 3)
+	af.regs = reg.NewArrayWith[afekCell[int]]("af", 3, afekCell[int]{val: big, seq: 1, view: []int{big, big + 1, big + 2}})
 	im := NewImmediate[int]("im", 3)
 	im.cells = reg.NewArrayWith[isCell[int]]("im", 3, isCell[int]{level: 2, val: big})
 	im.done[1] = true
 	for i := 0; i < 3; i++ {
 		p.cells[i] = big + i
-		af.regs.cells[i] = afekCell[int]{val: big, seq: 1, view: []int{big, big + 1, big + 2}}
 	}
 	for _, fp := range []struct {
 		name string
@@ -40,7 +40,7 @@ func TestFoldAllocs(t *testing.T) {
 		op   func(e *sched.Env)
 	}{
 		{"Primitive[int].ScanView", func(e *sched.Env) { p.ScanView(e) }},
-		{"afekCell read", func(e *sched.Env) { af.regs.read(e, 1) }},
+		{"afekCell read", func(e *sched.Env) { af.regs.Read(e, 1) }},
 		{"isCell read", func(e *sched.Env) { im.cells.Read(e, 1) }},
 	} {
 		if n := schedtest.Allocs(t, 100, rd.op); n != 0 {

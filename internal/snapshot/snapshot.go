@@ -18,6 +18,7 @@ package snapshot
 import (
 	"fmt"
 
+	"mpcn/internal/reg"
 	"mpcn/internal/sched"
 )
 
@@ -155,67 +156,43 @@ func (c *afekCell[T]) Fingerprint(h *sched.FP) {
 // to move twice, in which case the updater's second embedded view was
 // obtained entirely within the scanner's interval and is borrowed.
 type Afek[T any] struct {
-	regs *regArray[T]
+	regs *reg.Array[afekCell[T]]
+	// seqs[i] is the sequence number of component i's last write, kept by
+	// its single writer, which needs no step to know its own register.
+	seqs []int
 }
 
 var _ Snapshot[int] = (*Afek[int])(nil)
-
-// regArray is a minimal SWMR register array; each access is one step, with
-// the per-cell labels interned at construction.
-type regArray[T any] struct {
-	name   string
-	readL  []sched.Label
-	writeL []sched.Label
-	cells  []afekCell[T]
-}
-
-func (a *regArray[T]) read(e *sched.Env, i int) afekCell[T] {
-	e.StepL(a.readL[i])
-	sched.Observe(e, &a.cells[i])
-	return a.cells[i]
-}
-
-func (a *regArray[T]) write(e *sched.Env, i int, c afekCell[T]) {
-	e.StepL(a.writeL[i])
-	a.cells[i] = c
-}
 
 // NewAfek returns an n-component Afek-et-al snapshot named name.
 func NewAfek[T any](name string, n int) *Afek[T] {
 	if n <= 0 {
 		panic(fmt.Sprintf("snapshot: %q must have positive size, got %d", name, n))
 	}
-	return &Afek[T]{regs: &regArray[T]{
-		name:   name,
-		readL:  sched.InternIndexed("%s[%d].read", name, n),
-		writeL: sched.InternIndexed("%s[%d].write", name, n),
-		cells:  make([]afekCell[T], n),
-	}}
+	return &Afek[T]{regs: reg.NewArray[afekCell[T]](name, n), seqs: make([]int, n)}
 }
 
 // Len implements Snapshot.
-func (s *Afek[T]) Len() int { return len(s.regs.cells) }
+func (s *Afek[T]) Len() int { return s.regs.Len() }
 
 // Fingerprint implements sched.Fingerprinter: it folds every underlying
 // register — value, sequence number and embedded view — in index order.
-func (s *Afek[T]) Fingerprint(h *sched.FP) {
-	h.Label(s.regs.writeL[0])
-	for i := range s.regs.cells {
-		s.regs.cells[i].Fingerprint(h)
-	}
-}
+// The cells hold a slice, so the array's digest memo is off and every
+// fold is direct.
+func (s *Afek[T]) Fingerprint(h *sched.FP) { s.regs.Fingerprint(h) }
 
 // Update implements Snapshot: it embeds a fresh scan in the written cell so
 // that concurrent scanners can borrow it.
 func (s *Afek[T]) Update(e *sched.Env, i int, v T) {
 	view := s.Scan(e)
-	old := s.regs.cells[i] // the owner's own cell: safe to read locally
-	s.regs.write(e, i, afekCell[T]{val: v, seq: old.seq + 1, view: view})
+	seq := s.seqs[i] + 1
+	s.regs.Write(e, i, afekCell[T]{val: v, seq: seq, view: view})
+	s.seqs[i] = seq
 }
 
 // Scan implements Snapshot.
 func (s *Afek[T]) Scan(e *sched.Env) []T {
-	n := len(s.regs.cells)
+	n := s.regs.Len()
 	moved := make([]int, n)
 	prev := s.collect(e)
 	for {
@@ -241,9 +218,9 @@ func (s *Afek[T]) Scan(e *sched.Env) []T {
 }
 
 func (s *Afek[T]) collect(e *sched.Env) []afekCell[T] {
-	out := make([]afekCell[T], len(s.regs.cells))
+	out := make([]afekCell[T], s.regs.Len())
 	for i := range out {
-		out[i] = s.regs.read(e, i)
+		out[i] = s.regs.Read(e, i)
 	}
 	return out
 }
