@@ -2,7 +2,7 @@
 #   make build vet test explore-smoke   (test job)
 #   make bench-check                    (test job)
 #   make alloc-check                    (test job)
-#   make fp-quality fuzz-fp fuzz-script fuzz-job (test job)
+#   make fp-quality fuzz-fp fuzz-script fuzz-job fuzz-grid (test job)
 #   make store-race                     (test job)
 #   make throughput-gate                (test job)
 #   make sample-smoke service-smoke     (test job)
@@ -12,7 +12,7 @@
 #   make docs-check                     (docs/health job)
 GO ?= go
 
-.PHONY: build vet test alloc-check fp-quality fuzz-fp fuzz-script fuzz-job store-race bench bench-check throughput-gate profile explore-smoke sample-smoke service-smoke spec-conformance symmetry-conformance weakmem-conformance experiments docs-check loc
+.PHONY: build vet test alloc-check fp-quality fuzz-fp fuzz-script fuzz-job fuzz-grid store-race bench bench-check throughput-gate profile explore-smoke sample-smoke service-smoke spec-conformance symmetry-conformance weakmem-conformance experiments docs-check loc
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,13 @@ fuzz-script:
 fuzz-job:
 	$(GO) test -run '^$$' -fuzz '^FuzzPrepare$$' -fuzztime 30s ./internal/service
 
+# Fuzz the parameter-grid parsing for 30 s (internal/explore/spec/fuzz_test.go),
+# the spec.TextGrid step of cmd/explore's -set flags and of Prepare: arbitrary
+# settings text never makes TextGrid (or Grid) panic, and an accepted grid
+# rendered back to text parses to the same grid.
+fuzz-grid:
+	$(GO) test -run '^$$' -fuzz '^FuzzTextGrid$$' -fuzztime 30s ./internal/explore/spec
+
 # Race shake of the concurrent paths: the visited store's lock-free probes
 # (hits write no shared memory), the scheduler's in-place adversary
 # consultations and process-to-process token handoffs, and the engine
@@ -111,9 +118,12 @@ profile: build
 # the dedup reduction gate (best runs-explored reduction >= 2x) and the memo
 # battery (at every fingerprinted boundary of sampled runs and of a dedup
 # walk, the memoized harness digest equals a fresh session's after a strict
-# replay of the same prefix).
+# replay of the same prefix), and the quiet-replay differential (every store
+# key of a batched dedup walk, which skips observation folds on replayed
+# prefixes and below cuts, equals a fully observed NoBatch walk's;
+# internal/explore/quiet_test.go).
 spec-conformance: build
-	$(GO) test -race -count=1 -run 'TestConformanceAllSpecs|TestDedupReductionGate|TestMemoDigestsMatchFresh' ./internal/explore/spectest
+	$(GO) test -race -count=1 -run 'TestConformanceAllSpecs|TestDedupReductionGate|TestMemoDigestsMatchFresh|TestDedupQuietReplayMatchesObserved' ./internal/explore/spectest ./internal/explore
 
 # Symmetry-soundness gate (CI's test job): the spectest symmetry battery
 # (orbit-canonical outcome preservation, permuted-script verdict invariance,

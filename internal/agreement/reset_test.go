@@ -3,36 +3,49 @@ package agreement
 import (
 	"testing"
 
+	"mpcn/internal/object"
 	"mpcn/internal/sched"
 )
 
-// TestResetMatchesFresh: a reset agreement object fingerprints as a fresh
-// one does, before a run and after the same seeded run on each, so reusing
-// one object per harness session leaves the dedup digests unchanged. The
+// TestResetMatchesFresh: a reset shared object fingerprints as a fresh one
+// does, before a run and after the same seeded run on each, so reusing one
+// object per harness session leaves the dedup digests unchanged. The
 // x_safe_agreement case covers consensus objects an earlier run built and
-// the next run never touches.
+// the next run never touches; the compare&swap case covers the register the
+// cas harness reuses.
 func TestResetMatchesFresh(t *testing.T) {
-	type object interface {
-		Propose(e *sched.Env, v any)
-		TryDecide(e *sched.Env) (any, bool)
+	type resettable interface {
 		Reset()
 		sched.Fingerprinter
+	}
+	type agreement interface {
+		resettable
+		Propose(e *sched.Env, v any)
+		TryDecide(e *sched.Env) (any, bool)
+	}
+	propose := func(o resettable, e *sched.Env, i int) {
+		a := o.(agreement)
+		a.Propose(e, 100+i)
+		a.TryDecide(e)
 	}
 	const n = 3
 	for _, c := range []struct {
 		name string
-		mk   func() object
+		mk   func() resettable
+		body func(o resettable, e *sched.Env, i int)
 	}{
-		{"safe", func() object { return NewSafeAgreement("sa", n) }},
-		{"xsafe", func() object { return NewXSafeFactory(n, 2, nil).New("xsa") }},
+		{"safe", func() resettable { return NewSafeAgreement("sa", n) }, propose},
+		{"xsafe", func() resettable { return NewXSafeFactory(n, 2, nil).New("xsa") }, propose},
+		{"cas", func() resettable { return object.NewCompareAndSwap("cas", 0) }, func(o resettable, e *sched.Env, i int) {
+			c := o.(*object.CompareAndSwap[int])
+			v := c.Read(e)
+			c.CompareAndSwap(e, v, v+1+i)
+		}},
 	} {
-		run := func(o object, seed int64) sched.Fingerprint {
+		run := func(o resettable, seed int64) sched.Fingerprint {
 			bodies := make([]sched.Proc, n)
 			for i := range bodies {
-				bodies[i] = func(e *sched.Env) {
-					o.Propose(e, 100+i)
-					o.TryDecide(e)
-				}
+				bodies[i] = func(e *sched.Env) { c.body(o, e, i) }
 			}
 			if _, err := sched.Run(sched.Config{Seed: seed, MaxCrashes: 1}, bodies); err != nil {
 				t.Fatal(err)

@@ -106,7 +106,10 @@ type Config struct {
 	// tree, the recorded scripts and all counters are identical either way —
 	// the batched-grant conformance tests replay both and require it — so
 	// the knob exists for differential testing and for measuring what
-	// batching buys. Off by default (batching on).
+	// batching buys. Under Dedup it also turns off quiet replays (see the
+	// scripted adversary): every grant folds its observations, which makes
+	// the NoBatch walk the fully observed reference of the batched one. Off
+	// by default (batching on).
 	NoBatch bool
 	// Progress, when non-nil, is updated live while the exploration runs:
 	// the walkers add every completed run and pruned alternative, and the
@@ -260,6 +263,22 @@ type scripted struct {
 	altsAt      [][]Choice    // per-depth final alternatives, kept across replays
 	planBuf     []sched.Grant // backs the pre-committed prefix plan
 	pendingPlan bool          // emit choices[0] + planBuf on the next Next
+	// victim backs the Crash list of crash decisions, which the runtime
+	// reads before the next consultation: sched.CrashDecision's variadic
+	// list would allocate at every crash decision.
+	victim [1]sched.ProcID
+
+	// Quiet-replay state (quiet == false: every grant folds observations).
+	// Under dedup with batching, observation digests are folded only where a
+	// fingerprint reads them. obsAt[d] caches View.Obs at every consulted
+	// new node above a cut and, like altsAt, stays valid across replays
+	// until a replay reaches depth d as a new node again. A cached replay
+	// plans choices[:P-1] quietly, then the branch consultation (P-1,
+	// pendingBranch) reloads obsAt[P-1] and grants choices[P-1] observed;
+	// every decision at or below a cut is quiet.
+	quiet         bool
+	obsAt         [][]sched.FP
+	pendingBranch bool // the next Next is the branch decision at len(prefix)-1
 }
 
 var _ Adversary = (*scripted)(nil)
@@ -274,6 +293,7 @@ func newScripted(cfg Config, l *Lane) *scripted {
 		maxCrashes: cfg.MaxCrashes,
 		prune:      cfg.Prune,
 		batch:      !cfg.NoBatch,
+		quiet:      l.store != nil && !cfg.NoBatch,
 		cutAt:      -1,
 		lane:       l,
 		dedup:      l.store != nil,
@@ -300,11 +320,19 @@ func (s *scripted) Choices() []Choice { return s.choices }
 // store (Next's d >= len(prefix) guard) and never contain a dedup cut (a cut
 // collapses altCounts to 1 below it, so backtracking always branches above
 // any cut), so the cached fast path composes with Dedup and Prune unchanged.
+// Under quiet the plan stops short of the branch, choices[P-1]: the prefix
+// before it replays without observations, and the branch consultation
+// restores the digests from obsAt[P-1] (see Next). Those are the branch
+// node's own: a replay reached it as a new node on this same path, since
+// backtracking only ever bumps depths that some replay of this walker's
+// subtree reached as new nodes, and no replay reached depth P-1 as a new
+// node since (that would have changed the path above it).
 func (s *scripted) reset(prefix []int, cached bool) {
 	s.prefix = prefix
 	s.cutAt = -1
 	s.cutAlts = 0
 	s.pendingPlan = false
+	s.pendingBranch = false
 	if p := len(prefix); s.batch && cached && p > 0 && p <= len(s.taken) {
 		s.taken = append(s.taken[:p-1], prefix[p-1])
 		s.altCounts = s.altCounts[:p]
@@ -435,20 +463,44 @@ func (s *scripted) alternatives(v *sched.View) []Choice {
 }
 
 // Next implements sched.Adversary.
-func (s *scripted) Next(v sched.View) sched.Decision {
+func (s *scripted) Next(v *sched.View) sched.Decision {
 	if s.pendingPlan {
 		// Cached prefix replay: the bookkeeping arrays already hold the whole
 		// prefix (see reset), so this single consultation re-issues choices[0]
 		// and pre-commits the rest as a plan the runtime executes unconsulted.
+		// Under quiet the plan ends before the branch and runs without
+		// observations: no fingerprint reads the prefix's digests.
 		s.pendingPlan = false
-		dec := s.decisionFor(s.choices[0])
-		dec.Plan = s.planBuf
+		if !s.quiet {
+			dec := s.decisionFor(s.choices[0])
+			dec.Plan = s.planBuf
+			return dec
+		}
+		s.pendingBranch = true
+		if p := len(s.prefix); p >= 2 {
+			dec := s.decisionFor(s.choices[0])
+			dec.Plan = s.planBuf[:p-2]
+			dec.Quiet = true
+			return dec
+		}
+		// A one-decision prefix: this consultation is the branch.
+	}
+	if s.pendingBranch {
+		// The branch: the digests the quiet prefix left stale are reloaded
+		// from the first visit of this node, and its grant observes again.
+		s.pendingBranch = false
+		d := len(s.prefix) - 1
+		dec := s.decisionFor(s.choices[d])
+		dec.Obs = &s.obsAt[d]
 		return dec
 	}
-	alts := s.alternatives(&v)
+	alts := s.alternatives(v)
 	if s.dedup {
 		if d := len(s.taken); s.cutAt < 0 && d >= len(s.prefix) {
-			if s.lane.Visit(s.fingerprint(&v)) {
+			if s.quiet {
+				s.saveObs(d, v.Obs)
+			}
+			if s.lane.Visit(s.fingerprint(v)) {
 				s.cutAt = d
 			}
 		}
@@ -481,9 +533,11 @@ func (s *scripted) Next(v sched.View) sched.Decision {
 	}
 	if c.Crash {
 		s.crashes++
-		return sched.CrashDecision(c.Proc)
+		return s.decisionFor(c)
 	}
 	dec := sched.RunDecision(c.Proc)
+	// At or below a cut no fingerprint is taken again this run.
+	dec.Quiet = s.quiet && s.cutAt >= 0
 	if s.batch && len(s.taken) >= len(s.prefix) &&
 		len(v.Runnable) == 1 && s.crashes >= s.maxCrashes &&
 		(!s.dedup || s.cutAt >= 0) {
@@ -498,11 +552,21 @@ func (s *scripted) Next(v sched.View) sched.Decision {
 	return dec
 }
 
+// saveObs caches the observation digests of new node d, fully observed, for
+// the branch consultations of later replays.
+func (s *scripted) saveObs(d int, obs []sched.FP) {
+	for d >= len(s.obsAt) {
+		s.obsAt = append(s.obsAt, nil)
+	}
+	s.obsAt[d] = append(s.obsAt[d][:0], obs...)
+}
+
 // decisionFor converts a recorded choice back into the sched decision that
 // produced it.
 func (s *scripted) decisionFor(c Choice) sched.Decision {
 	if c.Crash {
-		return sched.CrashDecision(c.Proc)
+		s.victim[0] = c.Proc
+		return sched.Decision{Run: -1, Crash: s.victim[:]}
 	}
 	return sched.RunDecision(c.Proc)
 }

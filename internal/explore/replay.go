@@ -37,7 +37,7 @@ func (f *follower) fail(err error) sched.Decision {
 }
 
 // Next implements sched.Adversary.
-func (f *follower) Next(v sched.View) sched.Decision {
+func (f *follower) Next(v *sched.View) sched.Decision {
 	for f.pos < len(f.script) {
 		step := f.pos
 		f.pos++

@@ -251,7 +251,7 @@ func (a *adversary) fingerprint(v *sched.View) sched.Fingerprint {
 }
 
 // Next implements sched.Adversary.
-func (a *adversary) Next(v sched.View) sched.Decision {
+func (a *adversary) Next(v *sched.View) sched.Decision {
 	if a.fresh {
 		// The view is the first that shows the run's process count.
 		a.fresh = false
@@ -259,11 +259,11 @@ func (a *adversary) Next(v sched.View) sched.Decision {
 		a.strategy.Reset(a.seed, a.n, a.cfg.MaxSteps, a.cfg.MaxCrashes)
 	}
 	if a.coverage {
-		a.lane.Visit(a.fingerprint(&v))
+		a.lane.Visit(a.fingerprint(v))
 	}
-	alts := explore.Alternatives(a.altsBuf[:0], &v, a.crashes < a.cfg.MaxCrashes)
+	alts := explore.Alternatives(a.altsBuf[:0], v, a.crashes < a.cfg.MaxCrashes)
 	a.altsBuf = alts
-	idx := a.strategy.Pick(v, alts)
+	idx := a.strategy.Pick(*v, alts)
 	if idx < 0 || idx >= len(alts) {
 		panic(fmt.Sprintf("sample: strategy %s picked alternative %d of %d", a.strategy.Name(), idx, len(alts)))
 	}

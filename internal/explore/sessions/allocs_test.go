@@ -60,8 +60,8 @@ func TestLogDigestAllocs(t *testing.T) {
 	}
 }
 
-// TestMakeAllocs: the registers and queue harnesses reuse their objects and
-// bodies, so Make allocates nothing.
+// TestMakeAllocs: the registers, queue and cas harnesses reuse their
+// objects and bodies, so Make allocates nothing.
 func TestMakeAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -69,6 +69,7 @@ func TestMakeAllocs(t *testing.T) {
 	}{
 		{"registers n=3 writes=3", Registers(3, 3, 0, reg.Atomic)()},
 		{"queue n=2 ops=2", QueueConservation(2, 2)()},
+		{"cas n=2 retries=2", CASCounter(2, 2)()},
 	} {
 		if _, err := sched.Run(sched.Config{Observe: true}, c.sess.Make()); err != nil {
 			t.Fatal(err)

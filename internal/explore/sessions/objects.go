@@ -233,7 +233,7 @@ func CASCounter(n, retries int) func() explore.Session {
 	return func() explore.Session {
 		var succeeded []any // process index per successful increment
 		var succeededLog logDigest
-		var c *object.CompareAndSwap[int]
+		c := object.NewCompareAndSwap[int]("cas", 0)
 		bodies := make([]sched.Proc, n)
 		for i := range bodies {
 			i := i
@@ -252,7 +252,7 @@ func CASCounter(n, retries int) func() explore.Session {
 			Make: func() []sched.Proc {
 				succeeded = succeeded[:0]
 				succeededLog.reset()
-				c = object.NewCompareAndSwap[int]("cas", 0)
+				c.Reset()
 				return bodies
 			},
 			Check: func(res *sched.Result) error {

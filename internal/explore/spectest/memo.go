@@ -284,7 +284,7 @@ type prefixDigest struct {
 }
 
 // Next implements sched.Adversary.
-func (f *prefixDigest) Next(v sched.View) sched.Decision {
+func (f *prefixDigest) Next(v *sched.View) sched.Decision {
 	if f.pos == f.k && !f.taken {
 		var h sched.FP
 		f.fp(&h)

@@ -223,6 +223,7 @@ type CompareAndSwap[T comparable] struct {
 	name  string
 	readL sched.Label
 	casL  sched.Label
+	init  T
 	v     T
 }
 
@@ -232,9 +233,14 @@ func NewCompareAndSwap[T comparable](name string, init T) *CompareAndSwap[T] {
 		name:  name,
 		readL: sched.Intern(name + ".read"),
 		casL:  sched.Intern(name + ".cas"),
+		init:  init,
 		v:     init,
 	}
 }
+
+// Reset returns the register to its initial value, keeping its step labels,
+// so a harness can reuse one register across runs.
+func (c *CompareAndSwap[T]) Reset() { c.v = c.init }
 
 // Read atomically reads the register.
 func (c *CompareAndSwap[T]) Read(e *sched.Env) T {

@@ -6,11 +6,12 @@ import (
 )
 
 // View is what an adversary observes before each scheduling decision. The
-// slices are owned by the runtime and are only valid for the duration of the
-// Next call; adversaries must copy anything they retain — the runtime reuses
-// the backing arrays on every round (and, under a Session, on every run), so
-// a retained slice aliases state that has since moved on. Adversaries must
-// also never write through the View's slices.
+// runtime passes it by pointer and owns it, the View and its slices alike:
+// both are only valid for the duration of the Next call, and adversaries
+// must copy anything they retain — the runtime reuses the View and the
+// backing arrays on every round (and, under a Session, on every run), so a
+// retained pointer or slice aliases state that has since moved on.
+// Adversaries must never write the View or through its slices.
 type View struct {
 	// Step is the number of steps scheduled so far.
 	Step int
@@ -30,7 +31,10 @@ type View struct {
 	// shared objects returned to it from shared state (see sched.Observe).
 	// nil unless Config.Observe is set. Together with Pending/Crashed/StepsOf
 	// it determines each process's local state, which is what makes replay
-	// engines' state fingerprints (explore.Config.Dedup) complete.
+	// engines' state fingerprints (explore.Config.Dedup) complete. The
+	// digests are current only when every grant since the run began folded
+	// its observations, or Decision.Obs reloaded them after the last quiet
+	// one (see Decision.Quiet).
 	Obs []FP
 }
 
@@ -67,6 +71,25 @@ type Decision struct {
 	// of the sprinted grants implement SprintObserver. Meaningful only with a
 	// valid Run; ignored on crash-only rounds.
 	Sprint bool
+
+	// Quiet runs this decision's grants — Run, Plan and Sprint alike —
+	// without observation digests until the next consultation: Observe and
+	// the oracles fold nothing and Env.Observing reports false. The digests
+	// go stale, so an adversary that reads View.Obs after quiet grants must
+	// first reload them through Obs. Replay engines use it for decisions
+	// whose digests no fingerprint will read: a re-executed prefix, or a run
+	// below a dedup cut. Meaningful only under Config.Observe.
+	Quiet bool
+
+	// Obs, when non-nil, points at digests (one per process) that overwrite
+	// the observation digests before this decision's grants, under
+	// Config.Observe; the runtime copies them. A replay engine that ran a
+	// prefix quietly restores the digests it recorded when it last executed
+	// that prefix with observations on. It is a pointer rather than a slice
+	// because every consultation copies its Decision: at 72 bytes Go copies
+	// it with inline moves, and a slice field (88 bytes) would send every
+	// copy through runtime.duffcopy on amd64.
+	Obs *[]FP
 }
 
 // Grant is one pre-committed scheduling action of a batched Decision: run one
@@ -97,9 +120,10 @@ func CrashDecision(ids ...ProcID) Decision { return Decision{Run: -1, Crash: ids
 
 // Adversary chooses interleavings and crashes. Implementations must be
 // deterministic functions of their own state and the views they receive, so
-// that runs are reproducible.
+// that runs are reproducible. Next must not retain v or write it: the
+// runtime owns the View and rewrites it in place between consultations.
 type Adversary interface {
-	Next(v View) Decision
+	Next(v *View) Decision
 }
 
 // Random schedules a uniformly random runnable process at each round and
@@ -116,7 +140,7 @@ func NewRandom(seed int64) *Random {
 }
 
 // Next implements Adversary.
-func (a *Random) Next(v View) Decision {
+func (a *Random) Next(v *View) Decision {
 	return Decision{Run: v.Runnable[a.rng.Intn(len(v.Runnable))]}
 }
 
@@ -132,7 +156,7 @@ var _ Adversary = (*RoundRobin)(nil)
 func NewRoundRobin() *RoundRobin { return &RoundRobin{last: -1} }
 
 // Next implements Adversary.
-func (a *RoundRobin) Next(v View) Decision {
+func (a *RoundRobin) Next(v *View) Decision {
 	for _, id := range v.Runnable {
 		if id > a.last {
 			a.last = id
@@ -210,7 +234,7 @@ func (p *Plan) CrashAfterProcSteps(proc ProcID, k int) *Plan {
 }
 
 // Next implements Adversary.
-func (p *Plan) Next(v View) Decision {
+func (p *Plan) Next(v *View) Decision {
 	var crash []ProcID
 	for _, r := range p.rules {
 		if r.fired || v.Crashed[r.proc] {
@@ -265,7 +289,7 @@ func NewCrashSet(base Adversary, victims ...ProcID) *CrashSet {
 }
 
 // Next implements Adversary.
-func (a *CrashSet) Next(v View) Decision {
+func (a *CrashSet) Next(v *View) Decision {
 	d := a.base.Next(v)
 	if !a.done {
 		a.done = true
@@ -301,7 +325,7 @@ func NewStriped(period int, favoured ...ProcID) *Striped {
 }
 
 // Next implements Adversary.
-func (a *Striped) Next(v View) Decision {
+func (a *Striped) Next(v *View) Decision {
 	a.count++
 	if a.count%a.period != 0 {
 		for _, id := range v.Runnable {

@@ -91,7 +91,7 @@ func TestOrbitFoldAllocs(t *testing.T) {
 // process's first is consulted and granted in place.
 type regranter struct{ last sched.ProcID }
 
-func (a *regranter) Next(v sched.View) sched.Decision {
+func (a *regranter) Next(v *sched.View) sched.Decision {
 	for _, id := range v.Runnable {
 		if id == a.last {
 			return sched.Decision{Run: id}

@@ -327,8 +327,9 @@ func (s *Session) consult() (done, exhausted bool) {
 	s.view.Step = s.steps
 	s.view.Runnable = runnable
 	s.inNext = true
-	s.dec = s.adv.Next(s.view)
+	s.dec = s.adv.Next(&s.view)
 	s.inNext = false
+	s.observeFor(&s.dec)
 	return false, false
 }
 

@@ -154,11 +154,13 @@ func (e *Env) LeaderWindow(x int) ProcID {
 	return max(0, e.Leader()-ProcID(x-1))
 }
 
-// Observing reports whether the session records observation digests
-// (Config.Observe). Shared objects whose operations observe many values per
-// step can use it to skip the per-value Observe calls entirely when the
-// digests are unused — e.g. a snapshot scan of n cells.
-func (e *Env) Observing() bool { return e.s.cfg.Observe }
+// Observing reports whether the current grant records observation digests:
+// Config.Observe is set and the consultation that granted it did not make it
+// quiet (Decision.Quiet). Shared objects whose operations observe many
+// values per step can use it to skip the per-value Observe calls entirely
+// when the digests are unused — e.g. a snapshot scan of n cells. The answer
+// can change at every step, so ask after the step (StepL) and never cache it.
+func (e *Env) Observing() bool { return e.s.observe }
 
 // StepCount returns the number of steps the process has executed so far.
 func (e *Env) StepCount() int { return e.s.stepsOf[e.id] }

@@ -501,7 +501,8 @@ func (h *FP) orbitSum() Fingerprint {
 }
 
 // Observe folds *v into the calling process's observation digest when the
-// run's Config.Observe is set, and is a cheap branch otherwise. Shared-object
+// run's Config.Observe is set and the current grant is not quiet
+// (Decision.Quiet), and is a cheap branch otherwise. Shared-object
 // implementations call it with every value they return that derives from
 // shared state, passing a pointer to the value where the object stores it
 // (the register, snapshot component or queue slot the operation read): the
@@ -509,8 +510,13 @@ func (h *FP) orbitSum() Fingerprint {
 // (no information flows back into the process). The digests make each
 // process's local state a function of its fingerprintable history; replay
 // engines rely on that for state deduplication.
+//
+// Whether a grant observes can change at every consultation, so an object
+// that skips its Observe calls when Env.Observing reports false must ask
+// after each of its steps (after StepL returns) and never cache the answer
+// across steps.
 func Observe[T any](e *Env, v *T) {
-	if !e.s.cfg.Observe {
+	if !e.s.observe {
 		return
 	}
 	Fold(&e.s.obs[e.id], v)
@@ -531,7 +537,7 @@ func ObserveBool(e *Env, b bool) {
 // uint, into the observation digest; the oracles observe their results
 // through it.
 func (e *Env) observeScalar(tag, w uint64) {
-	if !e.s.cfg.Observe {
+	if !e.s.observe {
 		return
 	}
 	h := &e.s.obs[e.id]

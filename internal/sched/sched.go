@@ -105,7 +105,9 @@ type Config struct {
 	// code position and its observation sequence, so the digests let replay
 	// engines fingerprint in-flight local state without seeing it — the
 	// completeness backbone of explore.Config.Dedup. Off by default: the only
-	// cost when off is a branch per observation point.
+	// cost when off is a branch per observation point. An adversary can
+	// switch the folds off for the grants of one consultation
+	// (Decision.Quiet) and reload the digests (Decision.Obs).
 	Observe bool
 }
 

@@ -14,7 +14,7 @@ import (
 // coroutine switch, nothing allocated by the runtime itself.
 type sprinter struct{}
 
-func (sprinter) Next(v sched.View) sched.Decision {
+func (sprinter) Next(v *sched.View) sched.Decision {
 	return sched.Decision{Run: v.Runnable[0], Sprint: true}
 }
 

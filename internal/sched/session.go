@@ -106,6 +106,9 @@ type Session struct {
 	lastLabel []Label
 	crashed   []bool
 	obs       []FP // per-process observation digests (Config.Observe)
+	// observe gates the folds into obs: Config.Observe, switched off from a
+	// Decision.Quiet consultation to the next consultation (observeFor).
+	observe bool
 
 	steps   int
 	crashes int
@@ -275,6 +278,7 @@ func (s *Session) reset(cfg Config, adv Adversary) {
 	clearObs := s.cfg.Observe
 	s.cfg = cfg
 	s.adv = adv
+	s.observe = cfg.Observe
 	for i := 0; i < s.n; i++ {
 		if !s.direct {
 			s.state[i] = 0
@@ -456,6 +460,7 @@ func (s *Session) runCentral(bodies []Proc) (*Result, error) {
 			s.reapAll(StatusBlocked)
 			return nil, err
 		}
+		s.observeFor(&dec)
 
 		for _, c := range dec.Crash {
 			if int(c) < 0 || int(c) >= s.n || s.state[c] != stateParked {
@@ -524,7 +529,22 @@ func (s *Session) nextDecision(v *View) (dec Decision, err error) {
 			err = fmt.Errorf("sched: adversary panicked: %v", r)
 		}
 	}()
-	return s.adv.Next(*v), nil
+	return s.adv.Next(v), nil
+}
+
+// observeFor applies a consulted decision's observation mode to the grants
+// it makes, under Config.Observe: Decision.Quiet switches the folds off
+// until the next consultation, and Decision.Obs reloads the digests first.
+// Both protocols call it as soon as the adversary answers; no process runs
+// between the answer and the decision's first grant.
+func (s *Session) observeFor(dec *Decision) {
+	if !s.cfg.Observe {
+		return
+	}
+	s.observe = !dec.Quiet
+	if dec.Obs != nil {
+		copy(s.obs, *dec.Obs)
+	}
 }
 
 // grantBookkeeping records the grant of one step to process id: the label it

@@ -154,7 +154,7 @@ type planningAdversary struct {
 	emitted bool
 }
 
-func (a *planningAdversary) Next(v View) Decision {
+func (a *planningAdversary) Next(v *View) Decision {
 	if a.pos >= len(a.script) {
 		return Decision{Run: v.Runnable[0]}
 	}
@@ -182,7 +182,7 @@ type sprintingAdversary struct {
 	SprintLog []TraceEntry
 }
 
-func (a *sprintingAdversary) Next(v View) Decision {
+func (a *sprintingAdversary) Next(v *View) Decision {
 	if len(v.Runnable) == 1 && !a.sprinted {
 		a.sprinted = true
 		return Decision{Run: v.Runnable[0], Sprint: true}
@@ -232,7 +232,7 @@ type grantRecorder struct {
 	grants []Grant
 }
 
-func (a *grantRecorder) Next(v View) Decision {
+func (a *grantRecorder) Next(v *View) Decision {
 	d := a.base.Next(v)
 	// Track which processes remain parked after this round's crashes, so the
 	// recorded run grant is the one the runtime actually resolves (a round
@@ -321,7 +321,7 @@ type planSprinter struct {
 	started bool
 }
 
-func (a *planSprinter) Next(v View) Decision {
+func (a *planSprinter) Next(v *View) Decision {
 	if !a.started {
 		a.started = true
 		return Decision{Run: 0, Plan: []Grant{{ID: 1}}, Sprint: true}
@@ -450,7 +450,7 @@ type retainingAdversary struct {
 	pending  []Label  // retained alias, read-only
 }
 
-func (a *retainingAdversary) Next(v View) Decision {
+func (a *retainingAdversary) Next(v *View) Decision {
 	d := a.base.Next(v)
 	if a.pending != nil {
 		_ = a.pending[0] // stale reads are allowed, just meaningless
@@ -591,7 +591,7 @@ type panicky struct {
 	inPlace bool
 }
 
-func (a *panicky) Next(v View) Decision {
+func (a *panicky) Next(v *View) Decision {
 	if a.left <= 0 {
 		a.inPlace = onStack("(*Env).StepL")
 		panic("adversary bug")
@@ -689,7 +689,7 @@ func newSticky(seed int64, stick, crashes int) *stickyAdversary {
 	return &stickyAdversary{rng: rand.New(rand.NewSource(seed)), stick: stick, crashes: crashes, last: -1}
 }
 
-func (a *stickyAdversary) Next(v View) Decision {
+func (a *stickyAdversary) Next(v *View) Decision {
 	h := &a.digest
 	h.Int(v.Step)
 	for _, id := range v.Runnable {
@@ -859,7 +859,7 @@ type chainProbe struct {
 	crashesBelow int
 }
 
-func (a *chainProbe) Next(v View) Decision {
+func (a *chainProbe) Next(v *View) Decision {
 	call := a.calls
 	a.calls++
 	if a.s != nil {
@@ -1130,6 +1130,114 @@ func TestSessionManyRunsStress(t *testing.T) {
 		}
 		if res.NumDecided()+res.Crashes != 3 {
 			t.Fatalf("run %d: %d decided + %d crashed != 3", i, res.NumDecided(), res.Crashes)
+		}
+	}
+}
+
+// obsBodies are n processes that each take k steps, reading a shared counter
+// and bumping it at every step: each read is observed, and whether the
+// grant was observing is logged in execution order.
+func obsBodies(n, k int, log *[]bool) []Proc {
+	counter := 0
+	l := Intern("obs.tick")
+	bodies := make([]Proc, n)
+	for i := range bodies {
+		bodies[i] = func(e *Env) {
+			for j := 0; j < k; j++ {
+				e.StepL(l)
+				c := counter
+				counter++
+				*log = append(*log, e.Observing())
+				Observe(e, &c)
+			}
+		}
+	}
+	return bodies
+}
+
+// obsRecorder schedules round-robin with every grant observed, recording
+// each consultation's grant and a copy of its digests.
+type obsRecorder struct {
+	rr     *RoundRobin
+	grants []ProcID
+	obs    [][]FP
+}
+
+func (a *obsRecorder) Next(v *View) Decision {
+	a.obs = append(a.obs, append([]FP(nil), v.Obs...))
+	d := a.rr.Next(v)
+	a.grants = append(a.grants, d.Run)
+	return d
+}
+
+// quietReplayer replays a recorded schedule whose first q grants run as one
+// quiet planned decision; the next consultation reloads the recorded
+// digests of consultation q and observes from there on, so every later View
+// must carry the recorded digests.
+type quietReplayer struct {
+	t    *testing.T
+	ref  *obsRecorder
+	q    int
+	pos  int
+	seen int // consultations whose digests were compared
+}
+
+func (a *quietReplayer) Next(v *View) Decision {
+	if a.pos == 0 {
+		plan := make([]Grant, a.q-1)
+		for i := range plan {
+			plan[i] = Grant{ID: a.ref.grants[1+i]}
+		}
+		a.pos = a.q
+		return Decision{Run: a.ref.grants[0], Plan: plan, Quiet: true}
+	}
+	i := a.pos
+	a.pos++
+	d := Decision{Run: a.ref.grants[i]}
+	if i == a.q {
+		d.Obs = &a.ref.obs[i]
+		return d
+	}
+	a.seen++
+	for p := range v.Obs {
+		if v.Obs[p] != a.ref.obs[i][p] {
+			a.t.Errorf("consultation %d: process %d digest %v, observed run %v", i, p, v.Obs[p], a.ref.obs[i][p])
+		}
+	}
+	return d
+}
+
+// TestQuietDecisionsBothProtocols: a Quiet decision's grants, its plan
+// included, fold no observations and report Observing false; a later
+// decision's Obs reloads the digests, after which every View carries the
+// digests of a fully observed run of the same schedule. Both protocols.
+func TestQuietDecisionsBothProtocols(t *testing.T) {
+	const n, k, q = 3, 4, 7
+	var refLog []bool
+	ref := &obsRecorder{rr: NewRoundRobin()}
+	if _, err := Run(Config{Adversary: ref, Observe: true}, obsBodies(n, k, &refLog)); err != nil {
+		t.Fatal(err)
+	}
+	// The first n grants are start grants, which execute no observation.
+	quietObs := q - n
+	for _, opts := range []SessionOptions{{}, {Rendezvous: true}} {
+		s, err := NewSessionWith(n, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log []bool
+		adv := &quietReplayer{t: t, ref: ref, q: q}
+		if _, err := s.Run(Config{Adversary: adv, Observe: true}, obsBodies(n, k, &log)); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if adv.pos != len(ref.grants) || adv.seen == 0 {
+			t.Fatalf("%s: replayed %d of %d grants, compared %d views", protocolName(opts), adv.pos, len(ref.grants), adv.seen)
+		}
+		for i, observing := range log {
+			if observing != (i >= quietObs) {
+				t.Fatalf("%s: observation %d ran with Observing %v, want %v", protocolName(opts), i, observing, i >= quietObs)
+			}
 		}
 	}
 }
