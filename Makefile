@@ -81,8 +81,9 @@ fuzz-grid:
 # cancellation, progress, leases, panic re-raise, goroutine leaks; and the
 # sampler's whole suite), run twice at 1, 2 and 4 CPUs so the race detector
 # sees several interleavings of each. -short trims the n=3 cells of the
-# sequential dedup coverage battery, which `make test` runs in full; at six
-# race runs they would take most of an hour.
+# sequential dedup coverage battery and the larger points of the walk
+# goldens, which `make test` runs in full; at six race runs they would take
+# most of an hour.
 store-race: build
 	$(GO) test -race -short -count=2 -cpu 1,2,4 -run 'Dedup|Visited|Equivalence|AdversaryPanic|Sticky|Context|ProgressReleasesStore|RuntimeSourceLeases|CheckerPanic|JobsLeak' ./internal/explore ./internal/sched
 	$(GO) test -race -short -count=2 -cpu 1,2,4 ./internal/explore/sample
@@ -121,9 +122,12 @@ profile: build
 # replay of the same prefix), and the quiet-replay differential (every store
 # key of a batched dedup walk, which skips observation folds on replayed
 # prefixes and below cuts, equals a fully observed NoBatch walk's;
-# internal/explore/quiet_test.go).
+# internal/explore/quiet_test.go), and the walk goldens (every sequential
+# dedup walk, which probes the store only at branching nodes, keeps the
+# runs, pruned, depth, exhaustion and cut counts recorded when it probed
+# every new node, with no more lookups; internal/explore/walkgolden_test.go).
 spec-conformance: build
-	$(GO) test -race -count=1 -run 'TestConformanceAllSpecs|TestDedupReductionGate|TestMemoDigestsMatchFresh|TestDedupQuietReplayMatchesObserved' ./internal/explore/spectest ./internal/explore
+	$(GO) test -race -count=1 -run 'TestConformanceAllSpecs|TestDedupReductionGate|TestMemoDigestsMatchFresh|TestDedupQuietReplayMatchesObserved|TestDedupWalkGoldens' ./internal/explore/spectest ./internal/explore
 
 # Symmetry-soundness gate (CI's test job): the spectest symmetry battery
 # (orbit-canonical outcome preservation, permuted-script verdict invariance,
@@ -144,7 +148,11 @@ weakmem-conformance: build
 
 # Bounded exhaustive-exploration smoke: every cell is capped by -maxruns, so
 # this can never hang CI even on pathological trees (the BG cell alone would
-# otherwise be astronomically deep).
+# otherwise be astronomically deep). The detector row's pruned and depth
+# columns cannot be diffed between two builds, nor between two runs: its
+# walk is parallel and truncated by -maxruns, so it always takes 2000 runs,
+# but which runs the workers took, and so what they pruned and how deep
+# they went, depends on their timing.
 explore-smoke: build
 	$(GO) run ./cmd/explore -list
 	$(GO) run ./cmd/explore -object safe -n 2 -crashes 0,1 -maxruns 5000 -compare

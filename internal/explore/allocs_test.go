@@ -11,14 +11,19 @@ import (
 
 // TestQuietReplayAllocs: in steady state a cached replay of a batched dedup
 // walk allocates nothing. The replay plans its prefix quietly, reloads the
-// branch node's digests, caches the digests of the new node it reaches
-// (obsAt) and probes the store there, and runs quietly below the cut the
-// probe makes. A full walk with one crash first sizes every buffer and
-// visits every state; then two prefixes are replayed over and over, one
+// branch node's digests, and then either caches the digests of the new
+// branching node it reaches (obsAt), probes the store there and runs
+// quietly below the cut the probe makes, or, when the branch leaves one
+// runnable process and no crash budget, sprints the forced tail quietly
+// without a probe. A full walk with one crash first sizes every buffer and
+// visits every state; then three prefixes are replayed over and over: one
 // whose branch is a run and one whose branch is a crash (at depth 2 the
-// alternatives are three runs, then three crashes). Replaying a prefix
-// again after itself keeps reset's contract: its branch node's digests are
-// still those cached on the same path.
+// alternatives are three runs, then three crashes), both cut at the next
+// node, and one that runs process 0 to its end (five grants) and then
+// crashes process 1 (at depth 5 the alternatives are two runs, then two
+// crashes), leaving process 2 a forced tail. Replaying a prefix again
+// after itself keeps reset's contract: its branch node's digests are still
+// those cached on the same path.
 func TestQuietReplayAllocs(t *testing.T) {
 	r := reg.New[int]("quiet")
 	bodies := make([]sched.Proc, 3)
@@ -36,19 +41,39 @@ func TestQuietReplayAllocs(t *testing.T) {
 		Fingerprint: r.Fingerprint,
 	}
 	cfg := Config{Dedup: true, MaxCrashes: 1, Workers: 1}.withDefaults()
-	l := newLane(cfg, sess, newDedupStore(0, 0), nil)
+	store := newDedupStore(0, 0)
+	l := newLane(cfg, sess, store, nil)
 	defer l.retire()
 	w := newWalker(cfg, l, newRunBudget(0))
 	if err := w.explore(nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, prefix := range [][]int{{0, 0, 1}, {0, 0, 3}} {
+	adv := &countingAdversary{scripted: w.adv}
+	for _, tc := range []struct {
+		prefix []int
+		cut    bool // the first new node is probed and cut; else the tail sprints
+	}{
+		{[]int{0, 0, 1}, true},
+		{[]int{0, 0, 3}, true},
+		{[]int{0, 0, 0, 0, 0, 2}, false},
+	} {
+		prefix := tc.prefix
+		wantCut := -1
+		if tc.cut {
+			wantCut = len(prefix)
+		}
 		replay := func() {
-			if _, err := w.replay(prefix, true); err != nil {
+			w.adv.reset(prefix, true)
+			adv.consulted = 0
+			if _, err := l.Run(adv); err != nil {
 				t.Fatal(err)
 			}
-			if w.adv.cutAt != len(prefix) {
-				t.Fatalf("the replay of %v cut at depth %d, want %d (the first new node)", prefix, w.adv.cutAt, len(prefix))
+			if w.adv.cutAt != wantCut {
+				t.Fatalf("the replay of %v cut at depth %d, want %d", prefix, w.adv.cutAt, wantCut)
+			}
+			// The plan, the branch, and the first grant of the sprint.
+			if !tc.cut && adv.consulted != 3 {
+				t.Fatalf("the replay of %v consulted the adversary %d times, want 3", prefix, adv.consulted)
 			}
 		}
 		// An uncached replay re-walks the path down to the branch node, which
@@ -58,8 +83,24 @@ func TestQuietReplayAllocs(t *testing.T) {
 		}
 		replay()
 		branch := w.adv.choices[len(prefix)-1]
+		lookups := store.lookups.Load()
 		if n := testing.AllocsPerRun(100, replay); n != 0 {
 			t.Errorf("a cached quiet replay branching at %v made %v allocs, want 0", branch, n)
 		}
+		if probes := store.lookups.Load() - lookups; !tc.cut && probes != 0 {
+			t.Errorf("replays of %v probed the store %d times in their forced tail, want 0", prefix, probes)
+		}
 	}
+}
+
+// countingAdversary counts the consultations of the scripted adversary it
+// wraps; sprinted grants are reported through SprintStep, not Next.
+type countingAdversary struct {
+	*scripted
+	consulted int
+}
+
+func (c *countingAdversary) Next(v *sched.View) sched.Decision {
+	c.consulted++
+	return c.scripted.Next(v)
 }

@@ -3,22 +3,33 @@
 // ceiling, with a bounded-memory eviction policy, per-shard stats, and a
 // lock-free read path that writes nothing on a hit.
 //
-// Exploration with Dedup computes a canonical state fingerprint at every NEW
-// decision node (sched control points + the harness's Session.Fingerprint)
-// and asks the store whether the state was already visited. A hit cuts the
-// node's subtree: the whole decision tree below a converged state collapses
-// to the single leftmost completion path, converting the DFS over the
-// decision *tree* into exploration of the state *graph*.
+// Exploration with Dedup computes a canonical state fingerprint (sched
+// control points + the harness's Session.Fingerprint) at every NEW branching
+// node — a decision node the walker creates that has two or more
+// alternatives — and asks the store whether the state was already visited.
+// A hit cuts the node's subtree: the whole decision tree below a converged
+// state collapses to the single leftmost completion path, converting the DFS
+// over the decision *tree* into exploration of the state *graph*.
 //
 // Soundness (why cutting at a hit never loses behaviors):
 //
-//   - Subtree ownership is structural, not store-mediated. A node is
-//     fingerprinted exactly once — when the walker first creates it (depth >=
-//     the replay's backtrack point); re-traversals of the node during later
+//   - Subtree ownership is structural, not store-mediated. A branching node
+//     is fingerprinted exactly once — when the walker first creates it (depth
+//     >= the replay's backtrack point); re-traversals of the node during later
 //     replays of the same prefix skip the store entirely. The first inserter
 //     of a fingerprint therefore always finishes expanding its subtree, no
 //     matter what happens to the store afterwards: evictions and capacity
 //     limits only cause re-expansion (lost reduction), never lost coverage.
+//   - Singleton nodes (one alternative) are never probed, and that loses no
+//     cut. A singleton's only child state is a function of its state (the
+//     fingerprint folds the crashed flags and, under Prune, the previous
+//     decision, which fix the alternatives), so the first uncut visitor of a
+//     singleton state goes on, in the same run, to its first branching
+//     descendant and probes that; a later visitor of the same state reaches
+//     the same descendant along the same forced path and is cut there. A cut
+//     at the singleton would have dropped no alternative, so while nothing
+//     is evicted the explored leaves, runs, pruned and cut counts are those
+//     of probing every node; only Lookups, States and Hits fall.
 //   - States below a cut are not inserted: a cut run completes along its
 //     leftmost remaining path without claiming ownership of anything, so a
 //     hit can only ever cite a state whose first visitor expands it.
@@ -373,9 +384,10 @@ func (sh *dedupShard) rehash(next, old *dedupTable, evict bool) bool {
 // DedupStats summarizes the visited-state store of one exploration (zero
 // unless Config.Dedup was set).
 type DedupStats struct {
-	// Lookups is the number of fingerprint probes (one per new decision
-	// node), as the engines publish them at run boundaries: exact once the
-	// exploration has returned, and never below States in a mid-run
+	// Lookups is the number of fingerprint probes (one per new branching
+	// decision node of an exploration, one per decision of a sampled run
+	// with coverage), as the engines publish them at run boundaries: exact
+	// once the exploration has returned, and never below States in a mid-run
 	// snapshot.
 	Lookups int64
 	// Hits is the number of probes that found their state already visited —
@@ -383,7 +395,9 @@ type DedupStats struct {
 	// probe either hits or inserts.
 	Hits int64
 	// States is the number of fingerprints inserted (distinct states
-	// discovered; evicted states that are re-discovered count again).
+	// discovered; evicted states that are re-discovered count again). An
+	// exploration inserts branching states only: a state with one
+	// alternative is never looked up.
 	States int64
 	// Evictions is the number of resident states dropped by the
 	// bounded-memory policy. Evictions never make cuts unsound — they only

@@ -74,13 +74,15 @@ type Config struct {
 	// equivalent interleavings (e.g. must treat harness-side logs as sets,
 	// not sequences). Off by default.
 	Prune bool
-	// Dedup enables state-fingerprint deduplication: at every new decision
-	// node the canonical state fingerprint is looked up in a shared
-	// visited-state store, and the subtree below an already-visited state is
-	// cut. Requires the explored Session to carry a Fingerprint; explorations
-	// without one fail with ErrNoFingerprint. With Dedup, the visited-run
-	// count of a parallel exploration depends on worker timing (cuts compose
-	// across workers); the sequential explorer stays deterministic.
+	// Dedup enables state-fingerprint deduplication: at every new branching
+	// decision node (two or more alternatives) the canonical state
+	// fingerprint is looked up in a shared visited-state store, and the
+	// subtree below an already-visited state is cut. Single-alternative
+	// nodes are not probed: a cut there would drop nothing. Requires the
+	// explored Session to carry a Fingerprint; explorations without one fail
+	// with ErrNoFingerprint. With Dedup, the visited-run count of a parallel
+	// exploration depends on worker timing (cuts compose across workers);
+	// the sequential explorer stays deterministic.
 	Dedup bool
 	// DedupMem is the visited-state store's memory ceiling in bytes (0 =
 	// DefaultDedupMem). It is not allocated up front: the store starts small
@@ -224,13 +226,13 @@ type scripted struct {
 	choices   []Choice
 
 	// State-dedup fields (dedup false = off; the store is the lane's).
-	// Decisions at depths below len(prefix) re-traverse nodes fingerprinted
-	// by an earlier replay and skip the store; only NEW nodes (the suffix)
-	// are looked up and inserted (that structural ownership rule is what
-	// makes cuts sound; see dedup.go). cutAt is the depth of this replay's
-	// dedup cut (-1 = none): from there on the run collapses to its leftmost
-	// remaining alternatives and the store is neither consulted nor
-	// extended.
+	// Decisions at depths below len(prefix) re-traverse nodes an earlier
+	// replay created and skip the store; only NEW branching nodes (in the
+	// suffix, with two or more alternatives) are looked up and inserted
+	// (that structural ownership rule is what makes cuts sound; see
+	// dedup.go). cutAt is the depth of this replay's dedup cut (-1 = none):
+	// from there on the run collapses to its leftmost remaining alternatives
+	// and the store is neither consulted nor extended.
 	lane    *Lane
 	dedup   bool
 	fpFn    func(h *sched.FP)
@@ -255,9 +257,9 @@ type scripted struct {
 	// patches the branch entry from altsAt, and pre-commits the whole prefix
 	// as one sched.Decision.Plan — the runtime replays it without consulting
 	// the adversary again. Sprint tails cover the other end of the run: once
-	// a single process remains runnable with no crash budget and no store
-	// probes left to make, every remaining node is a singleton and the run
-	// tail is granted as one sprint (SprintStep records each entry).
+	// a single process remains runnable with no crash budget, every
+	// remaining node is a singleton, which no store probe visits, and the
+	// run tail is granted as one sprint (SprintStep records each entry).
 	batch       bool
 	altsBuf     []Choice      // scratch: backs the unfiltered enumeration
 	altsAt      [][]Choice    // per-depth final alternatives, kept across replays
@@ -270,12 +272,13 @@ type scripted struct {
 
 	// Quiet-replay state (quiet == false: every grant folds observations).
 	// Under dedup with batching, observation digests are folded only where a
-	// fingerprint reads them. obsAt[d] caches View.Obs at every consulted
-	// new node above a cut and, like altsAt, stays valid across replays
-	// until a replay reaches depth d as a new node again. A cached replay
-	// plans choices[:P-1] quietly, then the branch consultation (P-1,
-	// pendingBranch) reloads obsAt[P-1] and grants choices[P-1] observed;
-	// every decision at or below a cut is quiet.
+	// fingerprint reads them. obsAt[d] caches View.Obs at every new
+	// branching node above a cut (the nodes backtracking can branch at) and,
+	// like altsAt, stays valid across replays until a replay reaches depth d
+	// as a new node again. A cached replay plans choices[:P-1] quietly, then
+	// the branch consultation (P-1, pendingBranch) reloads obsAt[P-1] and
+	// grants choices[P-1] observed; every decision at or below a cut, and
+	// every grant of a sprinted forced tail, is quiet.
 	quiet         bool
 	obsAt         [][]sched.FP
 	pendingBranch bool // the next Next is the branch decision at len(prefix)-1
@@ -284,9 +287,9 @@ type scripted struct {
 var _ Adversary = (*scripted)(nil)
 
 // newScripted builds the adversary of lane l. Under a lane with a visited
-// store it deduplicates; only the replay's new tree nodes — depths >=
-// len(prefix) — are fingerprinted, in orbit-canonical mode under
-// Config.Symmetry.
+// store it deduplicates; only the replay's new branching nodes — depths >=
+// len(prefix) with two or more alternatives — are fingerprinted, in
+// orbit-canonical mode under Config.Symmetry.
 func newScripted(cfg Config, l *Lane) *scripted {
 	s := l.Session()
 	return &scripted{
@@ -325,8 +328,9 @@ func (s *scripted) Choices() []Choice { return s.choices }
 // restores the digests from obsAt[P-1] (see Next). Those are the branch
 // node's own: a replay reached it as a new node on this same path, since
 // backtracking only ever bumps depths that some replay of this walker's
-// subtree reached as new nodes, and no replay reached depth P-1 as a new
-// node since (that would have changed the path above it).
+// subtree reached as new, uncut branching nodes (altCounts >= 2), where Next
+// saves the digests, and no replay reached depth P-1 as a new node since
+// (that would have changed the path above it).
 func (s *scripted) reset(prefix []int, cached bool) {
 	s.prefix = prefix
 	s.cutAt = -1
@@ -496,7 +500,10 @@ func (s *scripted) Next(v *sched.View) sched.Decision {
 	}
 	alts := s.alternatives(v)
 	if s.dedup {
-		if d := len(s.taken); s.cutAt < 0 && d >= len(s.prefix) {
+		// Only branching nodes are probed: a singleton's one child state is a
+		// function of its state, so a cut there would drop nothing, and the
+		// cut lands instead on the first branching descendant.
+		if d := len(s.taken); s.cutAt < 0 && d >= len(s.prefix) && len(alts) > 1 {
 			if s.quiet {
 				s.saveObs(d, v.Obs)
 			}
@@ -539,21 +546,21 @@ func (s *scripted) Next(v *sched.View) sched.Decision {
 	// At or below a cut no fingerprint is taken again this run.
 	dec.Quiet = s.quiet && s.cutAt >= 0
 	if s.batch && len(s.taken) >= len(s.prefix) &&
-		len(v.Runnable) == 1 && s.crashes >= s.maxCrashes &&
-		(!s.dedup || s.cutAt >= 0) {
-		// Every remaining node is a singleton: one runnable process, no crash
-		// budget, and no visited-store probes left to make (no store, or the
-		// run is already below a cut — a dedup cut never un-cuts). The run
-		// tail is granted as one sprint; SprintStep records each entry with
-		// exactly the values a per-node consultation would have recorded
-		// (taken 0 of 1 alternative, nothing pruned).
+		len(v.Runnable) == 1 && s.crashes >= s.maxCrashes {
+		// Every remaining node is a singleton: one runnable process and no
+		// crash budget, so no store probe is left to make either, and the
+		// tail's grants are quiet above a cut too. The run tail is granted
+		// as one sprint; SprintStep records each entry with exactly the
+		// values a per-node consultation would have recorded (taken 0 of 1
+		// alternative, nothing pruned).
 		dec.Sprint = true
+		dec.Quiet = s.quiet
 	}
 	return dec
 }
 
-// saveObs caches the observation digests of new node d, fully observed, for
-// the branch consultations of later replays.
+// saveObs caches the observation digests of new branching node d, fully
+// observed, for the branch consultations of later replays.
 func (s *scripted) saveObs(d int, obs []sched.FP) {
 	for d >= len(s.obsAt) {
 		s.obsAt = append(s.obsAt, nil)
@@ -693,12 +700,13 @@ func newWalker(cfg Config, l *Lane, budget *runBudget) *walker {
 }
 
 // replay executes one run with the given decision prefix. Under dedup, only
-// the replay's new tree nodes — depths >= len(prefix) — touch the visited
-// store; shallower decisions re-traverse nodes an earlier replay already
-// fingerprinted. cached asserts that prefix is the backtrack successor of
-// this walker's previous replay (see scripted.reset); pass false for the
-// first replay of a subtree and for frontier probes. The returned Result is
-// owned by the lane's runtime and valid until the next replay.
+// the replay's new branching nodes — depths >= len(prefix) with two or more
+// alternatives — touch the visited store; shallower decisions re-traverse
+// nodes an earlier replay already created. cached asserts that prefix is
+// the backtrack successor of this walker's previous replay (see
+// scripted.reset); pass false for the first replay of a subtree and for
+// frontier probes. The returned Result is owned by the lane's runtime and
+// valid until the next replay.
 func (w *walker) replay(prefix []int, cached bool) (*sched.Result, error) {
 	w.adv.reset(prefix, cached)
 	return w.lane.Run(w.adv)
@@ -797,14 +805,16 @@ func ExploreSession(s Session, cfg Config) (Stats, error) {
 // splits the tree into disjoint prefix subtrees that a pool of Workers
 // workers exhausts; newSession is called once per worker plus once for the
 // frontier probe, and every returned Session must own INDEPENDENT run
-// state, because workers replay runs concurrently. Without Dedup the visited
-// run count, pruned-branch count and exhaustion verdict do not depend on the
-// worker count; only the wall clock (and, on property violations, which
-// counterexample surfaces first) differs. With Dedup the workers share one
-// visited-state store, so cut-offs compose pool-wide and the parallel run
-// count is timing-dependent (bounded by the tree walk's; the verdict still
-// matches). A checker panic in any worker is re-raised on the caller's
-// goroutine.
+// state, because workers replay runs concurrently. Without Dedup an
+// exhausted walk's run count, pruned-branch count and depth do not depend on
+// the worker count; only the wall clock (and, on property violations, which
+// counterexample surfaces first) differs. A walk that MaxRuns truncates
+// executes exactly MaxRuns runs at any worker count, but which runs the
+// workers took, and so its pruned and depth counts, depends on their
+// timing. With Dedup the workers share one visited-state store, so cut-offs
+// compose pool-wide and the parallel run count is timing-dependent (bounded
+// by the tree walk's; the verdict still matches). A checker panic in any
+// worker is re-raised on the caller's goroutine.
 //
 // Cancelling ctx stops the walk at the next run boundary (a single run is
 // bounded by MaxSteps, so cancellation is prompt) and the exploration

@@ -162,6 +162,37 @@ func TestParallelMaxRunsAbortsMidFrontier(t *testing.T) {
 	}
 }
 
+// TestParallelMaxRunsTruncatedPrune: a MaxRuns budget that runs dry after
+// the workers have started still stops a parallel Prune walk at exactly
+// MaxRuns runs, as it stops the sequential walk. Only the run count is
+// comparable: which runs the workers took, and so the truncated walk's
+// pruned and depth counts, depends on their timing.
+func TestParallelMaxRunsTruncatedPrune(t *testing.T) {
+	cfg := Config{Workers: 4, MaxCrashes: 1, MaxSteps: 128, Prune: true}
+	full, err := ExploreSession(safeAgreementSession(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MaxRuns = full.Runs / 2
+	seq, err := ExploreSession(safeAgreementSession(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := ExploreParallel(safeAgreementSession, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(par.Workers) == 0 {
+		t.Fatalf("the frontier pass resolved the walk on its own (%d runs); no worker ran", par.Runs)
+	}
+	if seq.Exhausted || par.Exhausted {
+		t.Fatalf("should not exhaust: seq=%v par=%v", seq.Exhausted, par.Exhausted)
+	}
+	if seq.Runs != cfg.MaxRuns || par.Runs != cfg.MaxRuns {
+		t.Fatalf("runs: seq=%d par=%d, want %d each", seq.Runs, par.Runs, cfg.MaxRuns)
+	}
+}
+
 // TestParallelPropertyViolationStops: a violation found by any worker stops
 // the pool and surfaces a replayable PropertyError.
 func TestParallelPropertyViolationStops(t *testing.T) {
