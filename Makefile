@@ -152,7 +152,10 @@ weakmem-conformance: build
 # columns cannot be diffed between two builds, nor between two runs: its
 # walk is parallel and truncated by -maxruns, so it always takes 2000 runs,
 # but which runs the workers took, and so what they pruned and how deep
-# they went, depends on their timing.
+# they went, depends on their timing. A -dedup row's store summary prints
+# slots=, the slots the store's tables hold when the cell ends, beside
+# occupied=states/ceiling: slots × 24 B / occupied is what each resident
+# state cost.
 explore-smoke: build
 	$(GO) run ./cmd/explore -list
 	$(GO) run ./cmd/explore -object safe -n 2 -crashes 0,1 -maxruns 5000 -compare

@@ -7,7 +7,7 @@
 //     rendered by Choice.String and parsed by ParseChoice (replay.go plays
 //     scripts back);
 //   - Lane: one worker's replay slot — its harness, the sched runtime it
-//     leases, the run's visited-store probes, and its share of the counters;
+//     leases, its visited-store probe count, and its share of the counters;
 //   - the worker pool: one lane per worker, items claimed from a shared
 //     counter, halt on the first failure, cancellation and panic re-raise.
 
@@ -107,6 +107,12 @@ type Adversary interface {
 	Choices() []Choice
 }
 
+// lookupBatch is how many runs a lane's store probes are counted over
+// before the lane publishes them to the store's shared lookups counter;
+// the rest are published when the lane retires. Publishing every run put
+// one contended atomic add per run on a cache line all workers share.
+const lookupBatch = 64
+
 // Lane is one worker's replay slot: the harness it replays, the sched
 // runtime it replays on (leased from Config.Runtime, or spawned, and kept
 // across runs until the process count changes), the job's visited store,
@@ -120,8 +126,9 @@ type Lane struct {
 	store    *dedupStore // the job's visited store; nil = none
 	stop     <-chan struct{}
 
-	rt      *sched.Session
-	lookups int64 // the current run's store probes, published at its end
+	rt        *sched.Session
+	lookups   int64 // store probes not yet published to the store
+	batchRuns int   // runs whose probes lookups holds
 
 	runs, pruned, maxDepth int
 }
@@ -149,9 +156,8 @@ func (l *Lane) Run(adv Adversary) (*sched.Result, error) {
 	if err == nil {
 		res, err = l.rt.Run(sched.Config{Adversary: adv, MaxSteps: l.maxSteps, Observe: l.store != nil}, bodies)
 	}
-	if l.store != nil {
-		l.store.addLookups(l.lookups)
-		l.lookups = 0
+	if l.batchRuns++; l.batchRuns == lookupBatch {
+		l.publish()
 	}
 	if err != nil {
 		if l.rt != nil {
@@ -164,8 +170,8 @@ func (l *Lane) Run(adv Adversary) (*sched.Result, error) {
 }
 
 // Visit offers fp to the job's visited store and reports whether it was
-// already resident. The lane counts the probe and publishes the run's count
-// to the store when the run ends.
+// already resident. The lane counts the probe and publishes its count to
+// the store every lookupBatch runs and when it retires.
 func (l *Lane) Visit(fp sched.Fingerprint) bool {
 	l.lookups++
 	return l.store.visit(fp)
@@ -213,10 +219,20 @@ func (l *Lane) close() {
 	l.rt = nil
 }
 
-// retire ends the lane: it closes the runtime and the session and lets go of
-// the visited store. A runtime kept warm by a RuntimeSource still holds its
-// last adversary, which reaches the store only through the lane.
+// publish hands the lane's unpublished store probes to the store.
+func (l *Lane) publish() {
+	if l.store != nil {
+		l.store.addLookups(l.lookups)
+	}
+	l.lookups, l.batchRuns = 0, 0
+}
+
+// retire ends the lane: it publishes its last store probes, closes the
+// runtime and the session and lets go of the visited store. A runtime kept
+// warm by a RuntimeSource still holds its last adversary, which reaches the
+// store only through the lane.
 func (l *Lane) retire() {
+	l.publish()
 	l.close()
 	l.store = nil
 	if l.session.Close != nil {

@@ -82,14 +82,15 @@
 // between cores and costs more than the probe itself. Two consequences:
 //
 //   - The store counts inserts (States) and evictions, not probes. Engines
-//     count their own probes — the walker's scripted adversary and the
-//     sampler's adversary, one plain increment each — and publish the count
-//     with addLookups at run boundaries, as they publish runs to Progress.
-//     Hits is derived as Lookups − States, exact once the engines have
-//     published, because every visit is either a hit or an insert. A
-//     snapshot taken mid-run may see inserts whose probes are not yet
-//     published; it reports Lookups as at least States, so Hits is never
-//     negative and the identity holds in every snapshot.
+//     count their own probes on their lane (Lane.Visit, one plain increment
+//     each) and publish the count with addLookups every lookupBatch runs
+//     and when the lane retires, so the shared counter takes one atomic add
+//     per 64 runs of a worker, not one per run. Hits is derived as
+//     Lookups − States, exact once the engines have returned, because every
+//     visit is either a hit or an insert. A snapshot taken mid-run may see
+//     inserts whose probes are not yet published; it reports Lookups as at
+//     least States, so Hits is never negative and the identity holds in
+//     every snapshot.
 //   - A hit refreshes its entry's LRU stamp (a best-effort CAS) only in a
 //     table at the shard's ceiling. Only such a table evicts, so only there
 //     does a stamp choose a victim; below the ceiling a full window grows
@@ -99,10 +100,16 @@
 //
 // The memory budget (Config.DedupMem, sample.Config.CoverageMem) is a
 // ceiling, not an allocation. Each shard reaches its slots through an atomic
-// pointer to a fixed-size {slots, mask} table that starts at four probe
-// windows. An insert that finds its window full, in a shard below its
+// pointer to a fixed-size {slots, mask} table that starts at 64 slots, two
+// probe windows. An insert that finds its window full, in a shard below its
 // ceiling, rehashes the entries — stamps included — into a table twice the
-// size, publishes it and retries; only a shard at its ceiling evicts. While
+// size, publishes it and retries; only a shard at its ceiling evicts. The
+// window is 32 slots because linear probing clusters: a 16-slot window
+// overflowed, and so doubled its table, at 25–55% load (the larger the
+// table, the more windows it has to overflow, and the earlier it grows),
+// where a 32-slot one holds out to 45–70%, so a grown store spends fewer
+// slots per resident state. A table smaller than the window (the 16-slot
+// minimum store that DedupMem 1 gives) probes all of itself. While
 // nothing is evicted the store therefore holds exactly the set of inserted
 // fingerprints, as a table preallocated at the ceiling would. A lock-free
 // probe may still be reading a superseded table. Nothing writes to such a
@@ -129,13 +136,20 @@ const (
 	dedupEntryBytes = 24
 	// dedupProbeWindow is the linear-probe window; an insert that finds the
 	// whole window occupied grows the shard's table, or, at the shard's
-	// ceiling, evicts the window's oldest entry.
-	dedupProbeWindow = 16
-	// dedupInitialSlots is a shard's starting table: four probe windows
+	// ceiling, evicts the window's oldest entry. A table smaller than the
+	// window probes all of its slots instead.
+	dedupProbeWindow = 32
+	// dedupMinSlots is the smallest shard ceiling: a store squeezed below it
+	// still gets 16 slots, and evicts from its 17th state on.
+	dedupMinSlots = 16
+	// dedupInitialSlots is a shard's starting table: two probe windows
 	// (1.5 KiB), about 96 KiB for a store of DefaultDedupShards shards.
-	dedupInitialSlots = 4 * dedupProbeWindow
+	dedupInitialSlots = 2 * dedupProbeWindow
 	// DefaultDedupMem bounds the visited-state store when Config.DedupMem is
-	// zero: 64 MiB ≈ 2.7M resident states.
+	// zero. Each shard's ceiling rounds its 1 MiB share down to a power of
+	// two, so the default store tops out at 2,097,152 slots (48 MiB); a
+	// shard starts to evict once one probe window of its ceiling table is
+	// full, before every slot is.
 	DefaultDedupMem = 64 << 20
 	// DefaultDedupShards is the lock-stripe count when Config.DedupShards is
 	// zero. 64 shards keep write contention negligible for any sane worker
@@ -154,16 +168,21 @@ type dedupEntry struct {
 // dedupTable is one generation of a shard's slot array. Its size never
 // changes: a shard grows by publishing a bigger table, so a lock-free probe
 // that loaded the previous table keeps a consistent {slots, mask} pair.
-// atCeiling marks the shard's last generation, the only one that evicts and
-// so the only one whose hits refresh stamps.
+// span is the probe window within it: dedupProbeWindow, or every slot of a
+// smaller table. atCeiling marks the shard's last generation, the only one
+// that evicts and so the only one whose hits refresh stamps.
 type dedupTable struct {
 	slots     []dedupEntry
 	mask      uint64
+	span      uint64
 	atCeiling bool
 }
 
 func newDedupTable(slots, ceiling int) *dedupTable {
-	return &dedupTable{slots: make([]dedupEntry, slots), mask: uint64(slots - 1), atCeiling: slots >= ceiling}
+	return &dedupTable{
+		slots: make([]dedupEntry, slots), mask: uint64(slots - 1),
+		span: uint64(min(slots, dedupProbeWindow)), atCeiling: slots >= ceiling,
+	}
 }
 
 // dedupShard is one stripe: a power-of-two open-addressing table with
@@ -204,7 +223,7 @@ func ceilPow2(v int) int {
 // newDedupStore bounds a store to memBytes across shards lock stripes.
 // shards is rounded up to a power of two; each shard's ceiling is the
 // largest power-of-two slot count fitting its share of the budget (minimum
-// one probe window). Shards start at dedupInitialSlots (or their ceiling, if
+// dedupMinSlots). Shards start at dedupInitialSlots (or their ceiling, if
 // smaller) and grow on demand, so memBytes caps the store rather than being
 // allocated up front.
 func newDedupStore(memBytes, shards int) *dedupStore {
@@ -220,9 +239,7 @@ func newDedupStore(memBytes, shards int) *dedupStore {
 	for ceiling*2 <= perShard {
 		ceiling <<= 1
 	}
-	if ceiling < dedupProbeWindow {
-		ceiling = dedupProbeWindow
-	}
+	ceiling = max(ceiling, dedupMinSlots)
 	initial := min(ceiling, dedupInitialSlots)
 	st := &dedupStore{shards: make([]dedupShard, shards), mask: uint64(shards - 1)}
 	for i := range st.shards {
@@ -243,7 +260,7 @@ func (st *dedupStore) visit(fp sched.Fingerprint) bool {
 	sh := &st.shards[fp.Hi&st.mask]
 	t := sh.table.Load()
 	home := fp.Lo
-	for i := uint64(0); i < dedupProbeWindow; i++ {
+	for i := uint64(0); i < t.span; i++ {
 		s := &t.slots[(home+i)&t.mask]
 		st1 := s.stamp.Load()
 		if st1 == 0 {
@@ -310,7 +327,7 @@ func (sh *dedupShard) visitSlow(fp sched.Fingerprint) bool {
 func (t *dedupTable) window(lo, hi uint64) (match, free, victim int) {
 	victim = -1
 	var victimStamp uint64
-	for i := uint64(0); i < dedupProbeWindow; i++ {
+	for i := uint64(0); i < t.span; i++ {
 		idx := int((lo + i) & t.mask)
 		s := &t.slots[idx]
 		stamp := s.stamp.Load()
@@ -386,7 +403,7 @@ func (sh *dedupShard) rehash(next, old *dedupTable, evict bool) bool {
 type DedupStats struct {
 	// Lookups is the number of fingerprint probes (one per new branching
 	// decision node of an exploration, one per decision of a sampled run
-	// with coverage), as the engines publish them at run boundaries: exact
+	// with coverage), as the engines publish them in batches of runs: exact
 	// once the exploration has returned, and never below States in a mid-run
 	// snapshot.
 	Lookups int64
@@ -406,24 +423,26 @@ type DedupStats struct {
 	// CutAlternatives is the number of decision alternatives dropped inside
 	// cut subtrees (the dedup analogue of Stats.Pruned).
 	CutAlternatives int
-	// Shards, Capacity and Occupied describe the store: lock stripes, the
-	// entry slots the store may grow to (the ceiling set by DedupMem or
-	// CoverageMem, not the slots allocated) and slots in use when the
-	// exploration finished.
+	// Shards, Capacity, Slots and Occupied describe the store: lock
+	// stripes, the entry slots the store may grow to (the ceiling set by
+	// DedupMem or CoverageMem), the slots its tables hold now (each costs
+	// dedupEntryBytes, 24 B, resident or not) and the slots in use.
 	Shards   int
 	Capacity int
+	Slots    int
 	Occupied int
 }
 
-// String renders the store counters compactly.
+// String renders the store counters compactly; slots is the live table
+// size, so slots×24 B / occupied is what each resident state costs.
 func (d DedupStats) String() string {
-	return fmt.Sprintf("states=%d hits=%d cut=%d evictions=%d occupied=%d/%d shards=%d",
-		d.States, d.Hits, d.CutAlternatives, d.Evictions, d.Occupied, d.Capacity, d.Shards)
+	return fmt.Sprintf("states=%d hits=%d cut=%d evictions=%d occupied=%d/%d slots=%d shards=%d",
+		d.States, d.Hits, d.CutAlternatives, d.Evictions, d.Occupied, d.Capacity, d.Slots, d.Shards)
 }
 
-// addLookups publishes n probes counted by a caller of visit. Engines call
-// it once per run with their run's probe count, so the shared counter is
-// written per run, not per probe.
+// addLookups publishes n probes counted by a caller of visit. Lanes call it
+// with the probes of a batch of runs, so the shared counter is written per
+// batch, not per probe.
 func (st *dedupStore) addLookups(n int64) {
 	if n != 0 {
 		st.lookups.Add(n)
@@ -442,6 +461,7 @@ func (st *dedupStore) snapshot() DedupStats {
 		d.States += sh.inserts.Load()
 		d.Evictions += sh.evicted.Load()
 		d.Capacity += sh.ceiling
+		d.Slots += len(sh.table.Load().slots)
 		d.Occupied += int(sh.occ.Load())
 	}
 	// Mid-run, inserts can be ahead of the lookups published for them.
@@ -458,6 +478,7 @@ type ShardStats struct {
 	States    int64
 	Evictions int64
 	Occupied  int
+	Slots     int // the slots the stripe's table holds now
 	Capacity  int
 }
 
@@ -468,7 +489,7 @@ func (st *dedupStore) shardStats() []ShardStats {
 		sh := &st.shards[i]
 		out[i] = ShardStats{
 			Shard: i, States: sh.inserts.Load(), Evictions: sh.evicted.Load(),
-			Occupied: int(sh.occ.Load()), Capacity: sh.ceiling,
+			Occupied: int(sh.occ.Load()), Slots: len(sh.table.Load().slots), Capacity: sh.ceiling,
 		}
 	}
 	return out

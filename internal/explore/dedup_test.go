@@ -123,9 +123,14 @@ func shardsGrownTo(st *dedupStore, slots int) bool {
 func TestDedupStoreEviction(t *testing.T) {
 	// A store this tiny (one shard, minimum slots) must evict under load yet
 	// keep answering: memory stays bounded, recently-seen states stay hot.
+	// Its table is smaller than the probe window, so it probes all of itself
+	// and fills every slot before it evicts.
 	st := newDedupStore(1, 1)
-	if cap := st.snapshot().Capacity; cap != dedupProbeWindow {
-		t.Fatalf("minimum capacity = %d, want %d", cap, dedupProbeWindow)
+	if cap := st.snapshot().Capacity; cap != dedupMinSlots {
+		t.Fatalf("minimum capacity = %d, want %d", cap, dedupMinSlots)
+	}
+	if span := st.shards[0].table.Load().span; span != dedupMinSlots {
+		t.Fatalf("minimum table probes %d slots, want all %d", span, dedupMinSlots)
 	}
 	for i := uint64(0); i < 10000; i++ {
 		var h sched.FP
@@ -136,33 +141,116 @@ func TestDedupStoreEviction(t *testing.T) {
 	if d.Evictions == 0 {
 		t.Fatal("no evictions despite a full store")
 	}
-	if d.Occupied > d.Capacity {
-		t.Fatalf("occupancy %d exceeds capacity %d", d.Occupied, d.Capacity)
+	if d.Occupied != d.Capacity || d.Slots != d.Capacity {
+		t.Fatalf("occupancy %d of %d slots, want every one of %d", d.Occupied, d.Slots, d.Capacity)
 	}
 
 	// A rehash that overflows a window of the table it fills fails below the
 	// ceiling; at the ceiling it keeps the window's newest entries and counts
-	// the rest as evictions, as inserts there would.
-	sh := &newDedupStore(1, 1).shards[0]
-	old := newDedupTable(64, 64)
-	for i := 0; i < 20; i++ {
-		old.put(i, 0, uint64(i), uint64(i+1)) // all homed at slot 0, stamps 1..20
-		sh.occ.Add(1)
-	}
-	if sh.rehash(newDedupTable(64, 64), old, false) {
-		t.Fatal("overflowing rehash below the ceiling succeeded")
-	}
-	next := newDedupTable(64, 64)
-	if !sh.rehash(next, old, true) {
-		t.Fatal("rehash at the ceiling failed")
-	}
-	if sh.evicted.Load() != 4 || sh.occ.Load() != 16 {
-		t.Fatalf("rehash evicted %d, occupancy %d; want 4 and 16", sh.evicted.Load(), sh.occ.Load())
-	}
-	for i := 0; i < dedupProbeWindow; i++ {
-		if s := next.slots[i].stamp.Load(); s <= 4 {
-			t.Fatalf("slot %d kept stamp %d, one of the four oldest", i, s)
+	// the rest as evictions, as inserts there would. Four entries more than
+	// a window, all homed at slot 0, lose their four oldest to a table of
+	// two windows and all but the newest dedupMinSlots to a minimum table.
+	const homed = dedupProbeWindow + 4
+	for _, tc := range []struct {
+		slots, kept int
+	}{
+		{2 * dedupProbeWindow, dedupProbeWindow},
+		{dedupMinSlots, dedupMinSlots},
+	} {
+		sh := &newDedupStore(1, 1).shards[0]
+		old := newDedupTable(2*dedupProbeWindow, 2*dedupProbeWindow)
+		for i := 0; i < homed; i++ {
+			old.put(i, 0, uint64(i), uint64(i+1)) // stamps 1..homed
+			sh.occ.Add(1)
 		}
+		if sh.rehash(newDedupTable(tc.slots, tc.slots+1), old, false) {
+			t.Fatalf("overflowing rehash into %d slots below the ceiling succeeded", tc.slots)
+		}
+		next := newDedupTable(tc.slots, tc.slots)
+		if !sh.rehash(next, old, true) {
+			t.Fatalf("rehash into %d slots at the ceiling failed", tc.slots)
+		}
+		dropped := int64(homed - tc.kept)
+		if sh.evicted.Load() != dropped || sh.occ.Load() != int64(tc.kept) {
+			t.Fatalf("rehash into %d slots evicted %d, occupancy %d; want %d and %d",
+				tc.slots, sh.evicted.Load(), sh.occ.Load(), dropped, tc.kept)
+		}
+		for i := 0; i < tc.kept; i++ {
+			if s := next.slots[i].stamp.Load(); s <= uint64(dropped) {
+				t.Fatalf("rehash into %d slots: slot %d kept stamp %d, one of the %d oldest", tc.slots, i, s, dropped)
+			}
+		}
+	}
+}
+
+// TestDedupStoreGrowthLoad: a grown store spends few slots per resident
+// state. 140,000 distinct, well-mixed fingerprints — about the branching
+// states of the commitadopt n=4 dedup walk — fit a default store in at most
+// 300,000 slots, a load of at least 0.46. A 16-slot probe window overflowed
+// at 25–55% load and doubled its table, which took this set to 430,080
+// slots.
+func TestDedupStoreGrowthLoad(t *testing.T) {
+	const states, maxSlots = 140000, 300000
+	st := newDedupStore(0, 0)
+	for i := uint64(0); i < states; i++ {
+		var h sched.FP
+		h.Word(i)
+		if st.visit(h.Sum()) {
+			t.Fatalf("fresh fingerprint %d reported visited", i)
+		}
+	}
+	d := st.snapshot()
+	if d.States != states || d.Occupied != states || d.Evictions != 0 {
+		t.Fatalf("store contents wrong: %+v", d)
+	}
+	if d.Slots != tableBytes(st)/dedupEntryBytes {
+		t.Fatalf("Slots = %d, tables hold %d", d.Slots, tableBytes(st)/dedupEntryBytes)
+	}
+	slots := 0
+	for _, sh := range st.shardStats() {
+		slots += sh.Slots
+	}
+	if slots != d.Slots {
+		t.Fatalf("shard slots add up to %d, store reports %d", slots, d.Slots)
+	}
+	if d.Slots > maxSlots {
+		t.Fatalf("%d states hold %d slots (load %.2f), want at most %d", states, d.Slots,
+			float64(states)/float64(d.Slots), maxSlots)
+	}
+	t.Logf("%d states in %d slots: load %.2f, %.1f B per state", states, d.Slots,
+		float64(states)/float64(d.Slots), float64(d.Slots*dedupEntryBytes)/states)
+}
+
+// TestDedupDefaultCeiling pins the default store's ceiling: 64 shards whose
+// 1 MiB shares round down to 32,768 slots of 24 B, so 2,097,152 slots and
+// 48 MiB in all, short of DefaultDedupMem.
+func TestDedupDefaultCeiling(t *testing.T) {
+	d := newDedupStore(0, 0).snapshot()
+	if d.Shards != DefaultDedupShards || d.Capacity != 2097152 || d.Capacity*dedupEntryBytes != 48<<20 {
+		t.Fatalf("default store: %d shards, %d slots (%d bytes); want %d, 2097152 (48 MiB)",
+			d.Shards, d.Capacity, d.Capacity*dedupEntryBytes, DefaultDedupShards)
+	}
+}
+
+// BenchmarkDedupVisitAtCeiling times the evicting insert: a 1 MiB store
+// (64 shards of 512 slots) is filled to its ceiling, and then every visit
+// is a fresh fingerprint that scans a full probe window, under its shard's
+// mutex, for the oldest entry to overwrite.
+func BenchmarkDedupVisitAtCeiling(b *testing.B) {
+	fps := make([]sched.Fingerprint, 1<<20)
+	for i := range fps {
+		var h sched.FP
+		h.Word(uint64(i))
+		fps[i] = h.Sum()
+	}
+	st := newDedupStore(1<<20, 0)
+	i := 0
+	for ; !shardsGrownTo(st, st.shards[0].ceiling); i++ {
+		st.visit(fps[i])
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		st.visit(fps[(i+n)%len(fps)])
 	}
 }
 

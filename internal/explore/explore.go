@@ -84,11 +84,14 @@ type Config struct {
 	// exploration depends on worker timing (cuts compose across workers);
 	// the sequential explorer stays deterministic.
 	Dedup bool
-	// DedupMem is the visited-state store's memory ceiling in bytes (0 =
+	// DedupMem is the visited-state store's memory budget in bytes (0 =
 	// DefaultDedupMem). It is not allocated up front: the store starts small
-	// and grows on demand up to it. Once the store reaches the ceiling, the
-	// eviction policy drops old states — which costs reduction, never
-	// soundness.
+	// and grows on demand. Each shard's ceiling is its share of the budget
+	// rounded down to a power of two of 24-byte slots (at least 16 slots),
+	// so the store may stop short of the budget: the default tops out at
+	// 48 MiB. A shard at its ceiling evicts old states as soon as one probe
+	// window fills, before every slot is used; eviction costs reduction,
+	// never soundness.
 	DedupMem int
 	// DedupShards is the store's lock-stripe count, rounded up to a power of
 	// two (0 = DefaultDedupShards).

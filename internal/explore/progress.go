@@ -1,7 +1,7 @@
 // Progress: the live counter surface of a running job of either engine. The
 // lanes publish into atomic counters (one add per completed run — a sampled
-// run counts as one — negligible next to the replay itself; the run's store
-// probes are published to the store at the same boundary) and the
+// run counts as one — negligible next to the replay itself; a lane's store
+// probes go to the store every 64 runs and when the lane retires) and the
 // visited-state store's (or the sampler's coverage store's) own atomic counters
 // are snapshotted on demand, so a concurrent observer (the exploredd
 // daemon's NDJSON progress stream) can poll a running job without locks and

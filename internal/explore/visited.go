@@ -55,8 +55,8 @@ func (v *VisitedStore) Visit(fp sched.Fingerprint) bool {
 }
 
 // AddLookups publishes n Visit calls made by the caller. Engines count
-// visits in a local and publish once per run, keeping the shared counter off
-// the probe path.
+// visits in a local and publish them in batches of runs, keeping the shared
+// counter off the probe path.
 func (v *VisitedStore) AddLookups(n int64) {
 	v.st.addLookups(n)
 }
