@@ -75,18 +75,22 @@ fuzz-grid:
 	$(GO) test -run '^$$' -fuzz '^FuzzTextGrid$$' -fuzztime 30s ./internal/explore/spec
 
 # Race shake of the concurrent paths: the visited store's lock-free probes
-# (hits write no shared memory), the scheduler's in-place adversary
-# consultations and process-to-process token handoffs, and the engine
-# core's worker pool under both engines (the engine-contract tables:
-# cancellation, progress, leases, panic re-raise, goroutine leaks; and the
-# sampler's whole suite), run twice at 1, 2 and 4 CPUs so the race detector
-# sees several interleavings of each. -short trims the n=3 cells of the
+# (hits below a shard's ceiling write no shared memory; ceiling tables are
+# probed under the shard mutex), the scheduler's in-place adversary
+# consultations and process-to-process token handoffs, the engine core's
+# worker pool under both engines (the engine-contract tables: cancellation,
+# progress, leases, panic re-raise, goroutine leaks; and the sampler's whole
+# suite), and the daemon's Submit under concurrent submissions to a full
+# queue (every accepted job, and no bounced one, listed by GET /jobs), run
+# twice at 1, 2 and 4 CPUs so the race detector sees several interleavings
+# of each. -short trims the n=3 cells of the
 # sequential dedup coverage battery and the larger points of the walk
 # goldens, which `make test` runs in full; at six race runs they would take
 # most of an hour.
 store-race: build
 	$(GO) test -race -short -count=2 -cpu 1,2,4 -run 'Dedup|Visited|Equivalence|AdversaryPanic|Sticky|Context|ProgressReleasesStore|RuntimeSourceLeases|CheckerPanic|JobsLeak' ./internal/explore ./internal/sched
 	$(GO) test -race -short -count=2 -cpu 1,2,4 ./internal/explore/sample
+	$(GO) test -race -short -count=2 -cpu 1,2,4 -run 'SubmitConcurrent' ./internal/service
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -154,8 +158,9 @@ weakmem-conformance: build
 # but which runs the workers took, and so what they pruned and how deep
 # they went, depends on their timing. A -dedup row's store summary prints
 # slots=, the slots the store's tables hold when the cell ends, beside
-# occupied=states/ceiling: slots × 24 B / occupied is what each resident
-# state cost.
+# occupied=states/ceiling: slots × 16 B / occupied is what each resident
+# state cost (24 B a slot in a shard grown to its ceiling, which also keeps
+# an LRU stamp per slot).
 explore-smoke: build
 	$(GO) run ./cmd/explore -list
 	$(GO) run ./cmd/explore -object safe -n 2 -crashes 0,1 -maxruns 5000 -compare

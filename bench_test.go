@@ -587,6 +587,46 @@ func BenchmarkTrackedCell(b *testing.B) {
 	}
 }
 
+// BenchmarkTrackedCellFloor exhausts the tree of BenchmarkTrackedCell with
+// nothing in it: three processes that each take four steps (a start grant
+// and four step grants apiece, as a commit-adopt proposer's two updates and
+// two scans), bodies that touch no shared object, and a checker that
+// accepts every run. Its 756,756 runs cost only the scheduler's grants and
+// coroutine switches and the walker's replays, so the gap between its
+// runs/sec and the tracked cell's is what the objects and the checker cost;
+// a regression that shows here too lies in the harness or the runtime.
+func BenchmarkTrackedCellFloor(b *testing.B) {
+	const wantRuns, n, steps = 756756, 3, 4
+	labels := sched.InternIndexed("%s[%d]", "floor", steps)
+	body := func(e *sched.Env) {
+		for _, l := range labels {
+			e.StepL(l)
+		}
+	}
+	session := explore.Session{
+		Make: func() []sched.Proc {
+			bodies := make([]sched.Proc, n)
+			for i := range bodies {
+				bodies[i] = body
+			}
+			return bodies
+		},
+		Check: func(*sched.Result) error { return nil },
+	}
+	best := 0.0
+	for i := 0; i < b.N; i++ {
+		stats, err := explore.ExploreSession(session, explore.Config{})
+		if err != nil || !stats.Exhausted {
+			b.Fatalf("exploration failed: err=%v exhausted=%v", err, stats.Exhausted)
+		}
+		if stats.Runs != wantRuns {
+			b.Fatalf("runs = %d, want %d", stats.Runs, wantRuns)
+		}
+		best = max(best, stats.RunsPerSec())
+	}
+	b.ReportMetric(best, "runs/sec")
+}
+
 // BenchmarkCommitAdopt measures one commit-adopt round under contention.
 func BenchmarkCommitAdopt(b *testing.B) {
 	for _, n := range []int{2, 4, 8} {

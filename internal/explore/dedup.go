@@ -1,7 +1,7 @@
 // The visited-state store behind Config.Dedup: a lock-striped,
 // power-of-two-sharded fingerprint set grown on demand up to a memory
-// ceiling, with a bounded-memory eviction policy, per-shard stats, and a
-// lock-free read path that writes nothing on a hit.
+// ceiling, with a bounded-memory eviction policy, per-shard stats, and,
+// below the ceiling, a lock-free read path that writes nothing on a hit.
 //
 // Exploration with Dedup computes a canonical state fingerprint (sched
 // control points + the harness's Session.Fingerprint) at every NEW branching
@@ -56,30 +56,36 @@
 // worker timing; only the sequential explorer's dedup run counts are
 // deterministic.
 //
-// # Concurrency: seqlock entries, lock-free probes
+// # Concurrency: write-once slots below the ceiling, the mutex at it
 //
-// Each slot is three atomic 64-bit words {lo, hi, stamp} written seqlock
-// style: a writer (always under the shard mutex, so writers are mutually
-// exclusive) first stores stamp=0, then lo and hi, then the new nonzero
-// stamp. Stamps are draws from a monotone per-shard counter, so a stamp
-// value never repeats. A probe is lock-free: it loads the stamp, loads lo/hi,
-// and on a match re-loads the stamp to verify nothing moved underneath;
-// since stamps never repeat, an unchanged stamp proves the two fingerprint
-// words were stable. A stamp of 0 (empty or mid-write) ends the probe: an
-// insert always takes the first empty slot of its window (or overwrites the
-// oldest entry of a full one) and slots never empty out again, so nothing of
-// the window lies beyond an empty slot. A probe
-// that finds its fingerprint returns "visited" without ever taking the lock;
-// a probe that misses — or reads a torn slot — falls back to the mutex,
-// re-probes, and inserts, which preserves the store's exactness guarantee:
-// for each resident fingerprint exactly one caller ever gets "not visited".
+// A slot is two atomic 64-bit words {lo, hi}. Below its ceiling a table's
+// slots are written once, always under the shard mutex, lo first and hi
+// last, and never overwritten: a full window grows the table instead. A
+// lock-free probe loads hi and, only on a match, lo. Since hi is stored
+// last and never changes once stored, a matching hi proves lo is final:
+// there is no stamp to load, no re-check and no torn read. A slot whose hi
+// reads 0 ends the probe: it is empty, mid-write, or holds a fingerprint
+// whose Hi is 0, and in each case the mutex decides. An insert always takes
+// the first empty slot of its window and slots never empty out again, so
+// nothing of the window lies beyond an empty slot. Under the mutex a slot is
+// empty when (lo, hi) == (0, 0); that one fingerprint, which no slot can
+// hold, is a per-shard flag (dedupShard.zero), set under the mutex and never
+// evicted. A probe that misses falls back to the mutex, re-probes and
+// inserts, which preserves the store's exactness guarantee: for each
+// resident fingerprint exactly one caller ever gets "not visited".
+//
+// A shard's ceiling table (atCeiling), the one generation that evicts, is
+// probed only under the shard mutex: its slots are overwritten, so a
+// lock-free reader could see a torn pair. It alone keeps an LRU stamp per
+// slot, in a side array of plain words the mutex guards, drawn from a
+// monotone per-shard clock.
 //
 // # Hits write nothing: engine-side lookups, LRU refresh only at the ceiling
 //
 // Nearly every probe hits (about 99% on the sampling workloads), so the hit
 // path is kept free of writes to shared memory: with several workers, a
-// per-shard counter or stamp bumped on every hit bounces its cache line
-// between cores and costs more than the probe itself. Two consequences:
+// per-shard counter bumped on every hit bounces its cache line between cores
+// and costs more than the probe itself. Two consequences:
 //
 //   - The store counts inserts (States) and evictions, not probes. Engines
 //     count their own probes on their lane (Lane.Visit, one plain increment
@@ -91,10 +97,10 @@
 //     inserts whose probes are not yet published; it reports Lookups as at
 //     least States, so Hits is never negative and the identity holds in
 //     every snapshot.
-//   - A hit refreshes its entry's LRU stamp (a best-effort CAS) only in a
-//     table at the shard's ceiling. Only such a table evicts, so only there
-//     does a stamp choose a victim; below the ceiling a full window grows
-//     the table instead, and stamps simply keep insertion order.
+//   - Only a hit in a ceiling table restamps its entry, under the mutex it
+//     was probed under. Only such a table evicts, so only there does a
+//     stamp choose a victim; below the ceiling a full window grows the table
+//     instead, and slots carry no stamp at all.
 //
 // # Growth: tables grown on demand under a memory ceiling
 //
@@ -102,24 +108,25 @@
 // ceiling, not an allocation. Each shard reaches its slots through an atomic
 // pointer to a fixed-size {slots, mask} table that starts at 64 slots, two
 // probe windows. An insert that finds its window full, in a shard below its
-// ceiling, rehashes the entries — stamps included — into a table twice the
-// size, publishes it and retries; only a shard at its ceiling evicts. The
-// window is 32 slots because linear probing clusters: a 16-slot window
-// overflowed, and so doubled its table, at 25–55% load (the larger the
-// table, the more windows it has to overflow, and the earlier it grows),
-// where a 32-slot one holds out to 45–70%, so a grown store spends fewer
-// slots per resident state. A table smaller than the window (the 16-slot
-// minimum store that DedupMem 1 gives) probes all of itself. While
-// nothing is evicted the store therefore holds exactly the set of inserted
-// fingerprints, as a table preallocated at the ceiling would. A lock-free
-// probe may still be reading a superseded table. Nothing writes to such a
-// table after the rehash (it was below the ceiling, so its hits never
-// restamp), so every fingerprint it finds there really was inserted and its
-// hit is real; a miss
-// falls through to the mutex, which probes the current table. The stamps
-// copied into a new table were already unique in the old one, and the new
-// table is invisible to probes until published, so stamps still never repeat
-// within a table a probe can see.
+// ceiling, rehashes the entries into a table twice the size, publishes it
+// and retries; only a shard at its ceiling evicts. The rehash that grows
+// into the ceiling table stamps the entries in the order it copies them, and
+// a window that overflows there drops its oldest entry, as an insert at the
+// ceiling would. The ceiling is sized in 24-byte slots (dedupEntryBytes: the
+// fingerprint and its stamp); a slot below it costs 16 B. The window is 32
+// slots because linear probing clusters: a 16-slot window overflowed, and so
+// doubled its table, at 25–55% load (the larger the table, the more windows
+// it has to overflow, and the earlier it grows), where a 32-slot one holds
+// out to 45–70%, so a grown store spends fewer slots per resident state. A
+// table smaller than the window (the 16-slot minimum store that DedupMem 1
+// gives) probes all of itself. While nothing is evicted the store therefore
+// holds exactly the set of inserted fingerprints, as a table preallocated at
+// the ceiling would. A lock-free probe may still be reading a superseded table.
+// Nothing writes to such a table after the rehash, so every fingerprint it
+// finds there really was inserted and its hit is real; a miss falls through
+// to the mutex, which probes the current table. A new table is invisible to
+// probes until published, and the publishing store orders every slot write
+// of the rehash before it.
 
 package explore
 
@@ -132,8 +139,12 @@ import (
 )
 
 const (
-	// dedupEntryBytes is the in-table size of one visited state.
-	dedupEntryBytes = 24
+	// dedupSlotBytes is the size of one slot: a fingerprint's two words.
+	dedupSlotBytes = 16
+	// dedupEntryBytes is what one slot of a ceiling table costs: the
+	// fingerprint and its 8-byte LRU stamp. Shard ceilings are sized in it,
+	// so a budget buys the same slot count whichever tables it ends up in.
+	dedupEntryBytes = dedupSlotBytes + 8
 	// dedupProbeWindow is the linear-probe window; an insert that finds the
 	// whole window occupied grows the shard's table, or, at the shard's
 	// ceiling, evicts the window's oldest entry. A table smaller than the
@@ -143,26 +154,24 @@ const (
 	// still gets 16 slots, and evicts from its 17th state on.
 	dedupMinSlots = 16
 	// dedupInitialSlots is a shard's starting table: two probe windows
-	// (1.5 KiB), about 96 KiB for a store of DefaultDedupShards shards.
+	// (1 KiB), about 64 KiB for a store of DefaultDedupShards shards.
 	dedupInitialSlots = 2 * dedupProbeWindow
 	// DefaultDedupMem bounds the visited-state store when Config.DedupMem is
 	// zero. Each shard's ceiling rounds its 1 MiB share down to a power of
-	// two, so the default store tops out at 2,097,152 slots (48 MiB); a
-	// shard starts to evict once one probe window of its ceiling table is
-	// full, before every slot is.
+	// two of dedupEntryBytes slots, so the default store tops out at
+	// 2,097,152 slots (48 MiB); a shard starts to evict once one probe
+	// window of its ceiling table is full, before every slot is.
 	DefaultDedupMem = 64 << 20
 	// DefaultDedupShards is the lock-stripe count when Config.DedupShards is
 	// zero. 64 shards keep write contention negligible for any sane worker
-	// count (reads never contend: probes are lock-free).
+	// count (reads below the ceiling never contend: probes are lock-free).
 	DefaultDedupShards = 64
 )
 
-// dedupEntry is one resident fingerprint: a seqlock of three atomic words.
-// stamp is the shard-local insertion (or last-hit) sequence number; 0 marks
-// a slot that is empty or mid-write.
-type dedupEntry struct {
+// dedupSlot is one resident fingerprint, or an empty slot if both words are
+// 0. Below the ceiling it is written once, hi last (see the package comment).
+type dedupSlot struct {
 	lo, hi atomic.Uint64
-	stamp  atomic.Uint64
 }
 
 // dedupTable is one generation of a shard's slot array. Its size never
@@ -170,19 +179,25 @@ type dedupEntry struct {
 // that loaded the previous table keeps a consistent {slots, mask} pair.
 // span is the probe window within it: dedupProbeWindow, or every slot of a
 // smaller table. atCeiling marks the shard's last generation, the only one
-// that evicts and so the only one whose hits refresh stamps.
+// that evicts; it alone has stamps, slot i's LRU stamp (0 while the slot is
+// empty), read and written under the shard mutex only.
 type dedupTable struct {
-	slots     []dedupEntry
+	slots     []dedupSlot
+	stamps    []uint64
 	mask      uint64
 	span      uint64
 	atCeiling bool
 }
 
 func newDedupTable(slots, ceiling int) *dedupTable {
-	return &dedupTable{
-		slots: make([]dedupEntry, slots), mask: uint64(slots - 1),
+	t := &dedupTable{
+		slots: make([]dedupSlot, slots), mask: uint64(slots - 1),
 		span: uint64(min(slots, dedupProbeWindow)), atCeiling: slots >= ceiling,
 	}
+	if t.atCeiling {
+		t.stamps = make([]uint64, slots)
+	}
+	return t
 }
 
 // dedupShard is one stripe: a power-of-two open-addressing table with
@@ -190,13 +205,15 @@ func newDedupTable(slots, ceiling int) *dedupTable {
 // hits refresh the stamp — that makes the store's memory strictly bounded).
 // The table starts small and doubles whenever an insert finds its probe
 // window full, up to ceiling slots; only a shard at its ceiling evicts. The
-// mutex guards writes and growth; probes read the seqlock entries lock-free.
-// The counters are atomic, exact, and written only under the mutex.
+// mutex guards writes, growth, the clock, the zero flag and every access to
+// a ceiling table; probes below the ceiling read the slots lock-free. The
+// counters are atomic, exact, and written only under the mutex.
 type dedupShard struct {
 	mu      sync.Mutex
 	table   atomic.Pointer[dedupTable]
-	ceiling int // slots the table may grow to: the shard's share of the memory bound
-	stamp   atomic.Uint64
+	ceiling int    // slots the table may grow to: the shard's share of the memory bound
+	clock   uint64 // the last stamp drawn in the ceiling table
+	zero    bool   // the fingerprint (0, 0) is resident
 	occ     atomic.Int64
 	inserts atomic.Int64
 	evicted atomic.Int64
@@ -252,107 +269,126 @@ func newDedupStore(memBytes, shards int) *dedupStore {
 // visit reports whether fp was already in the store, inserting it if not.
 // Exactly one caller ever gets "false" for a given resident fingerprint; a
 // full probe window grows the shard's table, or, at the shard's ceiling,
-// evicts the window's oldest entry (bounded memory, approximate LRU). The
-// hit path is lock-free and, below the ceiling, read-only (see the package
-// comment); only a miss or a torn read takes the shard mutex. Callers count
-// their visits and publish the count with addLookups.
+// evicts the window's oldest entry (bounded memory, approximate LRU). Below
+// the ceiling the hit path is lock-free and read-only (see the package
+// comment); a miss, and every probe of a ceiling table, takes the shard
+// mutex. Callers count their visits and publish the count with addLookups.
 func (st *dedupStore) visit(fp sched.Fingerprint) bool {
 	sh := &st.shards[fp.Hi&st.mask]
 	t := sh.table.Load()
-	home := fp.Lo
-	for i := uint64(0); i < t.span; i++ {
-		s := &t.slots[(home+i)&t.mask]
-		st1 := s.stamp.Load()
-		if st1 == 0 {
-			// Empty (fp is absent: nothing lies beyond a window's first empty
-			// slot) or mid-write; either way the slow path decides under the lock.
-			break
-		}
-		if s.lo.Load() == fp.Lo && s.hi.Load() == fp.Hi {
-			if s.stamp.Load() != st1 {
-				break // torn read: a writer moved the slot; resolve under the lock
+	if !t.atCeiling {
+		for i := uint64(0); i < t.span; i++ {
+			s := &t.slots[(fp.Lo+i)&t.mask]
+			hi := s.hi.Load()
+			if hi == 0 {
+				// Empty (fp is absent: nothing lies beyond a window's first
+				// empty slot), mid-write, or a Hi of 0: the mutex decides.
+				break
 			}
-			if t.atCeiling {
-				// Best-effort LRU refresh: keep hot states resident. A failed
-				// CAS means a writer (or another hit) already restamped the slot.
-				s.stamp.CompareAndSwap(st1, sh.stamp.Add(1))
+			if hi == fp.Hi && s.lo.Load() == fp.Lo {
+				return true
 			}
-			return true
 		}
 	}
-	return sh.visitSlow(fp)
+	return sh.visitLocked(fp)
 }
 
-// visitSlow is the write path: under the shard mutex it re-probes the
-// current table (the fingerprint may have been inserted, or the table
-// replaced, since the lock-free miss), grows the table while the window is
-// full and the shard is below its ceiling, and inserts into a free slot or
-// over the window's oldest entry. It reports a hit exactly like the fast
-// path would.
-func (sh *dedupShard) visitSlow(fp sched.Fingerprint) bool {
+// visitLocked is the write path and the ceiling table's only probe: under
+// the shard mutex it probes the current table (the fingerprint may have been
+// inserted, or the table replaced, since a lock-free miss) and inserts on a
+// miss. A hit in a ceiling table restamps its entry. The mutex is released
+// by hand, not deferred: at the ceiling every hit comes through here.
+func (sh *dedupShard) visitLocked(fp sched.Fingerprint) bool {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	if fp == (sched.Fingerprint{}) {
+		visited := sh.zero
+		if !visited {
+			sh.zero = true
+			sh.occ.Add(1)
+			sh.inserts.Add(1)
+		}
+		sh.mu.Unlock()
+		return visited
+	}
 	t := sh.table.Load()
-	match, free, victim := t.window(fp.Lo, fp.Hi)
+	match, free := t.window(fp.Lo, fp.Hi)
 	if match >= 0 {
 		if t.atCeiling {
-			t.slots[match].stamp.Store(sh.stamp.Add(1)) // refresh: hot states stay resident
+			sh.clock++
+			t.stamps[match] = sh.clock // refresh: hot states stay resident
 		}
+		sh.mu.Unlock()
 		return true
 	}
-	// A rehash never adds fp, so after growing only free and victim change.
-	for free < 0 && len(t.slots) < sh.ceiling {
+	sh.insert(t, free, fp.Lo, fp.Hi)
+	sh.mu.Unlock()
+	return false
+}
+
+// insert adds the fingerprint {lo, hi}, which t's window lacks, at free, the
+// window's first empty slot. While the window is full (free < 0) and the
+// shard is below its ceiling it grows the table; at the ceiling it
+// overwrites the window's oldest entry. Called under the shard mutex.
+func (sh *dedupShard) insert(t *dedupTable, free int, lo, hi uint64) {
+	// A rehash never adds the fingerprint, so after growing only free changes.
+	for free < 0 && !t.atCeiling {
 		t = sh.grow(t)
-		_, free, victim = t.window(fp.Lo, fp.Hi)
+		_, free = t.window(lo, hi)
 	}
-	slot := free
-	if slot < 0 {
-		slot = victim
+	if free < 0 {
+		free = t.oldest(lo)
 		sh.evicted.Add(1)
 	} else {
 		sh.occ.Add(1)
 	}
 	sh.inserts.Add(1)
-	t.put(slot, fp.Lo, fp.Hi, sh.stamp.Add(1))
-	return false
+	sh.put(t, free, lo, hi)
 }
 
-// window scans the probe window of the fingerprint {lo, hi}: match is the
-// slot holding it (-1 if none), free the first empty slot (-1 if none) and,
-// for a full window, victim the slot with the oldest stamp. Callers hold the
-// shard mutex, so no slot is mid-write. The scan stops at the first empty
-// slot: an entry is always written to the first empty slot of its window
-// (or over a victim in a full one) and slots never empty out again, so no
-// entry lies beyond it.
-func (t *dedupTable) window(lo, hi uint64) (match, free, victim int) {
-	victim = -1
-	var victimStamp uint64
+// window scans the probe window of the fingerprint {lo, hi}, which is not
+// (0, 0): match is the slot holding it (-1 if none) and free the first
+// empty slot (-1 if none; the window is full). Callers hold the shard mutex,
+// so no slot is mid-write. The scan stops at the first empty slot: an entry
+// is always written to the first empty slot of its window (or over a victim
+// in a full one) and slots never empty out again, so no entry lies beyond
+// it. Like a lock-free probe it loads a slot's lo only when its hi decides
+// nothing alone.
+func (t *dedupTable) window(lo, hi uint64) (match, free int) {
 	for i := uint64(0); i < t.span; i++ {
 		idx := int((lo + i) & t.mask)
 		s := &t.slots[idx]
-		stamp := s.stamp.Load()
-		if stamp == 0 {
-			return -1, idx, -1
-		}
-		if s.lo.Load() == lo && s.hi.Load() == hi {
-			return idx, -1, -1
-		}
-		if victim < 0 || stamp < victimStamp {
-			victim, victimStamp = idx, stamp
+		switch shi := s.hi.Load(); {
+		case shi == hi && s.lo.Load() == lo:
+			return idx, -1
+		case shi == 0 && s.lo.Load() == 0:
+			return -1, idx
 		}
 	}
-	return -1, -1, victim
+	return -1, -1
 }
 
-// put writes an entry in seqlock order: empty the slot, fill the
-// fingerprint words, then publish the stamp. A concurrent probe either reads
-// stamp 0 or detects the restamp, and falls back to the locked path.
-func (t *dedupTable) put(idx int, lo, hi, stamp uint64) {
+// oldest is the slot of the oldest stamp in the full window homed at lo of
+// a ceiling table: the entry an insert there overwrites.
+func (t *dedupTable) oldest(lo uint64) int {
+	victim, stamp := -1, ^uint64(0)
+	for i := uint64(0); i < t.span; i++ {
+		if idx := int((lo + i) & t.mask); t.stamps[idx] < stamp {
+			victim, stamp = idx, t.stamps[idx]
+		}
+	}
+	return victim
+}
+
+// put writes {lo, hi} to slot idx of t, hi last, and stamps it from the
+// shard's clock if t is a ceiling table. Called under the shard mutex.
+func (sh *dedupShard) put(t *dedupTable, idx int, lo, hi uint64) {
 	s := &t.slots[idx]
-	s.stamp.Store(0)
 	s.lo.Store(lo)
 	s.hi.Store(hi)
-	s.stamp.Store(stamp)
+	if t.atCeiling {
+		sh.clock++
+		t.stamps[idx] = sh.clock
+	}
 }
 
 // grow replaces t, the shard's current table, with a rehashed copy twice its
@@ -361,39 +397,35 @@ func (t *dedupTable) put(idx int, lo, hi, stamp uint64) {
 func (sh *dedupShard) grow(t *dedupTable) *dedupTable {
 	for n := 2 * len(t.slots); ; n *= 2 {
 		next := newDedupTable(n, sh.ceiling)
-		if sh.rehash(next, t, next.atCeiling) {
+		if sh.rehash(next, t) {
 			sh.table.Store(next)
 			return next
 		}
 	}
 }
 
-// rehash copies old's entries, stamps included, into the unpublished table
-// next. An entry whose window in next is full makes it report false, unless
-// evict is set (next is at the ceiling): then the older of the entry and the
-// window's oldest is dropped and counted as an eviction, as an insert at the
-// ceiling would.
-func (sh *dedupShard) rehash(next, old *dedupTable, evict bool) bool {
+// rehash copies old's entries into the unpublished table next, in slot
+// order. An entry whose window in next is full makes it report false, unless
+// next is a ceiling table: there each copy is stamped as it lands, so the
+// entry is the newest of its window, and the window's oldest is dropped in
+// its place and counted as an eviction, as an insert at the ceiling would.
+func (sh *dedupShard) rehash(next, old *dedupTable) bool {
 	for i := range old.slots {
 		s := &old.slots[i]
-		stamp := s.stamp.Load()
-		if stamp == 0 {
+		lo, hi := s.lo.Load(), s.hi.Load()
+		if lo|hi == 0 {
 			continue
 		}
-		lo, hi := s.lo.Load(), s.hi.Load()
-		_, free, victim := next.window(lo, hi)
+		_, free := next.window(lo, hi)
 		if free < 0 {
-			if !evict {
+			if !next.atCeiling {
 				return false
 			}
 			sh.evicted.Add(1)
 			sh.occ.Add(-1)
-			if next.slots[victim].stamp.Load() > stamp {
-				continue // the entry itself is the window's oldest
-			}
-			free = victim
+			free = next.oldest(lo)
 		}
-		next.put(free, lo, hi, stamp)
+		sh.put(next, free, lo, hi)
 	}
 	return true
 }
@@ -426,7 +458,8 @@ type DedupStats struct {
 	// Shards, Capacity, Slots and Occupied describe the store: lock
 	// stripes, the entry slots the store may grow to (the ceiling set by
 	// DedupMem or CoverageMem), the slots its tables hold now (each costs
-	// dedupEntryBytes, 24 B, resident or not) and the slots in use.
+	// 16 B below its shard's ceiling and 24 B, with its LRU stamp, in a
+	// ceiling table, resident or not) and the resident states.
 	Shards   int
 	Capacity int
 	Slots    int
@@ -434,7 +467,8 @@ type DedupStats struct {
 }
 
 // String renders the store counters compactly; slots is the live table
-// size, so slots×24 B / occupied is what each resident state costs.
+// size, so slots × 16 B / occupied is what each resident state costs in a
+// store below its ceiling (24 B a slot once a shard reaches it).
 func (d DedupStats) String() string {
 	return fmt.Sprintf("states=%d hits=%d cut=%d evictions=%d occupied=%d/%d slots=%d shards=%d",
 		d.States, d.Hits, d.CutAlternatives, d.Evictions, d.Occupied, d.Capacity, d.Slots, d.Shards)

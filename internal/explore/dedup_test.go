@@ -3,6 +3,8 @@ package explore
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -101,11 +103,13 @@ func TestDedupStoreVisit(t *testing.T) {
 	}
 }
 
-// tableBytes is the memory the store's shard tables currently occupy.
+// tableBytes is the memory the store's shard tables currently occupy: 16 B
+// a slot, and 8 B more for each stamp of a ceiling table.
 func tableBytes(st *dedupStore) int {
 	n := 0
 	for i := range st.shards {
-		n += len(st.shards[i].table.Load().slots) * dedupEntryBytes
+		t := st.shards[i].table.Load()
+		n += len(t.slots)*dedupSlotBytes + len(t.stamps)*8
 	}
 	return n
 }
@@ -158,16 +162,18 @@ func TestDedupStoreEviction(t *testing.T) {
 		{dedupMinSlots, dedupMinSlots},
 	} {
 		sh := &newDedupStore(1, 1).shards[0]
-		old := newDedupTable(2*dedupProbeWindow, 2*dedupProbeWindow)
+		// A grown table is below its ceiling, so it holds no stamps; the
+		// rehash stamps entry i, copied i-th, with i+1.
+		old := newDedupTable(2*dedupProbeWindow, 2*dedupProbeWindow+1)
 		for i := 0; i < homed; i++ {
-			old.put(i, 0, uint64(i), uint64(i+1)) // stamps 1..homed
+			sh.put(old, i, 0, uint64(i+1))
 			sh.occ.Add(1)
 		}
-		if sh.rehash(newDedupTable(tc.slots, tc.slots+1), old, false) {
+		if sh.rehash(newDedupTable(tc.slots, tc.slots+1), old) {
 			t.Fatalf("overflowing rehash into %d slots below the ceiling succeeded", tc.slots)
 		}
 		next := newDedupTable(tc.slots, tc.slots)
-		if !sh.rehash(next, old, true) {
+		if !sh.rehash(next, old) {
 			t.Fatalf("rehash into %d slots at the ceiling failed", tc.slots)
 		}
 		dropped := int64(homed - tc.kept)
@@ -176,7 +182,7 @@ func TestDedupStoreEviction(t *testing.T) {
 				tc.slots, sh.evicted.Load(), sh.occ.Load(), dropped, tc.kept)
 		}
 		for i := 0; i < tc.kept; i++ {
-			if s := next.slots[i].stamp.Load(); s <= uint64(dropped) {
+			if s := next.stamps[i]; s <= uint64(dropped) {
 				t.Fatalf("rehash into %d slots: slot %d kept stamp %d, one of the %d oldest", tc.slots, i, s, dropped)
 			}
 		}
@@ -203,8 +209,8 @@ func TestDedupStoreGrowthLoad(t *testing.T) {
 	if d.States != states || d.Occupied != states || d.Evictions != 0 {
 		t.Fatalf("store contents wrong: %+v", d)
 	}
-	if d.Slots != tableBytes(st)/dedupEntryBytes {
-		t.Fatalf("Slots = %d, tables hold %d", d.Slots, tableBytes(st)/dedupEntryBytes)
+	if d.Slots != tableBytes(st)/dedupSlotBytes {
+		t.Fatalf("Slots = %d, tables hold %d", d.Slots, tableBytes(st)/dedupSlotBytes)
 	}
 	slots := 0
 	for _, sh := range st.shardStats() {
@@ -218,7 +224,7 @@ func TestDedupStoreGrowthLoad(t *testing.T) {
 			float64(states)/float64(d.Slots), maxSlots)
 	}
 	t.Logf("%d states in %d slots: load %.2f, %.1f B per state", states, d.Slots,
-		float64(states)/float64(d.Slots), float64(d.Slots*dedupEntryBytes)/states)
+		float64(states)/float64(d.Slots), float64(tableBytes(st))/states)
 }
 
 // TestDedupDefaultCeiling pins the default store's ceiling: 64 shards whose
@@ -254,13 +260,68 @@ func BenchmarkDedupVisitAtCeiling(b *testing.B) {
 	}
 }
 
+// BenchmarkDedupVisitAtCeilingHit times the hit at a ceiling: the store of
+// BenchmarkDedupVisitAtCeiling is filled to its ceiling, and then two
+// goroutines revisit its resident fingerprints, each from its own half of
+// them, so every visit probes a ceiling table under its shard's mutex,
+// restamps the entry and hits. shard-order visits them as the shards hold
+// them, so a goroutine stays on one shard for hundreds of visits; shuffled
+// visits them in a fixed random order, each visit on a random shard. It
+// reports ns per visit of one goroutine.
+func BenchmarkDedupVisitAtCeilingHit(b *testing.B) {
+	st := newDedupStore(1<<20, 0)
+	for i := uint64(0); !shardsGrownTo(st, st.shards[0].ceiling); i++ {
+		var h sched.FP
+		h.Word(i)
+		st.visit(h.Sum())
+	}
+	var resident []sched.Fingerprint
+	for i := range st.shards {
+		t := st.shards[i].table.Load()
+		for j := range t.slots {
+			s := &t.slots[j]
+			if fp := (sched.Fingerprint{Lo: s.lo.Load(), Hi: s.hi.Load()}); fp != (sched.Fingerprint{}) {
+				resident = append(resident, fp)
+			}
+		}
+	}
+	hits := func(order []sched.Fingerprint) func(b *testing.B) {
+		return func(b *testing.B) {
+			const goroutines = 2
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(off int) {
+					defer wg.Done()
+					for n := 0; n < b.N; n++ {
+						if !st.visit(order[(off+n)%len(order)]) {
+							b.Error("resident fingerprint reported fresh")
+							return
+						}
+					}
+				}(g * len(order) / goroutines)
+			}
+			wg.Wait()
+		}
+	}
+	b.Run("shard-order", hits(resident))
+	shuffled := slices.Clone(resident)
+	rand.New(rand.NewPCG(1, 2)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	b.Run("shuffled", hits(shuffled))
+}
+
 // TestDedupStoreExactlyOneInserter: the store's core guarantee under the
 // lock-free read path — for every resident fingerprint, exactly one
 // concurrent visitor is told "not visited" — while racing workers double
 // every shard's table several times. A second store is small enough that the
 // shards then reach their ceiling and evict: an evicted fingerprint may be
 // inserted again, so there every fingerprint is inserted at least once and
-// the inserts add up to States.
+// the inserts add up to States. The fingerprint set starts with edgeFPs:
+// (0, 0), held in a shard flag that is never evicted, so inserted exactly
+// once in both stores, and fingerprints whose Hi is 0, which only the
+// locked path can match.
 func TestDedupStoreExactlyOneInserter(t *testing.T) {
 	const workers = 8
 	for _, tc := range []struct {
@@ -286,9 +347,7 @@ func TestDedupStoreExactlyOneInserter(t *testing.T) {
 						// Each worker walks the fingerprints in a different order so
 						// first-visit races land on different fps across workers.
 						j := (i*(2*seed+1) + seed) % fps
-						var h sched.FP
-						h.Word(uint64(j))
-						if !probes.visit(h.Sum()) {
+						if !probes.visit(edgeFP(j)) {
 							fresh[j].Add(1)
 						}
 					}
@@ -298,16 +357,20 @@ func TestDedupStoreExactlyOneInserter(t *testing.T) {
 			inserted := int64(0)
 			for i := range fresh {
 				got := fresh[i].Load()
-				if got < 1 || (!tc.evict && got != 1) {
+				if got < 1 || ((!tc.evict || i == 0) && got != 1) {
 					t.Fatalf("fingerprint %d inserted %d times", i, got)
 				}
 				inserted += got
+			}
+			if !st.visit(edgeFP(0)) {
+				t.Fatal("(0, 0) not resident after the race")
 			}
 			d := st.snapshot()
 			if d.Lookups != int64(workers*fps) || d.Hits+d.States != d.Lookups || inserted != d.States {
 				t.Fatalf("counter accounting broken (%d inserts seen): %+v", inserted, d)
 			}
-			if int64(d.Occupied) != d.States-d.Evictions || d.Occupied > d.Capacity {
+			// One resident state, (0, 0), occupies a flag rather than a slot.
+			if int64(d.Occupied) != d.States-d.Evictions || d.Occupied-1 > d.Capacity {
 				t.Fatalf("occupancy does not reconcile: %+v", d)
 			}
 			if !shardsGrownTo(st, 8*dedupInitialSlots) {
@@ -321,6 +384,73 @@ func TestDedupStoreExactlyOneInserter(t *testing.T) {
 			}
 		})
 	}
+}
+
+// edgeFP is the j-th fingerprint of a test set whose first members are the
+// ones the slot format treats specially: j = 0 is (0, 0), the one
+// fingerprint no slot can hold, and j = 1..4 have Hi == 0, so a lock-free
+// probe never matches them, and all home at slot 0 of shard 0. The rest are
+// FP sums.
+func edgeFP(j int) sched.Fingerprint {
+	if j <= 4 {
+		return sched.Fingerprint{Lo: uint64(j) << 40}
+	}
+	var h sched.FP
+	h.Word(uint64(j))
+	return h.Sum()
+}
+
+// TestDedupEdgeFingerprints: (0, 0) and Hi == 0 fingerprints round-trip — a
+// miss, then a hit — in a store below its ceiling, in the minimum store,
+// whose only table is at its ceiling from the start, and in that store after
+// 10,000 fresh inserts have evicted every slot's entry many times over, where
+// only (0, 0), which lives in a flag, is still resident. A fingerprint with
+// Lo == 0 but a nonzero Hi rides along: it homes at slot 0 like the others.
+func TestDedupEdgeFingerprints(t *testing.T) {
+	edges := []sched.Fingerprint{edgeFP(0), edgeFP(1), edgeFP(2), edgeFP(3), edgeFP(4), {Hi: 1}}
+	roundTrip := func(name string, st *dedupStore, fps []sched.Fingerprint) {
+		t.Helper()
+		for _, fp := range fps {
+			if st.visit(fp) {
+				t.Fatalf("%s: fresh %+v reported visited", name, fp)
+			}
+			if !st.visit(fp) {
+				t.Fatalf("%s: resident %+v reported fresh", name, fp)
+			}
+		}
+		for _, fp := range fps {
+			if !st.visit(fp) {
+				t.Fatalf("%s: %+v lost", name, fp)
+			}
+		}
+		d := st.snapshot()
+		if int64(d.Occupied) != d.States-d.Evictions {
+			t.Fatalf("%s: occupancy does not reconcile: %+v", name, d)
+		}
+	}
+	below := newDedupStore(0, 0)
+	roundTrip("below the ceiling", below, edges)
+	if below.shards[0].table.Load().atCeiling || below.snapshot().States != int64(len(edges)) {
+		t.Fatalf("below the ceiling: %+v", below.snapshot())
+	}
+
+	minimum := newDedupStore(1, 1)
+	if !minimum.shards[0].table.Load().atCeiling {
+		t.Fatal("the minimum store's table is below its ceiling")
+	}
+	roundTrip("at the ceiling", minimum, edges)
+	for i := uint64(0); i < 10000; i++ {
+		var h sched.FP
+		h.Word(i)
+		minimum.visit(h.Sum())
+	}
+	if d := minimum.snapshot(); d.Occupied != d.Capacity+1 {
+		t.Fatalf("a full minimum store holding (0, 0): occupancy %d, want %d", d.Occupied, d.Capacity+1)
+	}
+	if !minimum.visit(edges[0]) {
+		t.Fatal("(0, 0) evicted")
+	}
+	roundTrip("at the ceiling, after eviction", minimum, edges[1:])
 }
 
 // TestDedupStoreConcurrentHammer drives concurrent lock-free probes against

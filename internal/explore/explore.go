@@ -86,10 +86,11 @@ type Config struct {
 	Dedup bool
 	// DedupMem is the visited-state store's memory budget in bytes (0 =
 	// DefaultDedupMem). It is not allocated up front: the store starts small
-	// and grows on demand. Each shard's ceiling is its share of the budget
-	// rounded down to a power of two of 24-byte slots (at least 16 slots),
-	// so the store may stop short of the budget: the default tops out at
-	// 48 MiB. A shard at its ceiling evicts old states as soon as one probe
+	// and grows on demand, 16 bytes a slot. Each shard's ceiling is its
+	// share of the budget rounded down to a power of two of 24-byte slots
+	// (at least 16 slots): a table at the ceiling, the one that evicts,
+	// keeps an 8-byte LRU stamp beside each slot. So the store may stop
+	// short of the budget: the default tops out at 48 MiB. A shard at its ceiling evicts old states as soon as one probe
 	// window fills, before every slot is used; eviction costs reduction,
 	// never soundness.
 	DedupMem int

@@ -30,8 +30,9 @@ type VisitedStore struct {
 // NewVisitedStore builds a store whose memory ceiling is memBytes (0 =
 // DefaultDedupMem) across shards lock stripes (0 = DefaultDedupShards,
 // rounded up to a power of two). The ceiling is not allocated up front: the
-// store starts at a few KiB per shard and grows on demand, evicting only
-// once a shard reaches its share of the ceiling.
+// store starts at 1 KiB per shard, 16 B a slot, and grows on demand,
+// evicting only once a shard reaches its share of the ceiling, counted in
+// 24 B slots: the table there keeps an LRU stamp beside each slot.
 func NewVisitedStore(memBytes, shards int) *VisitedStore {
 	return &VisitedStore{st: newDedupStore(memBytes, shards)}
 }
@@ -47,9 +48,9 @@ func (v *VisitedStore) Reachable() func() bool {
 
 // Visit reports whether fp was already resident, inserting it if not.
 // Exactly one caller ever gets "false" for a given resident fingerprint. A
-// hit writes no shared memory, so Visit does not count itself: callers that
-// want Stats.Lookups and Stats.Hits count their visits and publish them with
-// AddLookups.
+// hit below the shard's ceiling takes no lock and writes no shared memory,
+// so Visit does not count itself: callers that want Stats.Lookups and
+// Stats.Hits count their visits and publish them with AddLookups.
 func (v *VisitedStore) Visit(fp sched.Fingerprint) bool {
 	return v.st.visit(fp)
 }

@@ -96,3 +96,21 @@ func (m *Memo) End(h *FP) {
 	h.Word(m.sub.a)
 	h.Word(m.sub.b)
 }
+
+// ObserveMemo is Observe for a read that returns all of an object's state at
+// once (a whole-snapshot scan): it folds o's memoized digest, the pair End
+// folds, into the calling process's observation digest, in place of one
+// Observe per cell. o is the object and m the memo its Fingerprint folds
+// through. A stale memo is refolded here, so the object's next Fingerprint
+// hits it. ObserveMemo reports false, and folds nothing, when m is off: the
+// caller then observes cell by cell. Call it only while Env.Observing
+// reports true. Two states fold equal words here exactly when their
+// per-cell observations are equal (up to a 128-bit collision of the
+// sub-digest), so which states a visited store merges does not change.
+func ObserveMemo(e *Env, m *Memo, o Fingerprinter) bool {
+	if m.off {
+		return false
+	}
+	o.Fingerprint(&e.s.obs[e.id])
+	return true
+}

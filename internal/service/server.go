@@ -115,21 +115,21 @@ func (s *Server) Submit(req Request, client string) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
+	// Enqueue and register in one critical section: push never blocks, and
+	// a job the queue bounces is never seen by GET /jobs or a concurrent
+	// Submit.
 	s.mu.Lock()
 	s.nextID++
 	id := fmt.Sprintf("job-%d", s.nextID)
 	js := newJobState(id, client, j)
-	s.jobs[id] = js
-	s.order = append(s.order, id)
-	s.mu.Unlock()
 	if err := s.queue.push(js); err != nil {
-		s.mu.Lock()
-		delete(s.jobs, id)
-		s.order = s.order[:len(s.order)-1]
 		s.mu.Unlock()
 		js.cancel()
 		return JobStatus{}, err
 	}
+	s.jobs[id] = js
+	s.order = append(s.order, id)
+	s.mu.Unlock()
 	return js.snapshot(), nil
 }
 

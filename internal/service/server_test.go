@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -331,4 +333,68 @@ func TestServiceSmokeQueueFull(t *testing.T) {
 	postJSON(t, ts.URL+"/jobs/"+running.ID+"/cancel", "")
 	pollDone(t, ts.URL, running.ID)
 	pollDone(t, ts.URL, queued.ID)
+}
+
+// TestSubmitConcurrentQueueFull: concurrent submissions against two busy
+// runners and a two-slot queue, so that accepted and bounced submissions
+// interleave. GET /jobs lists every accepted id exactly once and no
+// bounced one: a rejection must not unregister a job accepted after it.
+func TestSubmitConcurrentQueueFull(t *testing.T) {
+	srv := NewServer(ServerConfig{Runners: 2, QueueCap: 2})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const submitters, each = 8, 500
+	quick := `{"spec": "registers", "engine": {"mode": "sample", "workers": 1, "samples": 20}, "seed": %d}`
+	var mu sync.Mutex
+	accepted := map[string]bool{}
+	rejected := 0
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				var req Request
+				if err := json.Unmarshal(fmt.Appendf(nil, quick, g*each+i+1), &req); err != nil {
+					t.Error(err)
+					return
+				}
+				st, err := srv.Submit(req, "c")
+				mu.Lock()
+				switch {
+				case err == nil:
+					accepted[st.ID] = true
+				case errors.Is(err, ErrQueueFull):
+					rejected++
+				default:
+					t.Errorf("submit: %v", err)
+				}
+				mu.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if len(accepted) == 0 || rejected == 0 {
+		t.Fatalf("no interleaving to check: %d accepted, %d rejected", len(accepted), rejected)
+	}
+	var jobs []JobStatus
+	getJSON(t, ts.URL+"/jobs", &jobs)
+	listed := map[string]bool{}
+	for _, j := range jobs {
+		if !accepted[j.ID] {
+			t.Errorf("GET /jobs lists %s, which was not accepted", j.ID)
+		}
+		if listed[j.ID] {
+			t.Errorf("GET /jobs lists %s twice", j.ID)
+		}
+		listed[j.ID] = true
+	}
+	for id := range accepted {
+		if !listed[id] {
+			t.Errorf("accepted job %s missing from GET /jobs", id)
+		}
+	}
+	t.Logf("%d accepted, %d rejected", len(accepted), rejected)
 }

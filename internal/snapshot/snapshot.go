@@ -71,9 +71,7 @@ func (s *Primitive[T]) Update(e *sched.Env, i int, v T) {
 func (s *Primitive[T]) Scan(e *sched.Env) []T {
 	e.StepL(s.scanL)
 	if e.Observing() {
-		for i := range s.cells {
-			sched.Observe(e, &s.cells[i])
-		}
+		s.observe(e)
 	}
 	out := make([]T, len(s.cells))
 	copy(out, s.cells)
@@ -89,11 +87,21 @@ func (s *Primitive[T]) Scan(e *sched.Env) []T {
 func (s *Primitive[T]) ScanView(e *sched.Env) []T {
 	e.StepL(s.scanL)
 	if e.Observing() {
+		s.observe(e)
+	}
+	return s.cells
+}
+
+// observe records a whole-array read in the caller's observation digest:
+// the memoized digest of the cells (sched.ObserveMemo), or each cell when
+// the memo is off. Callers check Env.Observing first, so an unobserved scan
+// pays no call.
+func (s *Primitive[T]) observe(e *sched.Env) {
+	if !sched.ObserveMemo(e, &s.memo, s) {
 		for i := range s.cells {
 			sched.Observe(e, &s.cells[i])
 		}
 	}
-	return s.cells
 }
 
 // Reset clears every component to the zero value, returning the object to
