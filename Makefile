@@ -77,7 +77,9 @@ fuzz-grid:
 # Race shake of the concurrent paths: the visited store's lock-free probes
 # (hits below a shard's ceiling write no shared memory; ceiling tables are
 # probed under the shard mutex), the scheduler's in-place adversary
-# consultations and process-to-process token handoffs, the engine core's
+# consultations and process-to-process token handoffs, the label table's
+# lock-free reads of facts published while other labels are interned
+# (independence judgments and orbit control points), the engine core's
 # worker pool under both engines (the engine-contract tables: cancellation,
 # progress, leases, panic re-raise, goroutine leaks; and the sampler's whole
 # suite), and the daemon's Submit under concurrent submissions to a full
@@ -88,7 +90,7 @@ fuzz-grid:
 # goldens, which `make test` runs in full; at six race runs they would take
 # most of an hour.
 store-race: build
-	$(GO) test -race -short -count=2 -cpu 1,2,4 -run 'Dedup|Visited|Equivalence|AdversaryPanic|Sticky|Context|ProgressReleasesStore|RuntimeSourceLeases|CheckerPanic|JobsLeak' ./internal/explore ./internal/sched
+	$(GO) test -race -short -count=2 -cpu 1,2,4 -run 'Dedup|Visited|Equivalence|AdversaryPanic|Sticky|Context|ProgressReleasesStore|RuntimeSourceLeases|CheckerPanic|JobsLeak|LabelFactsConcurrentIntern' ./internal/explore ./internal/sched
 	$(GO) test -race -short -count=2 -cpu 1,2,4 ./internal/explore/sample
 	$(GO) test -race -short -count=2 -cpu 1,2,4 -run 'SubmitConcurrent' ./internal/service
 

@@ -377,18 +377,12 @@ func printList(out io.Writer) {
 	all := spec.All()
 	fmt.Fprintf(out, "registered specs (%d):\n", len(all))
 	for _, s := range all {
-		caps := make([]string, 0, 3)
-		if s.SupportsPrune() {
-			caps = append(caps, "prune")
-		}
+		caps := []string{"prune"}
 		if s.SupportsDedup() {
 			caps = append(caps, "dedup")
 		}
 		if s.SupportsSymmetry() {
 			caps = append(caps, "symmetry")
-		}
-		if len(caps) == 0 {
-			caps = append(caps, "none")
 		}
 		fmt.Fprintf(out, "\n%s — %s\n", s.Name(), s.Doc())
 		fmt.Fprintf(out, "  supports: %s\n", strings.Join(caps, ", "))
@@ -561,7 +555,7 @@ func printSampled(out io.Writer, j *service.Job, stats sample.Stats) {
 		}
 		k := j.Params[spec.ParamSteps]
 		if k <= 0 {
-			k = sample.DefaultMaxSteps
+			k = explore.DefaultMaxSteps
 		}
 		fmt.Fprintf(out, "%-40s per-run depth-%d bug bound >= %.3g (n=%d, k=%d; observed depth %d — tighten -steps toward it to sharpen placement and bound)\n",
 			"  (pct)", d, stats.PCTBound, stats.Procs, k, stats.MaxDepth)

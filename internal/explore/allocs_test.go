@@ -107,3 +107,20 @@ func (c *countingAdversary) Next(v *sched.View) sched.Decision {
 	c.consulted++
 	return c.scripted.Next(v)
 }
+
+// TestLabelsIndependentAllocs: the independence check reads the facts the
+// intern table recorded, so it allocates nothing, also on labels interned
+// after earlier checks ran, each checked here for the first time.
+func TestLabelsIndependentAllocs(t *testing.T) {
+	read := sched.Intern("indepallocs.read")
+	LabelsIndependent(read, sched.Intern("indepallocs.write"))
+	late := sched.InternIndexed("%s[%d].write", "indepallocs", 101)
+	i := 0
+	n := testing.AllocsPerRun(100, func() {
+		LabelsIndependent(late[i], read)
+		i++
+	})
+	if n != 0 {
+		t.Errorf("LabelsIndependent on late labels made %v allocs, want 0", n)
+	}
+}

@@ -162,8 +162,9 @@ const (
 	// 2,097,152 slots (48 MiB); a shard starts to evict once one probe
 	// window of its ceiling table is full, before every slot is.
 	DefaultDedupMem = 64 << 20
-	// DefaultDedupShards is the lock-stripe count when Config.DedupShards is
-	// zero. 64 shards keep write contention negligible for any sane worker
+	// DefaultDedupShards is the lock-stripe count of every store whose
+	// budget gives each of them dedupMinSlots ceiling slots (24 KiB or
+	// more). 64 shards keep write contention negligible for any sane worker
 	// count (reads below the ceiling never contend: probes are lock-free).
 	DefaultDedupShards = 64
 )
@@ -238,17 +239,23 @@ func ceilPow2(v int) int {
 }
 
 // newDedupStore bounds a store to memBytes across shards lock stripes.
-// shards is rounded up to a power of two; each shard's ceiling is the
-// largest power-of-two slot count fitting its share of the budget (minimum
-// dedupMinSlots). Shards start at dedupInitialSlots (or their ceiling, if
-// smaller) and grow on demand, so memBytes caps the store rather than being
-// allocated up front.
+// shards is rounded up to a power of two; shards <= 0 derives the count
+// from the budget: DefaultDedupShards, halved until each shard's share
+// holds dedupMinSlots ceiling slots or one shard is left, so every budget
+// of 24 KiB or more gets 64 shards and a 1-byte budget the one-shard
+// 16-slot store. Each shard's ceiling is the largest power-of-two slot
+// count fitting its share of the budget (minimum dedupMinSlots). Shards
+// start at dedupInitialSlots (or their ceiling, if smaller) and grow on
+// demand, so memBytes caps the store rather than being allocated up front.
 func newDedupStore(memBytes, shards int) *dedupStore {
 	if memBytes <= 0 {
 		memBytes = DefaultDedupMem
 	}
 	if shards <= 0 {
 		shards = DefaultDedupShards
+		for shards > 1 && memBytes/shards/dedupEntryBytes < dedupMinSlots {
+			shards /= 2
+		}
 	}
 	shards = ceilPow2(shards)
 	perShard := memBytes / shards / dedupEntryBytes
@@ -505,7 +512,7 @@ func (st *dedupStore) snapshot() DedupStats {
 }
 
 // ShardStats reports one lock stripe's counters (diagnostic surface for
-// tuning DedupShards/DedupMem). Probes are counted per store, not per
+// tuning DedupMem). Probes are counted per store, not per
 // shard, so a stripe reports inserts and residency only.
 type ShardStats struct {
 	Shard     int

@@ -238,6 +238,28 @@ func TestDedupDefaultCeiling(t *testing.T) {
 	}
 }
 
+// TestDedupDerivedShards pins the stripe count a budget derives: every
+// budget that gives 64 shards dedupMinSlots ceiling slots each (24 KiB) or
+// more keeps DefaultDedupShards, a smaller one halves the count until each
+// shard's share holds them, and a 1-byte budget is the one-shard store of
+// dedupMinSlots slots.
+func TestDedupDerivedShards(t *testing.T) {
+	full := DefaultDedupShards * dedupMinSlots * dedupEntryBytes
+	for _, tc := range []struct{ mem, shards, capacity int }{
+		{0, DefaultDedupShards, 2097152},
+		{1 << 20, DefaultDedupShards, 32768},
+		{full, DefaultDedupShards, DefaultDedupShards * dedupMinSlots},
+		{full - 1, DefaultDedupShards / 2, DefaultDedupShards / 2 * dedupMinSlots},
+		{dedupMinSlots * dedupEntryBytes, 1, dedupMinSlots},
+		{1, 1, dedupMinSlots},
+	} {
+		d := newDedupStore(tc.mem, 0).snapshot()
+		if d.Shards != tc.shards || d.Capacity != tc.capacity {
+			t.Errorf("budget %d: %d shards of %d slots in all, want %d of %d", tc.mem, d.Shards, d.Capacity, tc.shards, tc.capacity)
+		}
+	}
+}
+
 // BenchmarkDedupVisitAtCeiling times the evicting insert: a 1 MiB store
 // (64 shards of 512 slots) is filled to its ceiling, and then every visit
 // is a fresh fingerprint that scans a full probe window, under its shard's
@@ -814,7 +836,7 @@ func TestDedupEvictionSound(t *testing.T) {
 	}
 	got := make(map[string]bool)
 	st, err := ExploreSession(rmwCoverage(3, got)(), Config{
-		MaxCrashes: 1, Dedup: true, DedupMem: 1, DedupShards: 1, // 16 slots total
+		MaxCrashes: 1, Dedup: true, DedupMem: 1, // 16 slots total
 	})
 	if err != nil || !st.Exhausted {
 		t.Fatalf("%v (exhausted=%v)", err, st.Exhausted)

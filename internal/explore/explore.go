@@ -90,13 +90,12 @@ type Config struct {
 	// share of the budget rounded down to a power of two of 24-byte slots
 	// (at least 16 slots): a table at the ceiling, the one that evicts,
 	// keeps an 8-byte LRU stamp beside each slot. So the store may stop
-	// short of the budget: the default tops out at 48 MiB. A shard at its ceiling evicts old states as soon as one probe
-	// window fills, before every slot is used; eviction costs reduction,
-	// never soundness.
+	// short of the budget: the default tops out at 48 MiB. The budget also
+	// sets the store's lock-stripe count: DefaultDedupShards from 24 KiB up,
+	// fewer below, down to one shard of 16 slots for a budget of 1. A shard
+	// at its ceiling evicts old states as soon as one probe window fills,
+	// before every slot is used; eviction costs reduction, never soundness.
 	DedupMem int
-	// DedupShards is the store's lock-stripe count, rounded up to a power of
-	// two (0 = DefaultDedupShards).
-	DedupShards int
 	// Symmetry enables symmetry reduction on top of Dedup: the visited-state
 	// fingerprint is computed in orbit-canonical mode (per-process state in
 	// sorted digest lanes, values filtered through Session.Canon), so states
@@ -145,7 +144,7 @@ type RuntimeSource interface {
 // withDefaults normalizes the zero-valued fields.
 func (c Config) withDefaults() Config {
 	if c.MaxSteps <= 0 {
-		c.MaxSteps = defaultMaxSteps
+		c.MaxSteps = DefaultMaxSteps
 	}
 	if c.Workers <= 0 {
 		c.Workers = DefaultWorkers()
@@ -153,9 +152,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// defaultMaxSteps bounds each run when Config.MaxSteps (or a replay's
-// maxSteps) is unset.
-const defaultMaxSteps = 4096
+// DefaultMaxSteps bounds each run when Config.MaxSteps (or a replay's
+// maxSteps) is unset. The sampler uses it too, so sampled and exhaustive
+// runs of one spec see identical budgets: outcome-set containment depends
+// on it.
+const DefaultMaxSteps = 4096
 
 // WorkerStats reports one pool worker's share of a job: an exploration, or
 // a sampling run (whose runs are its samples).
@@ -841,7 +842,7 @@ func ExploreContext(ctx context.Context, newSession func() Session, cfg Config) 
 		if first.Fingerprint == nil {
 			return Stats{}, ErrNoFingerprint
 		}
-		store = newDedupStore(cfg.DedupMem, cfg.DedupShards)
+		store = newDedupStore(cfg.DedupMem, 0)
 		cfg.Progress.attach(store)
 		defer cfg.Progress.detach()
 	}

@@ -84,12 +84,9 @@ func TestDedupQuietReplayMatchesObserved(t *testing.T) {
 				crashes, p = []int{0}, spec.Params{spec.ParamSteps: 400}
 				base.MaxRuns = 300
 			}
-			modes := []explore.Config{base}
-			if s.SupportsPrune() {
-				c := base
-				c.Prune = true
-				modes = append(modes, c)
-			}
+			prune := base
+			prune.Prune = true
+			modes := []explore.Config{base, prune}
 			if s.SupportsSymmetry() {
 				c := base
 				c.Symmetry = true

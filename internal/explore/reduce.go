@@ -26,12 +26,11 @@
 //     granted code may consult the Leader/LeaderSet oracles, which observe
 //     the crash state.
 //
-// Labels arrive interned (sched.Label), and the object-name parsing behind
-// the independence judgment is done once per label: a Label-indexed side
-// table caches each label's object, cell base and read-only flag, with the
-// object names themselves interned back into the label table. The per-step
-// commuting check is therefore a handful of integer compares — no string
-// formatting, hashing or allocation on the replay path.
+// Labels arrive interned (sched.Label), and the intern table parsed each
+// label's object, cell base and read-only flag once, when the label was
+// interned (sched.ObjectOf). The per-step commuting check is therefore one
+// table read per label and a handful of integer compares — no string work,
+// no interning and no allocation on the replay path.
 //
 // Soundness caveat: the canonical run is equivalent to the pruned ones in
 // shared-object state and per-process outcomes, but harness bookkeeping done
@@ -43,9 +42,6 @@ package explore
 
 import (
 	"runtime"
-	"strings"
-	"sync"
-	"sync/atomic"
 
 	"mpcn/internal/sched"
 )
@@ -74,63 +70,6 @@ func (s *scripted) canonicallyLater(prev, c Choice) bool {
 	return !LabelsIndependent(c.Label, prev.Label)
 }
 
-// labelMeta is the cached independence-relevant structure of one label.
-type labelMeta struct {
-	// obj is the interned shared-object part of the label
-	// ("xsa.SM.scan" -> "xsa.SM", "mem[3].write" -> "mem[3]").
-	obj sched.Label
-	// base is the interned cell base when obj is an indexed cell
-	// ("mem[3]" -> "mem"), LabelNone otherwise.
-	base sched.Label
-	// readOnly marks operations known not to mutate their object.
-	readOnly bool
-}
-
-// metaTable is the Label-indexed cache of labelMeta. Lookups are lock-free
-// on an immutable snapshot; a miss (a label interned after the last snapshot)
-// extends the table under the mutex. sched.Label values are dense, so the
-// table is a plain slice.
-var metaTable struct {
-	mu sync.Mutex
-	p  atomic.Pointer[[]labelMeta]
-}
-
-func metaOf(l sched.Label) labelMeta {
-	if ms := metaTable.p.Load(); ms != nil && int(l) < len(*ms) {
-		return (*ms)[l]
-	}
-	metaTable.mu.Lock()
-	defer metaTable.mu.Unlock()
-	var old []labelMeta
-	if ms := metaTable.p.Load(); ms != nil {
-		old = *ms
-		if int(l) < len(old) {
-			return old[l]
-		}
-	}
-	// Extend to cover every label interned so far (at least l).
-	n := sched.NumLabels()
-	if n <= int(l) {
-		n = int(l) + 1
-	}
-	ms := make([]labelMeta, n)
-	copy(ms, old)
-	for i := len(old); i < n; i++ {
-		ms[i] = computeMeta(sched.Label(i).String())
-	}
-	metaTable.p.Store(&ms)
-	return ms[l]
-}
-
-func computeMeta(label string) labelMeta {
-	obj := labelObject(label)
-	m := labelMeta{obj: sched.Intern(obj), readOnly: labelReadOnly(label)}
-	if base, ok := cellBase(obj); ok {
-		m.base = sched.Intern(base)
-	}
-	return m
-}
-
 // LabelsIndependent is the independence predicate of Config.Prune:
 // two step labels commute when they address non-conflicting shared objects,
 // or when both are read-only operations on the same object. The object is
@@ -145,38 +84,10 @@ func LabelsIndependent(a, b sched.Label) bool {
 	if a == sched.LabelStart || b == sched.LabelStart {
 		return true
 	}
-	ma, mb := metaOf(a), metaOf(b)
-	conflict := ma.obj == mb.obj ||
-		(ma.base != sched.LabelNone && ma.base == mb.obj) ||
-		(mb.base != sched.LabelNone && mb.base == ma.obj)
-	if conflict {
-		return ma.readOnly && mb.readOnly
-	}
-	return true
-}
-
-// labelObject extracts the shared-object part of a step label.
-func labelObject(label string) string {
-	if i := strings.LastIndexByte(label, '.'); i >= 0 {
-		return label[:i]
-	}
-	return label
-}
-
-// cellBase strips a trailing index group: "mem[3]" -> ("mem", true).
-func cellBase(obj string) (string, bool) {
-	if !strings.HasSuffix(obj, "]") {
-		return "", false
-	}
-	i := strings.LastIndexByte(obj, '[')
-	if i < 0 {
-		return "", false
-	}
-	return obj[:i], true
-}
-
-// labelReadOnly reports whether a label names an operation known not to
-// mutate its object: register reads and (primitive) snapshot scans.
-func labelReadOnly(label string) bool {
-	return strings.HasSuffix(label, ".read") || strings.HasSuffix(label, ".scan")
+	objA, baseA, readA := sched.ObjectOf(a)
+	objB, baseB, readB := sched.ObjectOf(b)
+	conflict := objA == objB ||
+		(baseA != sched.ObjectNone && baseA == objB) ||
+		(baseB != sched.ObjectNone && baseB == objA)
+	return !conflict || readA && readB
 }

@@ -3,6 +3,7 @@ package explore
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"mpcn/internal/reg"
@@ -33,6 +34,88 @@ func TestLabelsIndependent(t *testing.T) {
 		}
 		if got := LabelsIndependent(b, a); got != tc.want {
 			t.Errorf("predicate must be symmetric: (%q, %q)", tc.b, tc.a)
+		}
+	}
+}
+
+// TestLabelFactsConcurrentIntern: goroutines intern fresh labels and
+// InternIndexed families while others judge independence and fold orbit
+// control points over them as soon as they are published. Each reader must
+// see the facts interning recorded: sibling cells commute, a cell write
+// conflicts with itself and with its object's whole-object scan, and two
+// processes parked on their own cells fold alike under a permutation. Run
+// under -race (make store-race).
+func TestLabelFactsConcurrentIntern(t *testing.T) {
+	const writers, readers, rounds = 4, 2, 100
+	type family struct {
+		scan  sched.Label
+		cells []sched.Label
+	}
+	fresh := make(chan family, writers*rounds)
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				name := fmt.Sprintf("facts%d.%d", w, r)
+				scan := sched.Intern(name + ".scan")
+				fresh <- family{scan, sched.InternIndexed("%s[%d].write", name, 2)}
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(fresh) }()
+	var rg sync.WaitGroup
+	for range readers {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			orb := sched.NewOrbitFP(2, nil)
+			sum := func(pending []sched.Label, steps []int) sched.Fingerprint {
+				orb.Reset()
+				orb.ControlPoints(&sched.View{Pending: pending, Crashed: make([]bool, 2), StepsOf: steps})
+				return orb.Sum()
+			}
+			for f := range fresh {
+				c0, c1 := f.cells[0], f.cells[1]
+				if !LabelsIndependent(c0, c1) || LabelsIndependent(c0, c0) || LabelsIndependent(c1, f.scan) {
+					t.Errorf("%v, %v, %v: wrong independence facts", c0, c1, f.scan)
+				}
+				if sum([]sched.Label{c0, c1}, []int{3, 5}) != sum([]sched.Label{c0, c1}, []int{5, 3}) {
+					t.Errorf("%v, %v: own-cell control points of swapped processes sum differently", c0, c1)
+				}
+			}
+		}()
+	}
+	rg.Wait()
+}
+
+// TestReductionsInternNothing: partial-order reduction and symmetry
+// reduction read the facts the intern table recorded, so a Prune walk and a
+// Symmetry walk leave the table as they found it. The harness's object names
+// are its own, so no other test has interned anything for them.
+func TestReductionsInternNothing(t *testing.T) {
+	cells := reg.NewArray[int]("internless", 2)
+	bodies := make([]sched.Proc, 2)
+	for i := range bodies {
+		bodies[i] = func(e *sched.Env) {
+			cells.Write(e, i, 1)
+			e.Decide(cells.Read(e, 1-i))
+		}
+	}
+	sess := Session{
+		Symmetric:   true,
+		Make:        func() []sched.Proc { cells.Reset(); return bodies },
+		Check:       func(*sched.Result) error { return nil },
+		Fingerprint: cells.Fingerprint,
+	}
+	for name, cfg := range map[string]Config{"prune": {Prune: true}, "symmetry": {Dedup: true, Symmetry: true}} {
+		n := sched.NumLabels()
+		if _, err := ExploreSession(sess, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := sched.NumLabels(); got != n {
+			t.Errorf("a %s walk interned %d labels", name, got-n)
 		}
 	}
 }

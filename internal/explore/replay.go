@@ -69,7 +69,7 @@ func (f *follower) Next(v *sched.View) sched.Decision {
 // records the run's whole Trace.
 func replay(sess Session, script []string, maxSteps int, loose bool) (*sched.Result, error) {
 	if maxSteps <= 0 {
-		maxSteps = defaultMaxSteps
+		maxSteps = DefaultMaxSteps
 	}
 	if sess.Close != nil {
 		defer sess.Close()

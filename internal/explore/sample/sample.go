@@ -52,11 +52,6 @@ import (
 	"mpcn/internal/sched"
 )
 
-// DefaultMaxSteps bounds sampled runs when Config.MaxSteps is zero — the
-// same default as the exhaustive explorer, so sampled and exhaustive runs of
-// one spec see identical budgets (outcome-set containment depends on it).
-const DefaultMaxSteps = 4096
-
 // Config bounds a sampling run.
 type Config struct {
 	// Samples is the number of runs to draw (required, > 0).
@@ -66,8 +61,9 @@ type Config struct {
 	Seed int64
 	// MaxCrashes bounds the crashes injected per run (0 = crash-free).
 	MaxCrashes int
-	// MaxSteps bounds each run (0 = DefaultMaxSteps); runs hitting it reach
-	// the checker with BudgetExhausted set, exactly as under exploration.
+	// MaxSteps bounds each run (0 = explore.DefaultMaxSteps); runs hitting
+	// it reach the checker with BudgetExhausted set, exactly as under
+	// exploration.
 	MaxSteps int
 	// Depth is the PCT depth d — d-1 priority-change points per run (0 =
 	// DefaultDepth). The walk strategy ignores it; swarm mixes up to it.
@@ -86,12 +82,9 @@ type Config struct {
 	Coverage bool
 	// CoverageMem is the estimator store's memory ceiling in bytes (0 =
 	// explore.DefaultDedupMem), grown into on demand rather than allocated
-	// up front; CoverageShards its lock stripes.
-	CoverageMem    int
-	CoverageShards int
-	// Checkpoints is the number of Stats.Series points recorded across the
-	// sample budget (0 = 8; < 0 disables the series).
-	Checkpoints int
+	// up front; it sets the store's lock stripes as explore.Config.DedupMem
+	// does.
+	CoverageMem int
 	// OnSample, when non-nil, receives every completed passing sample's
 	// index and decision script. With more than one worker it is called
 	// concurrently from the worker goroutines; callers synchronize.
@@ -111,13 +104,10 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.MaxSteps <= 0 {
-		c.MaxSteps = DefaultMaxSteps
+		c.MaxSteps = explore.DefaultMaxSteps
 	}
 	if c.Workers <= 0 {
 		c.Workers = explore.DefaultWorkers()
-	}
-	if c.Checkpoints == 0 {
-		c.Checkpoints = 8
 	}
 	return c
 }
@@ -147,8 +137,8 @@ type Stats struct {
 	Distinct int64
 	// Coverage holds the estimator store's full counters.
 	Coverage explore.DedupStats
-	// Series is the distinct-state growth curve at Config.Checkpoints
-	// checkpoints (nil unless Config.Coverage).
+	// Series is the distinct-state growth curve at seriesPoints checkpoints
+	// (nil unless Config.Coverage).
 	Series []CoveragePoint
 	// PCTBound is the classic PCT guarantee for this run set: a depth-d bug
 	// is caught per run with probability >= PCTBound = 1/(n * k^(d-1)), with
@@ -326,14 +316,15 @@ type checkpoints struct {
 	series []CoveragePoint
 }
 
+// seriesPoints is the number of Stats.Series points recorded across the
+// sample budget.
+const seriesPoints = 8
+
 func newCheckpoints(cfg Config, store *explore.VisitedStore) *checkpoints {
-	if store == nil || cfg.Checkpoints < 0 {
+	if store == nil {
 		return nil
 	}
-	every := cfg.Samples / cfg.Checkpoints
-	if every < 1 {
-		every = 1
-	}
+	every := max(cfg.Samples/seriesPoints, 1)
 	return &checkpoints{every: every, total: cfg.Samples, store: store}
 }
 
@@ -391,7 +382,7 @@ func RunContext(ctx context.Context, newSession func() explore.Session, strategy
 	start := time.Now()
 	var store *explore.VisitedStore
 	if cfg.Coverage {
-		store = newCoverageStore(cfg.CoverageMem, cfg.CoverageShards)
+		store = newCoverageStore(cfg.CoverageMem, 0)
 	}
 	cps := newCheckpoints(cfg, store)
 	sessions := make([]explore.Session, min(cfg.Workers, cfg.Samples))

@@ -360,11 +360,10 @@ func TestCoverageEstimator(t *testing.T) {
 	run := func() sample.Stats {
 		_, p, sess := session(t, "registers", nil)
 		st, err := runSeq(sess, sample.StrategyWalk, sample.Config{
-			Samples:     400,
-			Seed:        5,
-			MaxCrashes:  p[spec.ParamCrashes],
-			Coverage:    true,
-			Checkpoints: 4,
+			Samples:    400,
+			Seed:       5,
+			MaxCrashes: p[spec.ParamCrashes],
+			Coverage:   true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -323,7 +323,6 @@ func init() {
 			return MLSet(p["n"], p["l"])()
 		},
 		Dedup: true,
-		Prune: true,
 	})
 
 	spec.Register(spec.Decl{
@@ -336,7 +335,6 @@ func init() {
 			return RenamingSession(p["n"])()
 		},
 		Dedup: true,
-		Prune: true,
 	})
 
 	// The boosted-consensus rounds are adversarially unbounded (the oracle
@@ -362,7 +360,6 @@ func init() {
 			return BoostedConsensusDetector(p["n"], p["x"])()
 		},
 		Dedup:     false,
-		Prune:     true,
 		Unbounded: true,
 	})
 
@@ -383,7 +380,6 @@ func init() {
 			return HierarchyConsensus(hierarchyBases[p["base"]], p["n"])()
 		},
 		Dedup: true,
-		Prune: true,
 	})
 
 	spec.Register(spec.Decl{
@@ -397,6 +393,5 @@ func init() {
 			return UniversalCounter(p["n"], p["ops"])()
 		},
 		Dedup: true,
-		Prune: true,
 	})
 }

@@ -371,7 +371,6 @@ func init() {
 			return TestAndSetRace(p["n"])()
 		},
 		Dedup:    true,
-		Prune:    true,
 		Symmetry: true,
 	})
 
@@ -386,7 +385,6 @@ func init() {
 			return QueueConservation(p["n"], p["ops"])()
 		},
 		Dedup: true,
-		Prune: true,
 	})
 
 	spec.Register(spec.Decl{
@@ -400,7 +398,6 @@ func init() {
 			return StackConservation(p["n"], p["ops"])()
 		},
 		Dedup: true,
-		Prune: true,
 	})
 
 	spec.Register(spec.Decl{
@@ -414,7 +411,6 @@ func init() {
 			return CASCounter(p["n"], p["retries"])()
 		},
 		Dedup: true,
-		Prune: true,
 	})
 
 	spec.Register(spec.Decl{
@@ -434,7 +430,6 @@ func init() {
 			return XConsensusAgreement(p["n"], p["x"])()
 		},
 		Dedup: true,
-		Prune: true,
 	})
 
 	spec.Register(spec.Decl{
@@ -448,6 +443,5 @@ func init() {
 			return XCompeteSlots(p["n"], p["x"])()
 		},
 		Dedup: true,
-		Prune: true,
 	})
 }

@@ -25,7 +25,6 @@ func init() {
 			return SafeAgreement(p["n"], p["probes"], nil)()
 		},
 		Dedup: true,
-		Prune: true,
 	})
 
 	spec.Register(spec.Decl{
@@ -46,7 +45,6 @@ func init() {
 			return XSafe(p["n"], p["x"], p["probes"])()
 		},
 		Dedup: true,
-		Prune: true,
 	})
 
 	spec.Register(spec.Decl{
@@ -59,7 +57,6 @@ func init() {
 			return CommitAdopt(p["n"])()
 		},
 		Dedup: true,
-		Prune: true,
 		// Symmetric: identical bodies up to the proposal value (erased by the
 		// session's Canon), per-process shared state (phase cells, done flags)
 		// lane-routed, checker counts commits without naming processes.
@@ -100,7 +97,6 @@ func init() {
 			return mk()
 		},
 		Dedup:     false,
-		Prune:     true,
 		Unbounded: true,
 	})
 
@@ -117,7 +113,6 @@ func init() {
 			return Registers(p["n"], p["writes"], p["readers"], reg.Backend(p["backend"]))()
 		},
 		Dedup: true,
-		Prune: true,
 		// Symmetric: every writer runs the same body on its own array cell;
 		// written values are step counters, independent of process identity.
 		// The capability is declared for the whole domain, but sessions only
@@ -136,7 +131,6 @@ func init() {
 			return StoreBuffer(reg.Backend(p["backend"]))()
 		},
 		Dedup: true,
-		Prune: true,
 	})
 }
 

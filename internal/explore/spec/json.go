@@ -32,7 +32,7 @@ type CapabilityInfo struct {
 	// Dedup: New's sessions carry a Fingerprint (explore.Config.Dedup usable).
 	Dedup bool `json:"dedup"`
 	// Prune: the checker is order-insensitive on commuting operations
-	// (explore.Config.Prune sound).
+	// (explore.Config.Prune sound); true for every spec.
 	Prune bool `json:"prune"`
 	// Symmetry: sessions declare process-permutation symmetry
 	// (explore.Config.Symmetry sound; implies Dedup).
@@ -92,7 +92,7 @@ func Describe(s Spec) Info {
 		Params: params,
 		Capabilities: CapabilityInfo{
 			Dedup:     s.SupportsDedup(),
-			Prune:     s.SupportsPrune(),
+			Prune:     true,
 			Symmetry:  s.SupportsSymmetry(),
 			Unbounded: Unbounded(s),
 		},

@@ -39,7 +39,7 @@ func TestDescribe(t *testing.T) {
 	if info.Name != s.Name() || info.Doc != s.Doc() {
 		t.Fatalf("identity mismatch: %+v", info)
 	}
-	if !info.Capabilities.Dedup || info.Capabilities.Prune || !info.Capabilities.Symmetry || info.Capabilities.Unbounded {
+	if !info.Capabilities.Dedup || !info.Capabilities.Prune || !info.Capabilities.Symmetry || info.Capabilities.Unbounded {
 		t.Fatalf("capabilities mismatch: %+v", info.Capabilities)
 	}
 	if info.Sampling != (SamplingInfo{Budget: 500, Depth: 3}) {

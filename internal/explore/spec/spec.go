@@ -16,7 +16,7 @@
 //	                {Name: "n", Doc: "competing processes", Default: 3, Min: 1, Max: spec.NoMax},
 //	        },
 //	        New:   func(p spec.Params) explore.Session { ... },
-//	        Dedup: true, Prune: true,
+//	        Dedup: true,
 //	})
 //
 // Consumers look scenarios up by name (Lookup) or enumerate them (All),
@@ -199,10 +199,6 @@ func (s *Scenario) New(p Params) explore.Session { return s.d.New(p) }
 // whether explore.Config.Dedup is usable.
 func (s *Scenario) SupportsDedup() bool { return s.d.Dedup }
 
-// SupportsPrune reports whether the checker is insensitive to the order of
-// commuting operations, i.e. whether explore.Config.Prune is sound.
-func (s *Scenario) SupportsPrune() bool { return s.d.Prune }
-
 // SupportsSymmetry reports whether New's sessions declare process-
 // permutation symmetry (explore.Session.Symmetric), i.e. whether
 // explore.Config.Symmetry is sound. Implies SupportsDedup: symmetry
@@ -221,8 +217,9 @@ func Unbounded(s Spec) bool { return s.d.Unbounded }
 // Decl declares a Spec for Register. Name, Doc and New are required; Params
 // lists the object-level domains (the crashes/steps engine params are
 // appended automatically when absent); Validate adds cross-parameter
-// constraints (e.g. x <= n); Dedup/Prune are the capability flags surfaced
-// as SupportsDedup/SupportsPrune.
+// constraints (e.g. x <= n); Dedup is the capability flag surfaced as
+// SupportsDedup. Every spec supports explore.Config.Prune: its checker must
+// be insensitive to the order of commuting operations.
 type Decl struct {
 	Name     string
 	Doc      string
@@ -230,7 +227,6 @@ type Decl struct {
 	New      func(p Params) explore.Session
 	Validate func(p Params) error
 	Dedup    bool
-	Prune    bool
 	// Symmetry is the SupportsSymmetry capability flag: New's sessions
 	// declare explore.Session.Symmetric (bodies identical up to Canon-erased
 	// values, per-process state folded through FP.Lane, permutation-invariant
@@ -476,7 +472,6 @@ func Factory(s Spec, p Params) func() explore.Session {
 // Config folds the engine-level params of a resolved assignment into base
 // (crashes → MaxCrashes, steps → MaxSteps when non-zero) and enforces the
 // capability flags, the one capability check of every exhaustive job:
-// requesting Prune from a spec that does not declare it fails up front,
 // requesting Dedup from a spec without a fingerprint fails with
 // explore.ErrNoFingerprint tagged with the spec name, and requesting
 // Symmetry from a spec without the capability (or without Dedup alongside)
@@ -485,9 +480,6 @@ func Config(s Spec, p Params, base explore.Config) (explore.Config, error) {
 	base.MaxCrashes = p[ParamCrashes]
 	if v := p[ParamSteps]; v > 0 {
 		base.MaxSteps = v
-	}
-	if base.Prune && !s.SupportsPrune() {
-		return base, fmt.Errorf("spec %q does not support partial-order reduction", s.Name())
 	}
 	if base.Symmetry {
 		if !s.SupportsSymmetry() {

@@ -20,7 +20,6 @@ func testDecl(name string, mut func(*Decl)) Decl {
 		},
 		New:   func(p Params) explore.Session { return explore.Session{} },
 		Dedup: true,
-		Prune: true,
 	}
 	if mut != nil {
 		mut(&d)
@@ -53,7 +52,7 @@ func TestRegisterLookupAll(t *testing.T) {
 	if s.Name() != "zz-roundtrip" || s.Doc() != "test scenario" {
 		t.Fatalf("Name/Doc = %q/%q", s.Name(), s.Doc())
 	}
-	if !s.SupportsDedup() || !s.SupportsPrune() {
+	if !s.SupportsDedup() {
 		t.Fatal("capability flags lost in registration")
 	}
 

@@ -229,17 +229,13 @@ func cell(t *testing.T, s spec.Spec, p spec.Params, opt Options) {
 		samplerSoundness(t, s, p, opt, want)
 	}
 
-	var pruned map[string]bool // reused as the prune+dedup baseline below
-	if s.SupportsPrune() {
-		pruneCfg := base
-		pruneCfg.Prune = true
-		var st explore.Stats
-		pruned, st = coverage(t, s, p, pruneCfg)
-		if st.Runs > a.Runs {
-			t.Errorf("prune explored MORE runs: %d vs %d", st.Runs, a.Runs)
-		}
-		compareCoverage(t, "prune", want, pruned)
+	pruneCfg := base
+	pruneCfg.Prune = true
+	pruned, st := coverage(t, s, p, pruneCfg) // reused as the prune+dedup baseline below
+	if st.Runs > a.Runs {
+		t.Errorf("prune explored MORE runs: %d vs %d", st.Runs, a.Runs)
 	}
+	compareCoverage(t, "prune", want, pruned)
 
 	// Batched-grant outcome preservation: the checker-observable final-state
 	// set must be byte-identical with batching on and off.
@@ -263,7 +259,7 @@ func cell(t *testing.T, s spec.Spec, p spec.Params, opt Options) {
 		// 16 slots, the store evicts on every cell with more than 16 states,
 		// and the outcome set must not move.
 		evictCfg := dedupCfg
-		evictCfg.DedupMem, evictCfg.DedupShards = 1, 1
+		evictCfg.DedupMem = 1
 		evicted, est := coverage(t, s, p, evictCfg)
 		compareCoverage(t, "dedup under eviction", want, evicted)
 		if est.Dedup.States > 16 && est.Dedup.Evictions == 0 {
@@ -292,13 +288,11 @@ func cell(t *testing.T, s spec.Spec, p spec.Params, opt Options) {
 				d3.Runs, d3.Dedup.States, d3.Dedup.Hits, d3.Dedup.CutAlternatives)
 		}
 
-		if s.SupportsPrune() {
-			bothCfg := base
-			bothCfg.Prune = true
-			bothCfg.Dedup = true
-			gotP, _ := coverage(t, s, p, bothCfg)
-			compareCoverage(t, "prune+dedup", pruned, gotP)
-		}
+		bothCfg := base
+		bothCfg.Prune = true
+		bothCfg.Dedup = true
+		gotP, _ := coverage(t, s, p, bothCfg)
+		compareCoverage(t, "prune+dedup", pruned, gotP)
 	}
 
 	if s.SupportsSymmetry() {
@@ -410,7 +404,7 @@ func samplerDeterminism(t *testing.T, s spec.Spec, p spec.Params, opt Options) {
 					s.Name(), strategy, i, cfg.Seed, got, first[i])
 			}
 		}
-		cfg.Coverage, cfg.CoverageMem, cfg.CoverageShards = true, 1, 1
+		cfg.Coverage, cfg.CoverageMem = true, 1
 		st, err := sampleSession(s.New(p), strategy, cfg)
 		if err != nil {
 			t.Fatalf("sampling %q/%s (replay pass under eviction): %v", s.Name(), strategy, err)

@@ -116,18 +116,16 @@ func symmetryCell(t *testing.T, s spec.Spec, p spec.Params, base explore.Config,
 
 	// Composition with partial-order reduction preserves the prune+dedup
 	// canonical outcome set.
-	if s.SupportsPrune() {
-		pruneDedup := dedupCfg
-		pruneDedup.Prune = true
-		pruneSym := symCfg
-		pruneSym.Prune = true
-		wantP, stPD := canonCoverage(t, s, p, pruneDedup)
-		gotP, stPS := canonCoverage(t, s, p, pruneSym)
-		if stPS.Runs > stPD.Runs {
-			t.Errorf("prune+symmetry explored MORE runs than prune+dedup: %d vs %d", stPS.Runs, stPD.Runs)
-		}
-		compareCoverage(t, "prune+symmetry", wantP, gotP)
+	pruneDedup := dedupCfg
+	pruneDedup.Prune = true
+	pruneSym := symCfg
+	pruneSym.Prune = true
+	wantP, stPD := canonCoverage(t, s, p, pruneDedup)
+	gotP, stPS := canonCoverage(t, s, p, pruneSym)
+	if stPS.Runs > stPD.Runs {
+		t.Errorf("prune+symmetry explored MORE runs than prune+dedup: %d vs %d", stPS.Runs, stPD.Runs)
 	}
+	compareCoverage(t, "prune+symmetry", wantP, gotP)
 
 	if opt.Samples > 0 {
 		permutationBattery(t, s, p, opt)

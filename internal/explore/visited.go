@@ -28,8 +28,10 @@ type VisitedStore struct {
 }
 
 // NewVisitedStore builds a store whose memory ceiling is memBytes (0 =
-// DefaultDedupMem) across shards lock stripes (0 = DefaultDedupShards,
-// rounded up to a power of two). The ceiling is not allocated up front: the
+// DefaultDedupMem) across shards lock stripes, rounded up to a power of two
+// (0 derives the count from the budget as Config.DedupMem does:
+// DefaultDedupShards from 24 KiB up, one shard of 16 slots at 1 byte). The
+// ceiling is not allocated up front: the
 // store starts at 1 KiB per shard, 16 B a slot, and grows on demand,
 // evicting only once a shard reaches its share of the ceiling, counted in
 // 24 B slots: the table there keeps an LRU stamp beside each slot.
@@ -49,23 +51,16 @@ func (v *VisitedStore) Reachable() func() bool {
 // Visit reports whether fp was already resident, inserting it if not.
 // Exactly one caller ever gets "false" for a given resident fingerprint. A
 // hit below the shard's ceiling takes no lock and writes no shared memory,
-// so Visit does not count itself: callers that want Stats.Lookups and
-// Stats.Hits count their visits and publish them with AddLookups.
+// so Visit does not count itself: the engines' lanes count their probes and
+// publish them to the store in batches of runs.
 func (v *VisitedStore) Visit(fp sched.Fingerprint) bool {
 	return v.st.visit(fp)
 }
 
-// AddLookups publishes n Visit calls made by the caller. Engines count
-// visits in a local and publish them in batches of runs, keeping the shared
-// counter off the probe path.
-func (v *VisitedStore) AddLookups(n int64) {
-	v.st.addLookups(n)
-}
-
 // Stats snapshots the store counters. Stats.States is the insert count — the
 // distinct-state estimate (exact until the first eviction). Stats.Lookups is
-// the published visit count (see AddLookups) and Stats.Hits is Lookups −
-// States: exact once every caller has published, and never negative.
+// the published probe count and Stats.Hits is Lookups − States: exact once
+// every lane has published, and never negative.
 func (v *VisitedStore) Stats() DedupStats {
 	if v == nil {
 		return DedupStats{}

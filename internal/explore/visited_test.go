@@ -58,8 +58,8 @@ func TestVisitedStoreOrbitCollapse(t *testing.T) {
 			fresh++
 		}
 	}
-	// The store does not count its own probes: publish them as the engines do.
-	store.AddLookups(int64(len(perms)))
+	// The store does not count its own probes: publish them as the lanes do.
+	store.st.addLookups(int64(len(perms)))
 	if fresh != 1 {
 		t.Errorf("%d of %d permuted variants reported fresh, want exactly 1", fresh, len(perms))
 	}

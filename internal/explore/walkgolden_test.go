@@ -125,10 +125,7 @@ var dedupWalkGoldens = map[string]walkGolden{
 // dedupWalkModes returns the modes s is walked in, by name: Dedup,
 // Dedup+Prune and, for symmetric specs, Dedup+Symmetry.
 func dedupWalkModes(s spec.Spec) map[string]explore.Config {
-	modes := map[string]explore.Config{"dedup": {Dedup: true}}
-	if s.SupportsPrune() {
-		modes["prune"] = explore.Config{Dedup: true, Prune: true}
-	}
+	modes := map[string]explore.Config{"dedup": {Dedup: true}, "prune": {Dedup: true, Prune: true}}
 	if s.SupportsSymmetry() {
 		modes["symmetry"] = explore.Config{Dedup: true, Symmetry: true}
 	}
