@@ -83,7 +83,9 @@ fuzz-grid:
 # worker pool under both engines (the engine-contract tables: cancellation,
 # progress, leases, panic re-raise, goroutine leaks; and the sampler's whole
 # suite), and the daemon's Submit under concurrent submissions to a full
-# queue (every accepted job, and no bounced one, listed by GET /jobs), run
+# queue (every accepted job, and no bounced one, listed by GET /jobs) and of
+# one key (admission hits, runner joins and runner hits interleaved: one
+# miss, and every job holds the leader's record byte for byte), run
 # twice at 1, 2 and 4 CPUs so the race detector sees several interleavings
 # of each. -short trims the n=3 cells of the
 # sequential dedup coverage battery and the larger points of the walk
@@ -198,8 +200,11 @@ sample-smoke: build
 # loopback ephemeral port driven over HTTP — a violating exhaustive job with
 # its replay artifact, a seeded BG sampling job resolving the spec's declared
 # budgets, an identical resubmission answered from the content-addressed
-# cache (hit counter asserted), cancellation of queued and running jobs, and
-# the typed admission rejections — plus the CLI -json ↔ daemon record-parity
+# cache (hit counter asserted), a hit admitted at a full queue, one
+# keep-alive connection across 51 finished events streams, cancellation of
+# queued and running jobs, the typed admission rejections, and goroutine-leak
+# checks (a client leaving a live stream, canceled jobs, Server.Close with
+# jobs in flight) — plus the CLI -json ↔ daemon record-parity
 # battery (byte-identical replay scripts under the sequential engine). See
 # docs/SERVICE.md.
 service-smoke: build

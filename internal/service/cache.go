@@ -28,7 +28,8 @@ type CacheStats struct {
 type flight struct {
 	done   chan struct{}
 	result Result
-	ok     bool // result is valid (leader completed and kept it)
+	enc    []byte // result's JSON encoding, made once by Complete
+	ok     bool   // result is valid (leader completed and kept it)
 }
 
 // Cache is the single-flight content-addressed result cache. The zero value
@@ -62,29 +63,32 @@ func (l *Lease) Leader() bool { return l.leader }
 // Done is closed when the computation completes or aborts.
 func (l *Lease) Done() <-chan struct{} { return l.f.done }
 
-// Result returns the computed record after Done; ok is false when the
-// leader aborted (callers then resubmit or report the abort).
-func (l *Lease) Result() (Result, bool) {
+// Result returns the computed record and its JSON encoding after Done; ok
+// is false when the leader aborted (callers then resubmit or report the
+// abort).
+func (l *Lease) Result() (Result, []byte, bool) {
 	<-l.f.done
-	return l.f.result, l.f.ok
+	return l.f.result, l.f.enc, l.f.ok
 }
 
-// Complete publishes the leader's record and wakes the followers. Uncacheable
-// records (cancellations, engine failures) are delivered to the waiting
-// followers but evicted from the cache, so later identical submissions
-// re-run.
-func (l *Lease) Complete(r Result) {
+// Complete publishes the leader's record and wakes the followers. The record
+// is encoded once, here: the returned bytes are what every later reader of
+// the flight receives. Uncacheable records (cancellations, engine failures)
+// are delivered to the waiting followers but evicted from the cache, so
+// later identical submissions re-run.
+func (l *Lease) Complete(r Result) []byte {
 	if !l.leader {
 		panic("service: Complete on a follower lease")
 	}
+	enc := r.encode()
 	l.c.mu.Lock()
-	l.f.result = r
-	l.f.ok = true
+	l.f.result, l.f.enc, l.f.ok = r, enc, true
 	if !r.Cacheable() {
 		delete(l.c.flights, l.key)
 	}
 	l.c.mu.Unlock()
 	close(l.f.done)
+	return enc
 }
 
 // Abort drops the leader's flight without a record: followers wake with
@@ -119,6 +123,27 @@ func (c *Cache) Begin(key string) *Lease {
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f
 	return &Lease{c: c, key: key, f: f, leader: true}
+}
+
+// Lookup answers a submission from a completed record without a lease: when
+// key's flight has completed, it counts a hit and returns the record and its
+// encoding. A completed flight still in the table holds a cacheable record,
+// since Complete evicts the others and Abort evicts its flight. An unknown or
+// in-flight key counts nothing; the submission then claims it with Begin.
+func (c *Cache) Lookup(key string) (Result, []byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f, ok := c.flights[key]
+	if !ok {
+		return Result{}, nil, false
+	}
+	select {
+	case <-f.done:
+	default:
+		return Result{}, nil, false
+	}
+	c.hits.Add(1)
+	return f.result, f.enc, true
 }
 
 // Stats snapshots the counters.

@@ -1,32 +1,45 @@
 package service
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
 )
 
 // TestCacheHitMissAccounting: the first submission of a key is a miss and
-// runs; a later identical submission is answered by the completed record.
+// runs; later identical submissions, through Begin or Lookup, are answered
+// by the completed record and the bytes Complete encoded. Lookup counts
+// nothing while the key is in flight.
 func TestCacheHitMissAccounting(t *testing.T) {
 	c := NewCache()
 	lease := c.Begin("k")
 	if !lease.Leader() {
 		t.Fatal("first submission is not the leader")
 	}
+	if _, _, ok := c.Lookup("k"); ok {
+		t.Fatal("Lookup answered an in-flight key")
+	}
 	want := Result{Verdict: VerdictExhausted, Spec: "commitadopt"}
-	lease.Complete(want)
+	enc := lease.Complete(want)
+	if !bytes.Equal(enc, want.encode()) {
+		t.Fatalf("Complete returned %s", enc)
+	}
 
 	again := c.Begin("k")
 	if again.Leader() {
 		t.Fatal("completed key re-elected a leader")
 	}
-	got, ok := again.Result()
-	if !ok || got.Verdict != want.Verdict || got.Spec != want.Spec {
-		t.Fatalf("cached record = %+v (ok=%v)", got, ok)
+	got, gotEnc, ok := again.Result()
+	if !ok || got.Verdict != want.Verdict || got.Spec != want.Spec || !bytes.Equal(gotEnc, enc) {
+		t.Fatalf("cached record = %+v %s (ok=%v)", got, gotEnc, ok)
+	}
+	got, gotEnc, ok = c.Lookup("k")
+	if !ok || got.Verdict != want.Verdict || !bytes.Equal(gotEnc, enc) {
+		t.Fatalf("Lookup = %+v %s (ok=%v)", got, gotEnc, ok)
 	}
 	st := c.Stats()
-	if st.Misses != 1 || st.Hits != 1 || st.Joins != 0 || st.Entries != 1 {
+	if st.Misses != 1 || st.Hits != 2 || st.Joins != 0 || st.Entries != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -50,7 +63,7 @@ func TestCacheSingleFlight(t *testing.T) {
 				leaderCh <- lease
 				return
 			}
-			if r, ok := lease.Result(); ok {
+			if r, _, ok := lease.Result(); ok {
 				followed <- r
 			}
 		}()
@@ -90,7 +103,7 @@ func TestCacheUncacheableEvicted(t *testing.T) {
 	done := make(chan Result, 1)
 	go func() {
 		follower := c.Begin("k")
-		r, _ := follower.Result()
+		r, _, _ := follower.Result()
 		done <- r
 	}()
 	// Wait for the follower to join before completing.
@@ -103,6 +116,9 @@ func TestCacheUncacheableEvicted(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("uncacheable record resident: %+v", st)
+	}
+	if _, _, ok := c.Lookup("k"); ok {
+		t.Fatal("Lookup answered an evicted key")
 	}
 	if !c.Begin("k").Leader() {
 		t.Fatal("evicted key did not re-elect a leader")
@@ -117,7 +133,7 @@ func TestCacheAbort(t *testing.T) {
 	done := make(chan bool, 1)
 	go func() {
 		follower := c.Begin("k")
-		_, ok := follower.Result()
+		_, _, ok := follower.Result()
 		done <- ok
 	}()
 	for c.Stats().Joins == 0 {

@@ -6,6 +6,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 
 	"mpcn/internal/explore"
@@ -164,4 +165,15 @@ func (r Result) Cacheable() bool {
 		return true
 	}
 	return false
+}
+
+// encode is the record's JSON encoding, the bytes an events stream's result
+// line carries. A Result holds only strings, integers, booleans and a finite
+// PCTBound, so encoding cannot fail.
+func (r Result) encode() []byte {
+	b, err := json.Marshal(r)
+	if err != nil {
+		panic("service: encode result: " + err.Error())
+	}
+	return b
 }

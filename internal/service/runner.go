@@ -39,7 +39,8 @@ type jobState struct {
 
 	mu       sync.Mutex
 	result   *Result
-	cached   bool // answered from the cache without running
+	enc      []byte // result's JSON encoding, the events stream's record
+	cached   bool   // answered from the cache without running
 	created  time.Time
 	started  time.Time
 	finished time.Time
@@ -72,11 +73,12 @@ func (js *jobState) Cancel() {
 
 func (js *jobState) stateName() string { return js.state.Load().(string) }
 
-// finish records the terminal result exactly once.
-func (js *jobState) finish(r Result, cached bool, state string) {
+// finish records the terminal result and its encoding exactly once.
+func (js *jobState) finish(r Result, enc []byte, cached bool, state string) {
 	js.mu.Lock()
 	if js.result == nil {
 		js.result = &r
+		js.enc = enc
 		js.cached = cached
 		js.finished = time.Now()
 		js.state.Store(state)
@@ -138,7 +140,7 @@ type JobStatus struct {
 // runJob drives one popped job to its terminal result through the cache.
 func runJob(js *jobState, cache *Cache, pool *SessionPool) {
 	if js.ctx.Err() != nil {
-		js.finish(canceledResult(js.job), false, StateCanceled)
+		js.finishCanceled()
 		return
 	}
 	for {
@@ -150,41 +152,39 @@ func runJob(js *jobState, cache *Cache, pool *SessionPool) {
 			js.state.Store(StateRunning)
 			est, sst, err := Run(js.ctx, js.job, js.prog, pool)
 			r := NewResult(js.job, est, sst, err)
+			// A canceled record frees the key, so the next identical
+			// submission re-runs, but still reaches any followers.
+			state := StateDone
 			if r.Verdict == VerdictCanceled {
-				// Free the key so the next identical submission re-runs, but
-				// still deliver the cancellation to any followers.
-				lease.Complete(r)
-				js.finish(r, false, StateCanceled)
-				return
+				state = StateCanceled
 			}
-			lease.Complete(r)
-			js.finish(r, false, StateDone)
+			js.finish(r, lease.Complete(r), false, state)
 			return
 		}
 		select {
 		case <-lease.Done():
-			if r, ok := lease.Result(); ok && r.Cacheable() {
-				js.finish(r, true, StateDone)
+			if r, enc, ok := lease.Result(); ok && r.Cacheable() {
+				js.finish(r, enc, true, StateDone)
 				return
 			}
 			// The leader aborted or its record was transient (canceled,
 			// engine failure): claim the key ourselves.
 			if js.ctx.Err() != nil {
-				js.finish(canceledResult(js.job), false, StateCanceled)
+				js.finishCanceled()
 				return
 			}
 		case <-js.ctx.Done():
-			js.finish(canceledResult(js.job), false, StateCanceled)
+			js.finishCanceled()
 			return
 		}
 	}
 }
 
-// canceledResult is the terminal record of a job canceled before or while
-// waiting on another flight.
-func canceledResult(j *Job) Result {
-	r := NewResult(j, explore.Stats{}, sample.Stats{}, context.Canceled)
-	return r
+// finishCanceled ends a job canceled before it ran or while it waited on
+// another flight.
+func (js *jobState) finishCanceled() {
+	r := NewResult(js.job, explore.Stats{}, sample.Stats{}, context.Canceled)
+	js.finish(r, r.encode(), false, StateCanceled)
 }
 
 // Run runs the job's engine under ctx and returns what it returned: exactly

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -79,8 +80,8 @@ func NewServer(cfg ServerConfig) *Server {
 	return s
 }
 
-// Close stops the runner pool (canceling any running jobs) and drains the
-// session pool.
+// Close stops the runner pool (canceling any running jobs), finishes the
+// jobs still queued as canceled and drains the session pool.
 func (s *Server) Close() {
 	close(s.stop)
 	s.mu.Lock()
@@ -89,6 +90,11 @@ func (s *Server) Close() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
+	// No runner pops the queue any more: a job left in it would stay queued,
+	// and its events stream open, for good.
+	for len(s.queue.ch) > 0 {
+		(<-s.queue.ch).finishCanceled()
+	}
 	s.pool.Close()
 }
 
@@ -106,7 +112,9 @@ func (s *Server) runLoop() {
 }
 
 // Submit validates, canonicalizes, admits and enqueues a request, returning
-// the job's public status. client is the rate-limit identity.
+// the job's public status. client is the rate-limit identity. A key the
+// cache holds a completed record for is answered here: the job is done and
+// cached on return, and takes neither a queue slot nor a runner.
 func (s *Server) Submit(req Request, client string) (JobStatus, error) {
 	if ok, wait := s.limiter.Allow(client); !ok {
 		return JobStatus{}, fmt.Errorf("%w (retry in %v)", ErrRateLimited, wait.Round(time.Millisecond))
@@ -122,7 +130,9 @@ func (s *Server) Submit(req Request, client string) (JobStatus, error) {
 	s.nextID++
 	id := fmt.Sprintf("job-%d", s.nextID)
 	js := newJobState(id, client, j)
-	if err := s.queue.push(js); err != nil {
+	if r, enc, ok := s.cache.Lookup(js.key); ok {
+		js.finish(r, enc, true, StateDone)
+	} else if err := s.queue.push(js); err != nil {
 		s.mu.Unlock()
 		js.cancel()
 		return JobStatus{}, err
@@ -263,7 +273,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // Event is one line of the NDJSON events stream: progress ticks while the
-// job runs, then one terminal result line.
+// job runs, then one terminal result line. Clients decode lines as Events;
+// the server writes them through eventLine, which encodes the same bytes.
 type Event struct {
 	Type string `json:"type"` // "status", "progress" or "result"
 	Job  string `json:"job"`
@@ -275,9 +286,42 @@ type Event struct {
 	Cached   bool            `json:"cached,omitempty"`
 }
 
+// eventLine is the wire form of an Event: the same keys in the same order,
+// so a line decodes as an Event, with the terminal record carried as the
+// bytes its job was finished with instead of being encoded again.
+type eventLine struct {
+	Type     string          `json:"type"`
+	Job      string          `json:"job"`
+	State    string          `json:"state,omitempty"`
+	Progress *ProgressStatus `json:"progress,omitempty"`
+	Result   json.RawMessage `json:"result,omitempty"`
+	Cached   bool            `json:"cached,omitempty"`
+}
+
+// appendLine appends the event's NDJSON line to b.
+func (ev eventLine) appendLine(b []byte) []byte {
+	line, err := json.Marshal(ev)
+	if err != nil {
+		panic("service: encode event: " + err.Error())
+	}
+	return append(append(b, line...), '\n')
+}
+
+// resultLine is a finished job's terminal event.
+func (js *jobState) resultLine() eventLine {
+	js.mu.Lock()
+	defer js.mu.Unlock()
+	return eventLine{Type: "result", Job: js.id, State: js.stateName(), Result: js.enc, Cached: js.cached}
+}
+
 // handleEvents streams a job's lifecycle as NDJSON: an initial status line,
 // a progress line per poll tick while the job runs, and one final result
 // line. The stream ends at the terminal line (or when the client goes away).
+// A finished job's stream is one response with a Content-Length. A live
+// stream flushes its status and progress lines as they come, but not its
+// result line, which leaves together with the end of the response: a client
+// that stops reading at the result line then still sees the response end,
+// and its connection stays reusable.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	js, ok := s.Job(r.PathValue("id"))
 	if !ok {
@@ -285,21 +329,27 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	select {
+	case <-js.done:
+		body := eventLine{Type: "status", Job: js.id, State: js.stateName()}.appendLine(nil)
+		body = js.resultLine().appendLine(body)
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(http.StatusOK)
+		w.Write(body)
+		return
+	default:
+	}
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flush := func() {
+	emit := func(ev eventLine) bool {
+		if _, err := w.Write(ev.appendLine(nil)); err != nil {
+			return false
+		}
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
 		}
-	}
-	emit := func(ev Event) bool {
-		if err := enc.Encode(ev); err != nil {
-			return false
-		}
-		flush()
 		return true
 	}
-	if !emit(Event{Type: "status", Job: js.id, State: js.stateName()}) {
+	if !emit(eventLine{Type: "status", Job: js.id, State: js.stateName()}) {
 		return
 	}
 	ticker := time.NewTicker(s.cfg.StreamInterval)
@@ -307,12 +357,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case <-js.done:
-			st := js.snapshot()
-			emit(Event{Type: "result", Job: js.id, State: st.State, Result: st.Result, Cached: st.Cached})
+			w.Write(js.resultLine().appendLine(nil))
 			return
 		case <-ticker.C:
 			st := js.snapshot()
-			if !emit(Event{Type: "progress", Job: js.id, State: st.State, Progress: st.Progress}) {
+			if !emit(eventLine{Type: "progress", Job: js.id, State: st.State, Progress: st.Progress}) {
 				return
 			}
 		case <-r.Context().Done():

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -212,6 +214,9 @@ func TestServiceSmokeHTTP(t *testing.T) {
 // cancellation target.
 const slowJob = `{"spec": "registers", "engine": {"mode": "sample", "workers": 1, "samples": 50000000}, "seed": %d}`
 
+// quickJob is a sampling request that finishes in milliseconds.
+const quickJob = `{"spec": "registers", "engine": {"mode": "sample", "workers": 1, "samples": 20}, "seed": %d}`
+
 // TestServiceSmokeCancel: canceling a running job stops its engine with a
 // canceled verdict; canceling a queued job resolves it without ever running;
 // neither record enters the cache.
@@ -346,7 +351,6 @@ func TestSubmitConcurrentQueueFull(t *testing.T) {
 	defer ts.Close()
 
 	const submitters, each = 8, 500
-	quick := `{"spec": "registers", "engine": {"mode": "sample", "workers": 1, "samples": 20}, "seed": %d}`
 	var mu sync.Mutex
 	accepted := map[string]bool{}
 	rejected := 0
@@ -357,7 +361,7 @@ func TestSubmitConcurrentQueueFull(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				var req Request
-				if err := json.Unmarshal(fmt.Appendf(nil, quick, g*each+i+1), &req); err != nil {
+				if err := json.Unmarshal(fmt.Appendf(nil, quickJob, g*each+i+1), &req); err != nil {
 					t.Error(err)
 					return
 				}
@@ -397,4 +401,274 @@ func TestSubmitConcurrentQueueFull(t *testing.T) {
 		}
 	}
 	t.Logf("%d accepted, %d rejected", len(accepted), rejected)
+}
+
+// TestServiceSmokeHitAtAdmission: a resubmission of a completed key is
+// answered by Submit itself, done and cached, even while the one runner is
+// busy and the queue is full; a fresh key still bounces off the full queue.
+func TestServiceSmokeHitAtAdmission(t *testing.T) {
+	srv := NewServer(ServerConfig{Runners: 1, QueueCap: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	leader := pollDone(t, ts.URL, submit(t, ts.URL, fmt.Sprintf(quickJob, 1)).ID)
+	running := submit(t, ts.URL, fmt.Sprintf(slowJob, 6))
+	pollState(t, ts.URL, running.ID, StateRunning)
+	queued := submit(t, ts.URL, fmt.Sprintf(slowJob, 7))
+	var before StatsRecord
+	getJSON(t, ts.URL+"/stats", &before)
+
+	resp, payload := postJSON(t, ts.URL+"/jobs", fmt.Sprintf(quickJob, 1))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("hit status %d: %s", resp.StatusCode, payload)
+	}
+	var hit JobStatus
+	if err := json.Unmarshal(payload, &hit); err != nil {
+		t.Fatal(err)
+	}
+	if hit.State != StateDone || !hit.Cached || !reflect.DeepEqual(hit.Result, leader.Result) {
+		t.Fatalf("hit answered state=%s cached=%v result=%+v, leader's result %+v", hit.State, hit.Cached, hit.Result, leader.Result)
+	}
+	resp, payload = postJSON(t, ts.URL+"/jobs", fmt.Sprintf(slowJob, 8))
+	if resp.StatusCode != http.StatusServiceUnavailable || !bytes.Contains(payload, []byte("queue_full")) {
+		t.Fatalf("fresh key at a full queue: %d %s", resp.StatusCode, payload)
+	}
+	var after StatsRecord
+	getJSON(t, ts.URL+"/stats", &after)
+	if after.Cache.Hits != before.Cache.Hits+1 || after.Cache.Misses != before.Cache.Misses || after.QueueDepth != before.QueueDepth {
+		t.Fatalf("stats around the hit: %+v -> %+v", before, after)
+	}
+
+	postJSON(t, ts.URL+"/jobs/"+queued.ID+"/cancel", "")
+	postJSON(t, ts.URL+"/jobs/"+running.ID+"/cancel", "")
+	pollDone(t, ts.URL, running.ID)
+	pollDone(t, ts.URL, queued.ID)
+}
+
+// streamLine is an events line with its record kept as the bytes sent.
+type streamLine struct {
+	Type   string          `json:"type"`
+	State  string          `json:"state"`
+	Result json.RawMessage `json:"result"`
+	Cached bool            `json:"cached"`
+}
+
+// TestServiceSmokeEventsKeepAlive: a client that submits one key again and
+// again and reads each events stream up to its result line, then closes it
+// (as the benchmark's clients do), keeps one connection. A finished job's
+// stream is one response with a Content-Length: a status line and a result
+// line whose record is the leader's, byte for byte. A live stream still
+// delivers its status line while the job runs.
+func TestServiceSmokeEventsKeepAlive(t *testing.T) {
+	srv := NewServer(ServerConfig{Runners: 1, StreamInterval: 10 * time.Millisecond})
+	defer srv.Close()
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+
+	post := func(body string) JobStatus {
+		t.Helper()
+		resp, err := client.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st JobStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+		}
+		return st
+	}
+	// events reads a finished job's stream up to its result line and closes
+	// the body there.
+	events := func(id string) []streamLine {
+		t.Helper()
+		resp, err := client.Get(ts.URL + "/jobs/" + id + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.ContentLength <= 0 || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("finished stream of %s: Content-Length %d, Transfer-Encoding %v", id, resp.ContentLength, resp.TransferEncoding)
+		}
+		var lines []streamLine
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var l streamLine
+			if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
+				t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+			}
+			lines = append(lines, l)
+			if l.Type == "result" {
+				break
+			}
+		}
+		if len(lines) != 2 || lines[0].Type != "status" || lines[0].State != StateDone || lines[1].Type != "result" {
+			t.Fatalf("finished stream of %s: %+v", id, lines)
+		}
+		return lines
+	}
+
+	body := fmt.Sprintf(quickJob, 1)
+	leader := post(body)
+	js, _ := srv.Job(leader.ID)
+	select {
+	case <-js.done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("job %s never finished", leader.ID)
+	}
+	want := events(leader.ID)[1]
+	if want.Cached || len(want.Result) == 0 {
+		t.Fatalf("leader's result line: %+v", want)
+	}
+	for i := 0; i < 50; i++ {
+		st := post(body)
+		got := events(st.ID)[1]
+		if !got.Cached || !bytes.Equal(got.Result, want.Result) {
+			t.Fatalf("hit %d: cached=%v result\n%s\nleader's\n%s", i, got.Cached, got.Result, want.Result)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("51 round trips opened %d connections", n)
+	}
+
+	// A live stream: the status line arrives while the job runs.
+	running := post(fmt.Sprintf(slowJob, 9))
+	resp, err := client.Get(ts.URL + "/jobs/" + running.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	lines := make(chan streamLine)
+	go func() {
+		defer close(lines)
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var l streamLine
+			if json.Unmarshal(sc.Bytes(), &l) != nil {
+				return
+			}
+			lines <- l
+		}
+	}()
+	select {
+	case l := <-lines:
+		if l.Type != "status" {
+			t.Fatalf("live stream opened with %+v", l)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("live stream delivered no status line while the job ran")
+	}
+	if js, _ := srv.Job(running.ID); js.stateName() == StateDone || js.stateName() == StateCanceled {
+		t.Fatalf("job %s finished before its cancellation", running.ID)
+	}
+	if resp, err := client.Post(ts.URL+"/jobs/"+running.ID+"/cancel", "application/json", nil); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+	}
+	var last streamLine
+	for l := range lines {
+		last = l
+	}
+	if last.Type != "result" || last.State != StateCanceled {
+		t.Fatalf("live stream ended with %+v", last)
+	}
+}
+
+// TestEventLinesMatchEvent: every events line the server writes encodes
+// byte for byte as the public Event with the same content would.
+func TestEventLinesMatchEvent(t *testing.T) {
+	r := Result{Verdict: VerdictViolation, Spec: "registers", Params: "n=2",
+		Violation: &Violation{Error: `non-monotonic <read> & "write"`, Script: []string{"run(0@(start))"}}}
+	cases := []struct {
+		ev   Event
+		line eventLine
+	}{
+		{Event{Type: "status", Job: "job-1", State: StateQueued}, eventLine{Type: "status", Job: "job-1", State: StateQueued}},
+		{Event{Type: "progress", Job: "job-1", State: StateRunning, Progress: &ProgressStatus{Runs: 7}},
+			eventLine{Type: "progress", Job: "job-1", State: StateRunning, Progress: &ProgressStatus{Runs: 7}}},
+		{Event{Type: "result", Job: "job-1", State: StateDone, Result: &r, Cached: true},
+			eventLine{Type: "result", Job: "job-1", State: StateDone, Result: r.encode(), Cached: true}},
+	}
+	for _, c := range cases {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(c.ev); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.line.appendLine(nil); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s line:\n%s\nEvent encodes as\n%s", c.ev.Type, got, want.Bytes())
+		}
+	}
+}
+
+// TestSubmitConcurrentIdentical: concurrent submissions of one key against
+// two runners, so that admission hits, runner joins and runner hits
+// interleave. Exactly one submission computes the record; every other is
+// answered by the cache, and every job carries the same bytes.
+func TestSubmitConcurrentIdentical(t *testing.T) {
+	const submitters, each = 8, 200
+	srv := NewServer(ServerConfig{Runners: 2, QueueCap: submitters * each})
+	defer srv.Close()
+
+	// A few thousand samples keep the leader running while the other
+	// submissions arrive.
+	var req Request
+	if err := json.Unmarshal([]byte(`{"spec": "registers", "engine": {"mode": "sample", "workers": 1, "samples": 5000}, "seed": 1}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([][]string, submitters)
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				st, err := srv.Submit(req, "c")
+				if err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				ids[g] = append(ids[g], st.ID)
+			}
+		}(g)
+	}
+	wg.Wait()
+	var want []byte
+	computed := 0
+	for _, list := range ids {
+		for _, id := range list {
+			js, _ := srv.Job(id)
+			select {
+			case <-js.done:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("job %s never finished", id)
+			}
+			js.mu.Lock()
+			enc, cached := js.enc, js.cached
+			js.mu.Unlock()
+			if !cached {
+				computed++
+			}
+			if want == nil {
+				want = enc
+			} else if !bytes.Equal(enc, want) {
+				t.Fatalf("job %s record\n%s\ndiffers from\n%s", id, enc, want)
+			}
+		}
+	}
+	st := srv.Stats().Cache
+	if computed != 1 || st.Misses != 1 || st.Hits+st.Joins != submitters*each-1 {
+		t.Fatalf("%d jobs computed; cache counters %+v", computed, st)
+	}
+	t.Logf("cache counters %+v", st)
 }
